@@ -20,7 +20,7 @@ from .ktrees import KTree, cone, embed_in_ktree, gen_tdr, recognize_ktree
 from .minors import triangle_minor
 from .pipeline import pipeline_grow
 from .predicates import verify_witness, witness_from_dict
-from .sweeps import default_threads, random_two_tree
+from .sweeps import random_two_tree
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -135,11 +135,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    runner = sweeps.SWEEPS.get(args.suite)
-    if runner is None:
-        print(f"unknown sweep {args.suite!r}", file=sys.stderr)
-        return EXIT_USAGE
-    report = runner(args)
+    report = sweeps.SWEEPS[args.suite](args)
     print(report.summary())
     if args.out:
         report.write(args.out)

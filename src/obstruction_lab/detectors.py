@@ -11,7 +11,7 @@ smallest vertex sequence (with the orientation fixed by second < last).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import ContractViolation
@@ -163,10 +163,6 @@ def find_hole(
     return None
 
 
-def has_even_hole(g: SimpleGraph) -> bool:
-    return find_hole(g, parity="even") is not None
-
-
 def validate_hole(g: SimpleGraph, cert: Certificate) -> bool:
     return cert.kind == HOLE and is_hole(g, cert.cycle)
 
@@ -246,7 +242,7 @@ def _max_clique(g: SimpleGraph) -> int:
 def has_clique(g: SimpleGraph, t: int) -> Certificate | None:
     if t < 1:
         raise ContractViolation("clique size must be >= 1")
-    if t == 0 or g.n < t:
+    if g.n < t:
         return None
     adj = g.adj
 
@@ -646,7 +642,12 @@ def classify_against_hole(g: SimpleGraph, cycle: tuple[int, ...], v: int) -> Whe
     cmask = mask_of(cycle)
     if not 0 <= v < g.n or cmask >> v & 1:
         raise ContractViolation("vertex must lie outside the hole")
-    nbrs = g.adj[v] & cmask
+    return classify_attachment(g, g.adj[v] & cmask)
+
+
+def classify_attachment(g: SimpleGraph, nbrs: int) -> WheelClass:
+    """Good / Bad / Ugly split of a vertex's neighborhood `nbrs` on a hole or
+    path: one vertex is good, a clique of two or more is bad, else ugly."""
     k = nbrs.bit_count()
     if k == 0:
         return WheelClass.NO_NEIGHBOR
@@ -668,7 +669,6 @@ def is_d_substantial(g: SimpleGraph, v: int, d: int) -> SubstantialWitness | Non
         raise ContractViolation("d must be >= 1")
     if not 0 <= v < g.n:
         raise ContractViolation("vertex out of range")
-    rest = g.vertices_mask ^ (1 << v)
     for cyc in iter_holes(g):
         cmask = mask_of(cyc)
         if cmask >> v & 1:
@@ -685,12 +685,8 @@ def _cycle_minus_disconnected(cycle: tuple[int, ...], removed: int) -> bool:
     # survivors form arcs of the cycle; disconnected iff more than one arc
     k = len(cycle)
     keep = [not (removed >> c & 1) for c in cycle]
-    if not any(keep):
-        return False
     arcs = 0
     for i in range(k):
         if keep[i] and not keep[i - 1]:
             arcs += 1
-    if arcs == 0:
-        return False  # whole cycle survives, connected
     return arcs >= 2

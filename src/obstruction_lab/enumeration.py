@@ -184,13 +184,6 @@ def _level(n: int, prune) -> Iterator[SimpleGraph]:
         level = nxt
 
 
-def level_parents(n: int, prune=None) -> list[SimpleGraph]:
-    """All canonical graphs on n-1 vertices surviving the prune (sweep partitioning)."""
-    if n == 1:
-        return []
-    return list(_level(n - 1, prune))
-
-
 def count_isomorphism_classes_brute(n: int) -> int:
     """Labeled brute force modulo isomorphism; cross-check for small n."""
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]

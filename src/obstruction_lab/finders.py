@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .detectors import Certificate, WheelClass, clique_number, has_clique
+from .detectors import WheelClass, classify_attachment, has_clique
 from .errors import ContractViolation, HypothesisMiss
 from .graphs import SimpleGraph, bits, complement_graph, is_induced_path, mask_of
 from .ktrees import Embedding, contains_induced
@@ -35,16 +35,7 @@ def classify_against_path(g: SimpleGraph, path: PathSeq, v: int) -> WheelClass:
     pmask = mask_of(path)
     if pmask >> v & 1:
         raise ContractViolation("vertex lies on the path")
-    nbrs = g.adj[v] & pmask
-    k = nbrs.bit_count()
-    if k == 0:
-        return WheelClass.NO_NEIGHBOR
-    if k == 1:
-        return WheelClass.GOOD
-    for u in bits(nbrs):
-        if g.adj[u] & nbrs != nbrs & ~(1 << u):
-            return WheelClass.UGLY
-    return WheelClass.BAD
+    return classify_attachment(g, g.adj[v] & pmask)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +86,9 @@ def find_alignment(
         if hi1 >= lo2:
             return AlignmentOutcome(None, anomaly=True)
     pi = tuple(s for _, _, s in intervals)
-    assert verify_alignment(g, Alignment(s_set, path, x, pi)) is None
+    bad = verify_alignment(g, Alignment(s_set, path, x, pi))
+    if bad is not None:
+        raise ContractViolation(f"constructed alignment fails clause {bad}")
     return AlignmentOutcome(pi, anomaly=False)
 
 
@@ -241,8 +234,8 @@ def extract_induced_from_blurry(g: SimpleGraph, w: BlurryWitness) -> ExtractionR
     if bad is not None:
         raise ContractViolation(f"witness does not verify (clause {bad})")
     if has_clique(g, 4) is None:
-        extras = blurry_extra_edges(g, w)
-        assert not extras, "verified witness on a K4-free host cannot carry extra edges"
+        if blurry_extra_edges(g, w):
+            raise ContractViolation("verified witness on a K4-free host cannot carry extra edges")
         h = len(w.order)
         emb = [0] * h
         for pos in range(h):
@@ -351,7 +344,9 @@ def find_strong_block(g: SimpleGraph, k: int, budget: int = 200000) -> BlockSear
             witness = StrongBlockWitness(
                 k, block, tuple((pair, tuple(paths)) for pair, paths in zip(pairs, assignment))
             )
-            assert verify_strong_block(g, witness) is None
+            bad = verify_strong_block(g, witness)
+            if bad is not None:
+                raise ContractViolation(f"packed strong block fails clause {bad}")
             return BlockSearchResult(witness, conclusive=True, expansions=counter[0])
         if counter[0] >= budget:
             exhausted = True

@@ -175,14 +175,6 @@ def delete_vertex(g: SimpleGraph, v: int) -> SimpleGraph:
     return SimpleGraph(g.n - 1, tuple(adj))
 
 
-def neighbors_of_set(g: SimpleGraph, subset: int) -> int:
-    """All vertices outside the set with at least one neighbor inside it."""
-    out = 0
-    for v in bits(subset):
-        out |= g.adj[v]
-    return out & ~subset
-
-
 def is_anticomplete(g: SimpleGraph, xs: int, ys: int) -> bool:
     if xs & ys:
         raise ContractViolation("anticomplete check requires disjoint sets")

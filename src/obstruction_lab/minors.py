@@ -4,7 +4,8 @@ Contracting an adjacent pair z1,z2 into z and keeping only z's edges into the
 common neighborhood N(z1) & N(z2) stays inside the (C4, theta, prism,
 even-wheel)-free class whenever that common neighborhood is a stable set of
 vertices of degree at most three.  check_thm31/check_thm32 assert exactly that
-on concrete graphs; the exhaustive sweeps live in the harness.
+on concrete graphs; the exhaustive sweeps in `sweeps` run the same per-graph
+checks on every class member they generate.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .detectors import (
-    Certificate,
     WheelClass,
     classify_against_hole,
     in_class_e,
@@ -112,26 +112,33 @@ def check_thm31(g: SimpleGraph, mutate=None) -> Thm31Report:
     `mutate` is the fault-injection hook used by the harness self-test: it
     maps a minor to a corrupted minor before the membership check.
     """
-    verdict = in_class_e(g)
-    if not verdict.member:
+    if not in_class_e(g).member:
         return Thm31Report(hypothesis_met=False)
-    report = Thm31Report(hypothesis_met=True)
+    pairs_checked, violations = thm31_minor_violations(g, mutate)
+    return Thm31Report(True, pairs_checked, violations)
+
+
+def thm31_minor_violations(g: SimpleGraph, mutate=None) -> tuple[int, list[dict]]:
+    """Membership check of every eligible pair's minor, without re-checking
+    that g itself is a member; returns (pairs checked, violation records)."""
+    pairs_checked = 0
+    violations = []
     for pair in eligible_pairs(g):
-        minor, z_new, _ = triangle_minor(g, pair.z1, pair.z2)
+        minor, _, _ = triangle_minor(g, pair.z1, pair.z2)
         if mutate is not None:
             minor = mutate(minor)
-        report.pairs_checked += 1
-        inner = in_class_e(minor)
-        if not inner.member:
-            report.violations.append(
+        pairs_checked += 1
+        verdict = in_class_e(minor)
+        if not verdict.member:
+            violations.append(
                 {
                     "graph6": write_graph6(g),
                     "pair": [pair.z1, pair.z2],
                     "minor_graph6": write_graph6(minor),
-                    "certificate": inner.violation.to_dict(),
+                    "certificate": verdict.violation.to_dict(),
                 }
             )
-    return report
+    return pairs_checked, violations
 
 
 @dataclass(frozen=True)
@@ -160,6 +167,12 @@ def check_thm32(g: SimpleGraph, cycle: tuple[int, ...], z1: int, z2: int) -> Thm
         return Thm32Verdict("skip", reason="pair shares a neighbor on the hole")
     if not in_class_e(g).member:
         return Thm32Verdict("skip", reason="graph not in class")
+    return thm32_verdict(g, cycle, z1, z2)
+
+
+def thm32_verdict(g: SimpleGraph, cycle: tuple[int, ...], z1: int, z2: int) -> Thm32Verdict:
+    """The exactly-one-bad verdict itself, for an instance already known to
+    meet the hypothesis (as every thm32_instances entry of a member does)."""
     c1 = classify_against_hole(g, cycle, z1)
     c2 = classify_against_hole(g, cycle, z2)
     bad_count = (c1 is WheelClass.BAD) + (c2 is WheelClass.BAD)

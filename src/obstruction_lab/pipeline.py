@@ -166,7 +166,9 @@ def pipeline_grow(g: SimpleGraph, target: KTree, budget: int = 500000, t: int = 
     if h == 2:
         # no kaleidoscope demand: the witness is any edge (w parameter 0 case)
         trace.witness = _blurry_for_suffix(target, [seed[0], seed[1]])
-        assert verify_blurry(g, trace.witness) is None
+        bad = verify_blurry(g, trace.witness)
+        if bad is not None:
+            raise ContractViolation(f"seed-edge blurry witness fails clause {bad}")
         trace.status = "success"
         trace.stages.append({"stage": "seed", "ok": True, "pair": list(seed)})
         return trace

@@ -34,12 +34,6 @@ class Kaleidoscope:
 
 
 @dataclass(frozen=True)
-class MirrorSpec:
-    zset: tuple[int, ...]
-    d: int
-
-
-@dataclass(frozen=True)
 class Palanquin:
     """Apex vertex, stable subset of its neighborhood, and disjoint paths every
     member of the set attaches to while the apex stays anticomplete."""
@@ -399,7 +393,7 @@ def witness_from_dict(d: dict):
 
 
 def verify_witness(g: SimpleGraph, witness) -> str | None:
-    """Dispatch on witness type; MirrorSpec is checked through verify_mirrored."""
+    """Dispatch on witness type."""
     if isinstance(witness, Kaleidoscope):
         return verify_kaleidoscope(g, witness)
     if isinstance(witness, Palanquin):

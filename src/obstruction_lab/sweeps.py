@@ -15,11 +15,10 @@ import os
 import random
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from multiprocessing import get_context
 
 from .detectors import (
-    WheelClass,
-    classify_against_hole,
     dirac_order,
     find_even_wheel,
     find_hole,
@@ -33,7 +32,13 @@ from .errors import ContractViolation
 from .finders import extract_induced_from_blurry
 from .graphs import SimpleGraph, add_vertex, bits, write_graph6
 from .ktrees import KTree, embed_in_ktree, validate_embedding, validate_ktree
-from .minors import eligible_pairs, thm32_instances, triangle_minor
+from .minors import (
+    eligible_pairs,
+    thm31_minor_violations,
+    thm32_instances,
+    thm32_verdict,
+    triangle_minor,
+)
 from .predicates import BlurryWitness, verify_blurry
 
 REPORT_SCHEMA = "obstruction-lab/report-v1"
@@ -42,7 +47,10 @@ REPORT_SCHEMA = "obstruction-lab/report-v1"
 def default_threads() -> int:
     env = os.environ.get("OBSTRUCTION_LAB_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ContractViolation(f"OBSTRUCTION_LAB_THREADS is not an integer: {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -116,23 +124,8 @@ def prune_tpw_free(g: SimpleGraph) -> bool:
     return find_theta(g) is None and find_prism(g) is None and find_even_wheel(g) is None
 
 
-def _prune_chordal_factory_check(g: SimpleGraph, k: int) -> bool:
+def _prune_chordal(g: SimpleGraph, k: int) -> bool:
     return dirac_order(g) is not None and has_clique(g, k + 2) is None
-
-
-def prune_chordal_k1(g):
-    return _prune_chordal_factory_check(g, 1)
-
-
-def prune_chordal_k2(g):
-    return _prune_chordal_factory_check(g, 2)
-
-
-def prune_chordal_k3(g):
-    return _prune_chordal_factory_check(g, 3)
-
-
-CHORDAL_PRUNES = {1: prune_chordal_k1, 2: prune_chordal_k2, 3: prune_chordal_k3}
 
 
 # ---------------------------------------------------------------------------
@@ -150,24 +143,9 @@ def corrupt_toggle_01(minor: SimpleGraph) -> SimpleGraph:
 
 
 def process_thm31(g: SimpleGraph, params: dict):
-    instances = 0
-    violations = []
-    mutate = params.get("mutate", False)
-    for pair in eligible_pairs(g):
-        minor, _, _ = triangle_minor(g, pair.z1, pair.z2)
-        if mutate:
-            minor = corrupt_toggle_01(minor)
-        instances += 1
-        verdict = in_class_e(minor)
-        if not verdict.member:
-            violations.append(
-                {
-                    "graph6": write_graph6(g),
-                    "pair": [pair.z1, pair.z2],
-                    "minor_graph6": write_graph6(minor),
-                    "certificate": verdict.violation.to_dict(),
-                }
-            )
+    # the prune already established membership, so no check_thm31 precondition
+    mutate = corrupt_toggle_01 if params["mutate"] else None
+    instances, violations = thm31_minor_violations(g, mutate)
     return instances, violations, []
 
 
@@ -176,15 +154,14 @@ def process_thm32(g: SimpleGraph, params: dict):
     violations = []
     for cycle, z1, z2 in thm32_instances(g):
         instances += 1
-        c1 = classify_against_hole(g, cycle, z1)
-        c2 = classify_against_hole(g, cycle, z2)
-        if (c1 is WheelClass.BAD) + (c2 is WheelClass.BAD) != 1:
+        verdict = thm32_verdict(g, cycle, z1, z2)
+        if verdict.status == "violation":
             violations.append(
                 {
                     "graph6": write_graph6(g),
                     "cycle": list(cycle),
                     "pair": [z1, z2],
-                    "classes": [c1.value, c2.value],
+                    "classes": [c.value for c in verdict.classes],
                 }
             )
     return instances, violations, []
@@ -268,7 +245,7 @@ def _expand_and_process(args):
     return children, instances, violations, findings
 
 
-def _run_levels(name, max_n, prune, processor, params, threads, report, stop_when=None):
+def _run_levels(max_n, prune, processor, params, threads, report, stop_when=None):
     k1 = SimpleGraph(1, (0,))
     level = [k1] if prune(k1) else []
     per_n = {}
@@ -284,10 +261,11 @@ def _run_levels(name, max_n, prune, processor, params, threads, report, stop_whe
             break
         jobs = [(parent, prune, processor, params) for parent in level]
         nxt: list[SimpleGraph] = []
-        if threads > 1 and len(jobs) > 1:
+        workers = min(threads, os.cpu_count() or 1, len(jobs))
+        if workers > 1:
             ctx = get_context("fork")
-            chunk = max(1, len(jobs) // (threads * 4))
-            with ctx.Pool(threads) as pool:
+            chunk = max(1, len(jobs) // (workers * 4))
+            with ctx.Pool(workers) as pool:
                 results = pool.map(_expand_and_process, jobs, chunksize=chunk)
         else:
             results = map(_expand_and_process, jobs)
@@ -304,51 +282,44 @@ def _run_levels(name, max_n, prune, processor, params, threads, report, stop_whe
     report.findings.sort(key=lambda v: json.dumps(v, sort_keys=True))
 
 
-def _run_named(name: str, max_n: int, threads: int | None, params: dict, stop_when=None):
+def _run_sweep(name: str, max_n: int, threads: int | None, stages, params: dict, stop_when=None):
+    """The one entry into _run_levels; `stages` is a (prune, processor) pair."""
     if not 1 <= max_n <= 10:
         raise ContractViolation("sweeps support max_n in 1..10")
-    prune, processor = PROCESSORS[name]
+    prune, processor = stages
     threads = default_threads() if threads is None else max(1, threads)
     report = SweepReport(name=name, max_n=max_n)
     t0 = time.perf_counter()
-    _run_levels(name, max_n, prune, processor, params, threads, report, stop_when)
+    _run_levels(max_n, prune, processor, params, threads, report, stop_when)
     report.wall_time_s = time.perf_counter() - t0
     return report
 
 
 def sweep_thm31(max_n: int, threads: int | None = None, mutate: bool = False) -> SweepReport:
     """Every class member's eligible-pair minor stays in the class."""
-    report = _run_named("thm31", max_n, threads, {"mutate": mutate})
-    if mutate:
-        report.name = "thm31_mutated"
-    return report
+    name = "thm31_mutated" if mutate else "thm31"
+    return _run_sweep(name, max_n, threads, PROCESSORS["thm31"], {"mutate": mutate})
 
 
 def sweep_thm32(max_n: int, threads: int | None = None) -> SweepReport:
     """Exactly-one-bad for every (hole, adjacent outside pair) instance."""
-    return _run_named("thm32", max_n, threads, {})
+    return _run_sweep("thm32", max_n, threads, PROCESSORS["thm32"], {})
 
 
 def sweep_even_hole_subset_E(max_n: int, threads: int | None = None) -> SweepReport:
     """Even-hole-free graphs are class members."""
-    return _run_named("even_hole_subset_E", max_n, threads, {})
+    return _run_sweep("even_hole_subset_E", max_n, threads, PROCESSORS["even_hole_subset_E"], {})
 
 
 def sweep_embed(max_n: int, k: int, threads: int | None = None) -> SweepReport:
     """Chordal K_{k+2}-free graphs embed into valid k-trees, induced."""
-    if k not in CHORDAL_PRUNES:
+    if k not in (1, 2, 3):
         raise ContractViolation("embed sweep supports k in {1,2,3}")
-    if not 1 <= max_n <= 10:
-        raise ContractViolation("sweeps support max_n in 1..10")
-    prune = CHORDAL_PRUNES[k]
-    threads = default_threads() if threads is None else max(1, threads)
-    report = SweepReport(name=f"embed_k{k}", max_n=max_n)
-    t0 = time.perf_counter()
-    _run_levels(report.name, max_n, prune, process_embed, {"k": k}, threads, report)
+    stages = (partial(_prune_chordal, k=k), process_embed)
+    report = _run_sweep(f"embed_k{k}", max_n, threads, stages, {"k": k})
     sizes = [f["size"] for f in report.findings]
     report.details["max_ktree_size"] = max(sizes) if sizes else 0
     report.findings = []  # sizes were bookkeeping, not exemplars
-    report.wall_time_s = time.perf_counter() - t0
     return report
 
 
@@ -356,9 +327,8 @@ def sweep_c4_necessity(max_n: int, threads: int | None = None, archive_path: str
     """Search for a (theta, prism, even-wheel)-free host with an induced C4
     whose eligible-pair minor contains a theta; stops at the first vertex
     count that yields exemplars."""
-    report = _run_named(
-        "c4_necessity", max_n, threads, {}, stop_when=lambda r: bool(r.findings)
-    )
+    name = "c4_necessity"
+    report = _run_sweep(name, max_n, threads, PROCESSORS[name], {}, stop_when=lambda r: bool(r.findings))
     if archive_path and report.findings:
         with open(archive_path, "w") as fh:
             json.dump({"schema": REPORT_SCHEMA, "exemplars": report.findings}, fh, indent=2)

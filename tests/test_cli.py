@@ -140,6 +140,12 @@ def test_sweep_cli(tmp_path, capsys):
     assert code == 1  # injected fault must surface as a violation exit
 
 
+def test_sweep_bad_thread_env_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("OBSTRUCTION_LAB_THREADS", "abc")
+    code, _, err = run_cli(capsys, "sweep", "thm31", "--max-n", "3")
+    assert code == 2 and "OBSTRUCTION_LAB_THREADS" in err
+
+
 def test_grow_cli(tmp_path, capsys):
     target = tmp_path / "target.txt"
     from obstruction_lab.ktrees import KTree

@@ -44,6 +44,18 @@ def test_find_alignment_simple():
     assert out.pi == (1,)
 
 
+def test_find_alignment_self_check_raises(monkeypatch):
+    # the self-check on the constructed order must survive python -O
+    import obstruction_lab.finders as finders
+
+    g = SimpleGraph.from_edges(
+        9, [(2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (0, 2), (0, 3), (1, 5), (1, 6), (8, 0), (8, 1)]
+    )
+    monkeypatch.setattr(finders, "verify_alignment", lambda g, a: "A3")
+    with pytest.raises(ContractViolation):
+        find_alignment(g, 8, (0, 1), (2, 3, 4, 5, 6, 7), 2)
+
+
 def test_find_alignment_interleaved_anomaly():
     # constructed overlap: s1 attaches at positions 0 and 4, s2 at 2 and 6,
     # and the host indeed contains a theta (through the apex), so absence is

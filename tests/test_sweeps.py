@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from obstruction_lab import sweeps
 from obstruction_lab.detectors import find_hole, find_theta, in_class_e, validate_certificate
 from obstruction_lab.detectors import certificate_from_dict
 from obstruction_lab.graphs import parse_graph6
@@ -125,3 +127,57 @@ def test_sweep_c4_necessity_finds_at_8(tmp_path):
 def test_sweep_c4_necessity_empty_below_8():
     r = sweep_c4_necessity(7, threads=1)
     assert not r.findings
+
+
+# sha256 of canonical_json(), pinned before the sweeps shared one driver and
+# the per-graph checks in minors; c4_necessity at 7 is also the benchmark's pin
+PAYLOAD_PINS = {
+    "thm31-n6": (lambda: sweep_thm31(6, threads=1),
+                 "17d50db29089d60eb474f06589257431199a0974c5089d78353a6702af27b940"),
+    "thm32-n6": (lambda: sweep_thm32(6, threads=1),
+                 "fc26e5486037e036f30fadd3e68208c3c5c6fafa716d9260372b818a772c7bec"),
+    "even_hole_subset-n6": (lambda: sweep_even_hole_subset_E(6, threads=1),
+                            "41f69a1218856c43cf2f49e510d191dd94de75ee26fdaf881a621e6c74a20577"),
+    "embed_k1-n6": (lambda: sweep_embed(6, 1, threads=1),
+                    "28a81b4b989b0a2e51e2ed55ad488ded005c9258a78a2cfa7e69be3a31ed3aa0"),
+    "embed_k2-n6": (lambda: sweep_embed(6, 2, threads=1),
+                    "c8b520b6aaf93c56bcc4534a14972e83ccd8ca3ebf2423bbe938feb63bf80ad7"),
+    "embed_k3-n6": (lambda: sweep_embed(6, 3, threads=1),
+                    "f1b6ecdeabddbef3bad52ba4908de31ff49e4e018373032a91f15d3aa6d474cb"),
+    "c4_necessity-n7": (lambda: sweep_c4_necessity(7, threads=1),
+                        "53c5ca571779c539decab2c7dc63c8110538c6e20a7de78c7397690ef636a846"),
+}
+
+
+@pytest.mark.parametrize("key", PAYLOAD_PINS)
+def test_canonical_payload_pinned(key):
+    run, digest = PAYLOAD_PINS[key]
+    assert hashlib.sha256(run().canonical_json().encode()).hexdigest() == digest
+
+
+def test_pool_size_clamped_to_level_jobs(monkeypatch):
+    # a fake pool maps serially, so asking for 10**6 workers starts no process
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return list(map(fn, jobs))
+
+    class SerialContext:
+        Pool = SerialPool
+
+    monkeypatch.setattr(sweeps, "get_context", lambda method: SerialContext)
+    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 10**6)
+    # forests: levels n=3 and n=4 expand 2 and 3 parents
+    report = sweep_embed(4, 1, threads=10**6)
+    assert sizes == [2, 3]
+    assert report.canonical_json() == sweep_embed(4, 1, threads=1).canonical_json()
