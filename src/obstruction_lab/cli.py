@@ -41,6 +41,13 @@ def _read_graphs(path: str, fmt: str) -> list[SimpleGraph]:
     return [parse_graph6(line) for line in text.splitlines() if line.strip()]
 
 
+def _read_one_graph(path: str, fmt: str) -> SimpleGraph:
+    graphs = _read_graphs(path, fmt)
+    if len(graphs) != 1:
+        raise ContractViolation(f"expected exactly one graph, got {len(graphs)}")
+    return graphs[0]
+
+
 def _cmd_check(args) -> int:
     graphs = _read_graphs(args.input, args.format)
     worst = EXIT_OK
@@ -88,7 +95,7 @@ def _cmd_find(args) -> int:
 
 
 def _cmd_minor(args) -> int:
-    (g,) = _read_graphs(args.input, args.format)
+    g = _read_one_graph(args.input, args.format)
     minor, z, mapping = triangle_minor(g, args.z1, args.z2)
     print(write_graph6(minor))
     if args.explain:
@@ -97,7 +104,7 @@ def _cmd_minor(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    (g,) = _read_graphs(args.input, args.format)
+    g = _read_one_graph(args.input, args.format)
     tree, emb = embed_in_ktree(g, args.k)
     sys.stdout.write(tree.to_text())
     print(" ".join(f"{i}:{v}" for i, v in enumerate(emb)))
@@ -118,6 +125,8 @@ def _cmd_verify(args) -> int:
         detectors.CLIQUE,
         detectors.BICLIQUE,
     ):
+        if "graph6" not in doc:
+            raise ContractViolation(f"{kind} certificate has no 'graph6' field")
         g = parse_graph6(doc["graph6"])
         cert = certificate_from_dict(doc)
         if validate_certificate(g, cert):
@@ -147,7 +156,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_gen(args) -> int:
     if args.what == "cone":
-        (g,) = _read_graphs(args.input, args.format)
+        g = _read_one_graph(args.input, args.format)
         print(write_graph6(cone(g)))
         return EXIT_OK
     if args.what == "tdr":
@@ -174,7 +183,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_grow(args) -> int:
-    (g,) = _read_graphs(args.input, args.format)
+    g = _read_one_graph(args.input, args.format)
     target = KTree.from_text(_read_text(args.target))
     if target.k == 2 and recognize_ktree(target.graph, 2) is None:
         print("target is not a 2-tree", file=sys.stderr)

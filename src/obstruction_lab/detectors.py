@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterator
 
 from .errors import ContractViolation
-from .graphs import SimpleGraph, bits, mask_of, write_graph6
+from .graphs import SimpleGraph, bits, is_induced_path, mask_of, write_graph6
 
 HOLE = "hole"
 THETA = "theta"
@@ -69,17 +70,20 @@ class Certificate:
 
 def certificate_from_dict(d: dict) -> Certificate:
     kind = d["kind"]
-    return Certificate(
-        kind=kind,
-        cycle=tuple(d.get("cycle", ())),
-        center=d.get("center", -1),
-        ends=tuple(d.get("ends", (-1, -1))),
-        paths=tuple(tuple(p) for p in d.get("paths", ())),
-        triangles=tuple(tuple(t) for t in d.get("triangles", ())),
-        vertices=tuple(d.get("vertices", ())),
-        side_a=tuple(d.get("side_a", ())),
-        side_b=tuple(d.get("side_b", ())),
-    )
+    try:
+        return Certificate(
+            kind=kind,
+            cycle=tuple(d.get("cycle", ())),
+            center=d.get("center", -1),
+            ends=tuple(d.get("ends", (-1, -1))),
+            paths=tuple(tuple(p) for p in d.get("paths", ())),
+            triangles=tuple(tuple(t) for t in d.get("triangles", ())),
+            vertices=tuple(d.get("vertices", ())),
+            side_a=tuple(d.get("side_a", ())),
+            side_b=tuple(d.get("side_b", ())),
+        )
+    except TypeError:
+        raise ContractViolation(f"{kind} certificate: vertex fields must be lists") from None
 
 
 class WheelClass(enum.Enum):
@@ -268,8 +272,6 @@ def has_biclique(g: SimpleGraph, s: int) -> Certificate | None:
     """Induced K_{s,s}: two disjoint stable s-sets, complete to each other."""
     if s < 1:
         raise ContractViolation("biclique size must be >= 1")
-    from itertools import combinations
-
     verts = range(g.n)
     for a_side in combinations(verts, s):
         a_mask = mask_of(a_side)
@@ -302,7 +304,8 @@ def validate_biclique(g: SimpleGraph, cert: Certificate) -> bool:
     if cert.kind != BICLIQUE:
         return False
     a_mask, b_mask = mask_of(cert.side_a), mask_of(cert.side_b)
-    if a_mask & b_mask or len(cert.side_a) != len(cert.side_b):
+    sizes = {len(cert.side_a), len(cert.side_b), a_mask.bit_count(), b_mask.bit_count()}
+    if a_mask & b_mask or len(sizes) != 1:
         return False
     if not (_is_stable(g, a_mask) and _is_stable(g, b_mask)):
         return False
@@ -382,14 +385,12 @@ def find_theta(g: SimpleGraph) -> Certificate | None:
 
 
 def validate_theta(g: SimpleGraph, cert: Certificate) -> bool:
-    if cert.kind != THETA or len(cert.paths) != 3:
+    if cert.kind != THETA or len(cert.paths) != 3 or len(cert.ends) != 2:
         return False
     a, b = cert.ends
     if a == b or g.has_edge(a, b):
         return False
     interiors = []
-    from .graphs import is_induced_path
-
     for p in cert.paths:
         if len(p) < 3 or p[0] != a or p[-1] != b:
             return False
@@ -521,11 +522,9 @@ def validate_prism(g: SimpleGraph, cert: Certificate) -> bool:
     for tri in (aa, bb):
         if not _is_clique(g, mask_of(tri)) or len(set(tri)) != 3:
             return False
-    from .graphs import is_induced_path
-
     masks = []
     for i, p in enumerate(cert.paths):
-        if p[0] != aa[i] or p[-1] != bb[i] or len(p) < 2:
+        if len(p) < 2 or p[0] != aa[i] or p[-1] != bb[i]:
             return False
         if not is_induced_path(g, p):
             return False
@@ -620,15 +619,27 @@ def in_class_et(g: SimpleGraph, t: int) -> Verdict:
     return Verdict(True)
 
 
+# per kind: the validator, and the vertices the kind's fields name
+_CERTIFICATE_KINDS = {
+    HOLE: (validate_hole, lambda c: c.cycle),
+    THETA: (validate_theta, lambda c: c.ends + sum(c.paths, ())),
+    PRISM: (validate_prism, lambda c: sum(c.triangles + c.paths, ())),
+    EVEN_WHEEL: (validate_even_wheel, lambda c: c.cycle + (c.center,)),
+    CLIQUE: (validate_clique, lambda c: c.vertices),
+    BICLIQUE: (validate_biclique, lambda c: c.side_a + c.side_b),
+}
+
+
 def validate_certificate(g: SimpleGraph, cert: Certificate) -> bool:
-    return {
-        HOLE: validate_hole,
-        THETA: validate_theta,
-        PRISM: validate_prism,
-        EVEN_WHEEL: validate_even_wheel,
-        CLIQUE: validate_clique,
-        BICLIQUE: validate_biclique,
-    }[cert.kind](g, cert)
+    """Whether the certificate holds in g; a malformed one (unknown kind, or a
+    vertex that is not an int in 0..n-1) raises ContractViolation."""
+    if cert.kind not in _CERTIFICATE_KINDS:
+        raise ContractViolation(f"unknown certificate kind {cert.kind!r}")
+    validator, vertices = _CERTIFICATE_KINDS[cert.kind]
+    for v in vertices(cert):
+        if type(v) is not int or not 0 <= v < g.n:
+            raise ContractViolation(f"{cert.kind} certificate vertex {v!r} is not in 0..{g.n - 1}")
+    return validator(g, cert)
 
 
 # ---------------------------------------------------------------------------

@@ -160,28 +160,14 @@ def enumerate_graphs(
     """
     if not 1 <= n <= ENUMERATION_CAP:
         raise ContractViolation(f"enumeration supports 1..{ENUMERATION_CAP} vertices")
-    for g in _level(n, prune):
-        if keep is None or keep(g):
-            yield g
-
-
-def _level(n: int, prune) -> Iterator[SimpleGraph]:
-    k1 = SimpleGraph(1, (0,))
-    if prune is not None and not prune(k1):
-        return
-    if n == 1:
-        yield k1
-        return
-    level = [k1]
-    for size in range(2, n + 1):
-        if size == n:
-            for parent in level:
-                yield from expand_children(parent, prune)
-            return
-        nxt: list[SimpleGraph] = []
-        for parent in level:
-            nxt.extend(expand_children(parent, prune))
-        level = nxt
+    # the tree is rooted at K0, whose only child is K1
+    level = [SimpleGraph(0, ())]
+    for _ in range(n - 1):
+        level = [child for parent in level for child in expand_children(parent, prune)]
+    for parent in level:
+        for g in expand_children(parent, prune):
+            if keep is None or keep(g):
+                yield g
 
 
 def count_isomorphism_classes_brute(n: int) -> int:

@@ -259,7 +259,12 @@ def write_graph6(g: SimpleGraph) -> str:
 
 
 def parse_graph6(text: str) -> SimpleGraph:
-    data = text.strip().encode("ascii")
+    if not isinstance(text, str):
+        raise GraphFormatError(f"graph6 input must be text, got {type(text).__name__}")
+    try:
+        data = text.strip().encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise GraphFormatError(f"invalid graph6 byte at offset {exc.start}") from None
     if not data:
         raise GraphFormatError("empty graph6 line")
     for off, byte in enumerate(data):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .detectors import dirac_order, has_clique, _is_clique
-from .errors import ContractViolation
+from .errors import ContractViolation, GraphFormatError
 from .graphs import (
     SimpleGraph,
     add_vertex,
@@ -20,6 +20,7 @@ from .graphs import (
     components,
     induced_subgraph,
     mask_of,
+    parse_graph6,
     write_graph6,
 )
 
@@ -38,13 +39,14 @@ class KTree:
 
     @classmethod
     def from_text(cls, text: str) -> "KTree":
-        from .graphs import parse_graph6
-
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if len(lines) != 2:
             raise ContractViolation("expected graph6 line plus ordering line")
         g = parse_graph6(lines[0])
-        nums = [int(x) for x in lines[1].split()]
+        try:
+            nums = [int(x) for x in lines[1].split()]
+        except ValueError:
+            raise GraphFormatError(f"line 2: ordering must be integers, got {lines[1]!r}") from None
         return cls(g, nums[0], tuple(nums[1:]))
 
 

@@ -13,11 +13,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .detectors import in_class_et
+from .detectors import _induced_ab_paths, in_class_et
 from .errors import ContractViolation
 from .graphs import SimpleGraph, bits, mask_of
 from .ktrees import KTree, forward_neighbors, ktree_quotient, validate_ktree
-from .predicates import BlurryWitness, Kaleidoscope, verify_blurry, verify_mirrored
+from .predicates import (
+    BlurryWitness,
+    Kaleidoscope,
+    mirrors,
+    verify_blurry,
+    verify_mirrored,
+    witness_to_dict,
+)
 from .finders import find_strong_block
 
 
@@ -38,8 +45,6 @@ class GrowTrace:
             "budget_left": self.budget_left,
         }
         if host is not None and self.witness is not None:
-            from .predicates import witness_to_dict
-
             out["witness"] = witness_to_dict(host, self.witness)
         return out
 
@@ -76,8 +81,6 @@ def _blurry_for_suffix(target: KTree, assigned: list[int]) -> BlurryWitness:
 def _assemble_kaleidoscope(g: SimpleGraph, need_w: int, budget: list[int]):
     """Search for (kaleidoscope, adjacent pair 3-mirrored by it); deterministic,
     budget counts path-extension steps."""
-    from .detectors import _induced_ab_paths
-
     for a in range(g.n):
         nbrs = list(bits(g.adj[a]))
         for xi in range(len(nbrs)):
@@ -108,25 +111,9 @@ def _assemble_kaleidoscope(g: SimpleGraph, need_w: int, budget: list[int]):
                     for z2 in bits(g.adj[z1] & ~body):
                         if z2 <= z1:
                             continue
-                        keep = []
-                        for w in packed:
-                            wm = mask_of(w)
-                            guard = (
-                                (1 << x)
-                                | (1 << y)
-                                | (g.adj[x] & wm)
-                                | (g.adj[y] & wm)
-                            )
-                            ok = True
-                            for z in (z1, z2):
-                                if g.adj[z] & guard:
-                                    ok = False
-                                    break
-                                if (g.adj[z] & wm).bit_count() < 3:
-                                    ok = False
-                                    break
-                            if ok:
-                                keep.append(w)
+                        keep = [
+                            w for w in packed if all(mirrors(g, z, x, y, w, 3) for z in (z1, z2))
+                        ]
                         if len(keep) >= need_w:
                             cand = Kaleidoscope(a, x, y, tuple(keep))
                             if verify_mirrored(g, cand, (z1, z2), 3) is None:
@@ -235,21 +222,11 @@ def pipeline_grow(g: SimpleGraph, target: KTree, budget: int = 500000, t: int = 
             )
             if zn & ~allowed:
                 continue
-            survivors = []
-            for oj, other in enumerate(kal.paths):
-                if oj == wi:
-                    continue
-                om = mask_of(other)
-                guard = (
-                    (1 << kal.x)
-                    | (1 << kal.y)
-                    | (g.adj[kal.x] & om)
-                    | (g.adj[kal.y] & om)
-                )
-                if g.adj[z] & guard:
-                    continue
-                if (g.adj[z] & om).bit_count() >= 3:
-                    survivors.append(other)
+            survivors = [
+                other
+                for oj, other in enumerate(kal.paths)
+                if oj != wi and mirrors(g, z, kal.x, kal.y, other, 3)
+            ]
             if step < steps and not survivors:
                 continue
             picked = (z, survivors)

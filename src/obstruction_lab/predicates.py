@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ContractViolation
-from .graphs import SimpleGraph, bits, is_induced_path, mask_of, write_graph6
+from .graphs import SimpleGraph, bits, is_induced_path, mask_of, parse_graph6, write_graph6
 from .ktrees import KTree, validate_ktree
 
 PathSeq = tuple[int, ...]
@@ -115,6 +115,14 @@ def verify_kaleidoscope(g: SimpleGraph, k: Kaleidoscope) -> str | None:
     return None
 
 
+def mirrors(g: SimpleGraph, z: int, x: int, y: int, w: PathSeq, d: int) -> bool:
+    """True iff path w of a kaleidoscope with ends x, y d-mirrors z: z sees
+    neither end nor an end's neighbour on w, and at least d vertices of w."""
+    wm = mask_of(w)
+    guard = (1 << x) | (1 << y) | (g.adj[x] & wm) | (g.adj[y] & wm)
+    return not g.adj[z] & guard and (g.adj[z] & wm).bit_count() >= d
+
+
 def verify_mirrored(g: SimpleGraph, k: Kaleidoscope, zset: tuple[int, ...], d: int) -> str | None:
     """Clause order: the kaleidoscope's own clauses first, then M1..M3."""
     bad = verify_kaleidoscope(g, k)
@@ -133,13 +141,8 @@ def verify_mirrored(g: SimpleGraph, k: Kaleidoscope, zset: tuple[int, ...], d: i
     if (g.adj[k.a] & zmask).bit_count() > 1:
         return "M2"
     for z in zset:
-        row = g.adj[z]
         for w in k.paths:
-            wm = mask_of(w)
-            guard = (1 << k.x) | (1 << k.y) | (g.adj[k.x] & wm) | (g.adj[k.y] & wm)
-            if row & guard:
-                return "M3"
-            if (row & wm).bit_count() < d:
+            if not mirrors(g, z, k.x, k.y, w, d):
                 return "M3"
     return None
 
@@ -177,6 +180,8 @@ def verify_palanquin(g: SimpleGraph, p: Palanquin) -> str | None:
 
 
 def verify_alignment(g: SimpleGraph, al: Alignment) -> str | None:
+    if not al.path:
+        raise ContractViolation("alignment path must be nonempty")
     for v in al.s_set + al.path:
         _check_vertex(g, v)
     smask = mask_of(al.s_set)
@@ -272,6 +277,11 @@ def _is_plain_path(g: SimpleGraph, seq: PathSeq) -> bool:
 def verify_strong_block(g: SimpleGraph, w: StrongBlockWitness) -> str | None:
     for v in w.block:
         _check_vertex(g, v)
+    for pair, paths in w.families:
+        if len(pair) != 2:
+            raise ContractViolation(f"family pair {pair} is not a vertex pair")
+        for v in sum(paths, ()):
+            _check_vertex(g, v)
     bmask = mask_of(w.block)
     if len(w.block) != bmask.bit_count():
         raise ContractViolation("block has duplicates")
@@ -294,7 +304,7 @@ def verify_strong_block(g: SimpleGraph, w: StrongBlockWitness) -> str | None:
         seen_shapes = set()
         interiors = 0
         for p in paths:
-            if {p[0], p[-1]} != {x, y} or not _is_plain_path(g, p):
+            if not _is_plain_path(g, p) or {p[0], p[-1]} != {x, y}:
                 return "SB2"
             shape = min(p, p[::-1])
             if shape in seen_shapes:
@@ -360,36 +370,54 @@ def witness_to_dict(g: SimpleGraph, witness) -> dict:
     return out
 
 
-def witness_from_dict(d: dict):
-    from .graphs import parse_graph6
+def _ints(value, depth: int = 0):
+    """An int (depth 0), or lists nested `depth` deep around ints, as tuples."""
+    if depth == 0:
+        if type(value) is not int:
+            raise ContractViolation(f"expected an integer, got {value!r}")
+        return value
+    if not isinstance(value, list):
+        raise ContractViolation(f"expected a list, got {value!r}")
+    return tuple(_ints(v, depth - 1) for v in value)
 
-    kind = d["kind"]
-    g = parse_graph6(d["graph6"])
+
+def witness_from_dict(d: dict):
+    """Graph and witness from a witness document; a missing or ill-typed field
+    raises ContractViolation."""
+    kind = d.get("kind")
+    try:
+        return parse_graph6(d["graph6"]), _witness_fields(kind, d)
+    except KeyError as exc:
+        raise ContractViolation(f"{kind} witness has no {exc} field") from None
+
+
+def _witness_fields(kind, d: dict):
     if kind == "kaleidoscope":
-        w = Kaleidoscope(d["a"], d["x"], d["y"], tuple(tuple(p) for p in d["paths"]))
-    elif kind == "palanquin":
-        w = Palanquin(d["a"], tuple(d["s_set"]), tuple(tuple(p) for p in d["paths"]))
-    elif kind == "alignment":
-        w = Alignment(tuple(d["s_set"]), tuple(d["path"]), d["x"], tuple(d["pi"]))
-    elif kind == "blurry":
-        target = KTree(parse_graph6(d["target_graph6"]), d["target_k"], tuple(d["target_order"]))
-        w = BlurryWitness(
-            tuple(d["zset"]),
-            tuple((e[0], e[1]) for e in d["y_edges"]),
-            tuple(d["order"]),
-            target,
+        return Kaleidoscope(_ints(d["a"]), _ints(d["x"]), _ints(d["y"]), _ints(d["paths"], 2))
+    if kind == "palanquin":
+        return Palanquin(_ints(d["a"]), _ints(d["s_set"], 1), _ints(d["paths"], 2))
+    if kind == "alignment":
+        return Alignment(
+            _ints(d["s_set"], 1), _ints(d["path"], 1), _ints(d["x"]), _ints(d["pi"], 1)
         )
-    elif kind == "strong_block":
-        w = StrongBlockWitness(
-            d["k"],
-            tuple(d["block"]),
-            tuple(
-                (tuple(f["pair"]), tuple(tuple(p) for p in f["paths"])) for f in d["families"]
-            ),
+    if kind == "blurry":
+        y_edges = _ints(d["y_edges"], 2)
+        if any(len(e) != 2 for e in y_edges):
+            raise ContractViolation("blurry witness: each y_edge must be a vertex pair")
+        target = KTree(
+            parse_graph6(d["target_graph6"]), _ints(d["target_k"]), _ints(d["target_order"], 1)
         )
-    else:
-        raise ContractViolation(f"unknown witness kind {kind!r}")
-    return g, w
+        return BlurryWitness(_ints(d["zset"], 1), y_edges, _ints(d["order"], 1), target)
+    if kind == "strong_block":
+        families = d["families"]
+        if not isinstance(families, list) or not all(isinstance(f, dict) for f in families):
+            raise ContractViolation("strong_block witness: families must be a list of objects")
+        return StrongBlockWitness(
+            _ints(d["k"]),
+            _ints(d["block"], 1),
+            tuple((_ints(f["pair"], 1), _ints(f["paths"], 2)) for f in families),
+        )
+    raise ContractViolation(f"unknown witness kind {kind!r}")
 
 
 def verify_witness(g: SimpleGraph, witness) -> str | None:

@@ -27,7 +27,7 @@ from .detectors import (
     has_clique,
     in_class_e,
 )
-from .enumeration import expand_children
+from .enumeration import ENUMERATION_CAP, expand_children
 from .errors import ContractViolation
 from .finders import extract_induced_from_blurry
 from .graphs import SimpleGraph, add_vertex, bits, write_graph6
@@ -129,7 +129,7 @@ def _prune_chordal(g: SimpleGraph, k: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# per-child processors; each returns (instances, violations, findings)
+# per-child processors; each maps g to (instances, violations, findings)
 
 
 def corrupt_toggle_01(minor: SimpleGraph) -> SimpleGraph:
@@ -142,14 +142,13 @@ def corrupt_toggle_01(minor: SimpleGraph) -> SimpleGraph:
     return SimpleGraph(minor.n, tuple(adj))
 
 
-def process_thm31(g: SimpleGraph, params: dict):
+def process_thm31(g: SimpleGraph, mutate=None):
     # the prune already established membership, so no check_thm31 precondition
-    mutate = corrupt_toggle_01 if params["mutate"] else None
     instances, violations = thm31_minor_violations(g, mutate)
     return instances, violations, []
 
 
-def process_thm32(g: SimpleGraph, params: dict):
+def process_thm32(g: SimpleGraph):
     instances = 0
     violations = []
     for cycle, z1, z2 in thm32_instances(g):
@@ -167,15 +166,14 @@ def process_thm32(g: SimpleGraph, params: dict):
     return instances, violations, []
 
 
-def process_even_hole_subset(g: SimpleGraph, params: dict):
+def process_even_hole_subset(g: SimpleGraph):
     verdict = in_class_e(g)
     if verdict.member:
         return 1, [], []
     return 1, [{"graph6": write_graph6(g), "certificate": verdict.violation.to_dict()}], []
 
 
-def process_embed(g: SimpleGraph, params: dict):
-    k = params["k"]
+def process_embed(g: SimpleGraph, k: int):
     tree, emb = embed_in_ktree(g, k)
     ok, bad_index = validate_ktree(tree.graph, k, tree.order)
     induced_ok = validate_embedding(tree.graph, g, emb)
@@ -196,7 +194,7 @@ def process_embed(g: SimpleGraph, params: dict):
     )
 
 
-def process_c4_necessity(g: SimpleGraph, params: dict):
+def process_c4_necessity(g: SimpleGraph):
     # host must carry an induced C4; the prune already guarantees
     # (theta, prism, even-wheel)-freeness
     if find_hole(g, min_len=4, max_len=4) is None:
@@ -232,34 +230,34 @@ PROCESSORS = {
 
 
 def _expand_and_process(args):
-    parent, prune, processor, params = args
+    parent, prune, processor = args
     children = expand_children(parent, prune)
     instances = 0
     violations: list[dict] = []
     findings: list[dict] = []
     for child in children:
-        i, v, f = processor(child, params)
+        i, v, f = processor(child)
         instances += i
         violations.extend(v)
         findings.extend(f)
     return children, instances, violations, findings
 
 
-def _run_levels(max_n, prune, processor, params, threads, report, stop_when=None):
-    k1 = SimpleGraph(1, (0,))
-    level = [k1] if prune(k1) else []
+def _run_levels(name: str, max_n: int, threads: int | None, stages, stop_when=None) -> SweepReport:
+    """The one sweep driver: walks the generation tree from K0, one level per
+    vertex count; `stages` is a (prune, processor) pair."""
+    if not 1 <= max_n <= ENUMERATION_CAP:
+        raise ContractViolation(f"sweeps support max_n in 1..{ENUMERATION_CAP}")
+    prune, processor = stages
+    threads = default_threads() if threads is None else max(1, threads)
+    report = SweepReport(name=name, max_n=max_n)
+    t0 = time.perf_counter()
+    level = [SimpleGraph(0, ())]
     per_n = {}
-    for g in level:
-        i, v, f = processor(g, params)
-        report.instances_checked += i
-        report.violations.extend(v)
-        report.findings.extend(f)
-    report.graphs_examined += len(level)
-    per_n[1] = len(level)
-    for n in range(2, max_n + 1):
+    for n in range(1, max_n + 1):
         if stop_when is not None and stop_when(report):
             break
-        jobs = [(parent, prune, processor, params) for parent in level]
+        jobs = [(parent, prune, processor) for parent in level]
         nxt: list[SimpleGraph] = []
         workers = min(threads, os.cpu_count() or 1, len(jobs))
         if workers > 1:
@@ -280,17 +278,6 @@ def _run_levels(max_n, prune, processor, params, threads, report, stop_when=None
     report.details["graphs_per_n"] = per_n
     report.violations.sort(key=lambda v: json.dumps(v, sort_keys=True))
     report.findings.sort(key=lambda v: json.dumps(v, sort_keys=True))
-
-
-def _run_sweep(name: str, max_n: int, threads: int | None, stages, params: dict, stop_when=None):
-    """The one entry into _run_levels; `stages` is a (prune, processor) pair."""
-    if not 1 <= max_n <= 10:
-        raise ContractViolation("sweeps support max_n in 1..10")
-    prune, processor = stages
-    threads = default_threads() if threads is None else max(1, threads)
-    report = SweepReport(name=name, max_n=max_n)
-    t0 = time.perf_counter()
-    _run_levels(max_n, prune, processor, params, threads, report, stop_when)
     report.wall_time_s = time.perf_counter() - t0
     return report
 
@@ -298,25 +285,28 @@ def _run_sweep(name: str, max_n: int, threads: int | None, stages, params: dict,
 def sweep_thm31(max_n: int, threads: int | None = None, mutate: bool = False) -> SweepReport:
     """Every class member's eligible-pair minor stays in the class."""
     name = "thm31_mutated" if mutate else "thm31"
-    return _run_sweep(name, max_n, threads, PROCESSORS["thm31"], {"mutate": mutate})
+    prune, processor = PROCESSORS["thm31"]
+    if mutate:
+        processor = partial(processor, mutate=corrupt_toggle_01)
+    return _run_levels(name, max_n, threads, (prune, processor))
 
 
 def sweep_thm32(max_n: int, threads: int | None = None) -> SweepReport:
     """Exactly-one-bad for every (hole, adjacent outside pair) instance."""
-    return _run_sweep("thm32", max_n, threads, PROCESSORS["thm32"], {})
+    return _run_levels("thm32", max_n, threads, PROCESSORS["thm32"])
 
 
 def sweep_even_hole_subset_E(max_n: int, threads: int | None = None) -> SweepReport:
     """Even-hole-free graphs are class members."""
-    return _run_sweep("even_hole_subset_E", max_n, threads, PROCESSORS["even_hole_subset_E"], {})
+    return _run_levels("even_hole_subset_E", max_n, threads, PROCESSORS["even_hole_subset_E"])
 
 
 def sweep_embed(max_n: int, k: int, threads: int | None = None) -> SweepReport:
     """Chordal K_{k+2}-free graphs embed into valid k-trees, induced."""
     if k not in (1, 2, 3):
         raise ContractViolation("embed sweep supports k in {1,2,3}")
-    stages = (partial(_prune_chordal, k=k), process_embed)
-    report = _run_sweep(f"embed_k{k}", max_n, threads, stages, {"k": k})
+    stages = (partial(_prune_chordal, k=k), partial(process_embed, k=k))
+    report = _run_levels(f"embed_k{k}", max_n, threads, stages)
     sizes = [f["size"] for f in report.findings]
     report.details["max_ktree_size"] = max(sizes) if sizes else 0
     report.findings = []  # sizes were bookkeeping, not exemplars
@@ -328,7 +318,7 @@ def sweep_c4_necessity(max_n: int, threads: int | None = None, archive_path: str
     whose eligible-pair minor contains a theta; stops at the first vertex
     count that yields exemplars."""
     name = "c4_necessity"
-    report = _run_sweep(name, max_n, threads, PROCESSORS[name], {}, stop_when=lambda r: bool(r.findings))
+    report = _run_levels(name, max_n, threads, PROCESSORS[name], stop_when=lambda r: bool(r.findings))
     if archive_path and report.findings:
         with open(archive_path, "w") as fh:
             json.dump({"schema": REPORT_SCHEMA, "exemplars": report.findings}, fh, indent=2)

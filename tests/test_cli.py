@@ -174,3 +174,50 @@ def test_edgelist_format(tmp_path, capsys):
     p.write_text("5\n0 1\n1 2\n2 3\n3 4\n4 0\n")
     code, out, _ = run_cli(capsys, "check", "--format", "edgelist", str(p))
     assert code == 0 and "member" in out
+
+
+# each malformed document or k-tree file once ended in a traceback
+C5 = write_graph6(cycle_graph(5))
+MALFORMED_INPUTS = {
+    "clique-vertex-1e8": ("verify", {"kind": "clique", "vertices": [10**8], "graph6": C5}),
+    "hole-vertex-negative": ("verify", {"kind": "hole", "cycle": [0, 1, 2, -1], "graph6": C5}),
+    "kaleidoscope-without-a": ("verify", {"kind": "kaleidoscope", "graph6": C5}),
+    "certificate-without-graph6": ("verify", {"kind": "hole", "cycle": [0, 1, 2, 3]}),
+    "hole-vertex-not-int": ("verify", {"kind": "hole", "cycle": ["a", 1, 2, 3], "graph6": C5}),
+    "graph6-not-ascii": ("verify", {"kind": "hole", "cycle": [0, 1, 2, 3], "graph6": "Dh\u00e9"}),
+    "strong-block-pair-of-three": ("verify", {
+        "kind": "strong_block", "graph6": C5, "k": 1, "block": [0, 1],
+        "families": [{"pair": [0, 1, 1], "paths": [[0, 1]]}],
+    }),
+    "alignment-empty-path": (
+        "verify", {"kind": "alignment", "graph6": C5, "s_set": [], "path": [], "x": 0, "pi": []}
+    ),
+    "ktree-ordering-not-int": ("grow", write_graph6(complete_graph(3)) + "\n2 x 1 2\n"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_INPUTS)
+def test_malformed_input_is_usage_error(case, tmp_path, capsys):
+    command, doc = MALFORMED_INPUTS[case]
+    p = tmp_path / "input"
+    if command == "verify":
+        p.write_text(json.dumps(doc))
+        argv = ["verify", str(p)]
+    else:
+        p.write_text(doc)
+        host = tmp_path / "k3.g6"
+        host.write_text(write_graph6(complete_graph(3)) + "\n")
+        argv = ["grow", "--target", str(p), str(host)]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and err.startswith("error:")
+    if case == "ktree-ordering-not-int":
+        assert "line 2" in err
+
+
+@pytest.mark.parametrize("command", [["minor", "--z1", "0", "--z2", "1"], ["embed", "--k", "2"]])
+@pytest.mark.parametrize("count", [0, 2])
+def test_single_graph_commands_need_exactly_one(command, count, tmp_path, capsys):
+    p = tmp_path / "graphs.g6"
+    p.write_text("".join(write_graph6(diamond()) + "\n" for _ in range(count)))
+    code, _, err = run_cli(capsys, *command, str(p))
+    assert code == 2 and f"expected exactly one graph, got {count}" in err

@@ -5,6 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obstruction_lab.detectors import (
+    BICLIQUE,
+    PRISM,
+    THETA,
+    Certificate,
     WheelClass,
     classify_against_hole,
     clique_number,
@@ -282,3 +286,29 @@ def test_certificate_json_round_trip():
     assert doc["graph6"]
     again = certificate_from_dict(doc)
     assert again == cert
+
+
+PRISM_GRAPH = SimpleGraph.from_edges(
+    6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]
+)
+
+
+# certificates of the wrong shape are invalid, and none of them may raise
+@pytest.mark.parametrize(
+    "cert",
+    [
+        Certificate(THETA, ends=(0, 1, 2), paths=((0, 2), (0, 3), (0, 4))),
+        Certificate(PRISM, triangles=((0, 1, 2), (3, 4, 5)), paths=((), (1, 4), (2, 5))),
+        Certificate(BICLIQUE, side_a=(0, 0), side_b=(3, 3)),
+    ],
+    ids=["theta-three-ends", "prism-empty-path", "biclique-repeated-vertices"],
+)
+def test_misshapen_certificate_is_invalid(cert):
+    assert validate_certificate(PRISM_GRAPH, cert) is False
+
+
+@pytest.mark.parametrize("vertex", [-1, 6, 10**8, "a", True])
+def test_certificate_vertex_out_of_range_raises(vertex):
+    cert = Certificate(BICLIQUE, side_a=(0,), side_b=(vertex,))
+    with pytest.raises(ContractViolation):
+        validate_certificate(PRISM_GRAPH, cert)

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from obstruction_lab.enumeration import (
@@ -8,7 +10,14 @@ from obstruction_lab.enumeration import (
     enumerate_graphs,
 )
 from obstruction_lab.errors import ContractViolation
-from obstruction_lab.graphs import SimpleGraph, complete_graph, cycle_graph, is_connected, path_graph
+from obstruction_lab.graphs import (
+    SimpleGraph,
+    complete_graph,
+    cycle_graph,
+    is_connected,
+    path_graph,
+    write_graph6,
+)
 
 from conftest import all_graphs
 
@@ -59,3 +68,27 @@ def test_enumeration_bounds():
         list(enumerate_graphs(0))
     with pytest.raises(ContractViolation):
         list(enumerate_graphs(11))
+
+
+def test_prune_rejecting_k1_yields_nothing():
+    for n in range(1, 6):
+        assert list(enumerate_graphs(n, prune=lambda g: False)) == []
+
+
+# sha256 of the newline-joined graph6 lines, pinned while the tree was rooted
+# at K1, so the order of the representatives is pinned too
+ENUMERATION_PINS = {
+    1: "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae",
+    2: "66f7cc5c004391e37949da741ea5ce5831ff34dd3c3a4e2bea3ccd225d7b2fb1",
+    3: "f8457640c4aefa16c983bba1ff22c74d2ff5a3b6ca5c176f26be4da6126ed53a",
+    4: "7987c3e43eb7bd5c002d1192bb0872905916766ac4236defe27f1109c07de981",
+    5: "57c23d76eba6e05bf08c74aad5016fa8f38abfd0b1dd7ba7c7fea5710edc44ca",
+    6: "1e26718314feaa48633943752ba442fc9766eb25b596a8bbb262fae037b22074",
+    7: "fe6233997cdd8d2406c66452f0b9a17031159dfdd6906b2f75d08eb1b00e9637",
+}
+
+
+@pytest.mark.parametrize("n", ENUMERATION_PINS)
+def test_enumeration_order_pinned(n):
+    text = "\n".join(write_graph6(g) for g in enumerate_graphs(n))
+    assert hashlib.sha256(text.encode()).hexdigest() == ENUMERATION_PINS[n]

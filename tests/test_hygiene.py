@@ -1,4 +1,5 @@
-"""Source hygiene: no module-level import in the package goes unused.
+"""Source hygiene: no module-level import in the package goes unused, and no
+import sits inside a function.
 
 Neither pyflakes nor ruff is a dependency, so this walks the AST itself.
 `__init__.py` is skipped because its imports are the package's re-exports.
@@ -29,6 +30,16 @@ def unused_imports(source: str) -> list[str]:
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
 
+def function_imports(source: str) -> list[str]:
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    found.append(f"{func.name} (line {node.lineno})")
+    return sorted(set(found))
+
+
 def test_unused_import_detector():
     source = "from __future__ import annotations\nimport os, sys\nfrom x import a, b as c\nprint(sys, c)\n"
     assert unused_imports(source) == ["a (line 3)", "os (line 2)"]
@@ -37,3 +48,13 @@ def test_unused_import_detector():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_function_import_detector():
+    source = "import os\ndef f():\n    import sys\n    def g():\n        from x import y\n    return os\n"
+    assert function_imports(source) == ["f (line 3)", "f (line 5)", "g (line 5)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_imports(path):
+    assert function_imports(path.read_text()) == []

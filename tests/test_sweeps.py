@@ -181,3 +181,10 @@ def test_pool_size_clamped_to_level_jobs(monkeypatch):
     report = sweep_embed(4, 1, threads=10**6)
     assert sizes == [2, 3]
     assert report.canonical_json() == sweep_embed(4, 1, threads=1).canonical_json()
+
+
+def test_prune_rejecting_k1_examines_nothing():
+    stages = (lambda g: False, sweeps.process_thm32)
+    report = sweeps._run_levels("none", 4, 1, stages)
+    assert report.details["graphs_per_n"] == {1: 0, 2: 0, 3: 0, 4: 0}
+    assert report.graphs_examined == 0 and report.instances_checked == 0
