@@ -69,7 +69,9 @@ class Certificate:
 
 
 def certificate_from_dict(d: dict) -> Certificate:
-    kind = d["kind"]
+    kind = d.get("kind")
+    if not isinstance(kind, str):
+        raise ContractViolation(f"certificate kind must be a string, got {kind!r}")
     try:
         return Certificate(
             kind=kind,
@@ -169,6 +171,35 @@ def find_hole(
 
 def validate_hole(g: SimpleGraph, cert: Certificate) -> bool:
     return cert.kind == HOLE and is_hole(g, cert.cycle)
+
+
+def hole_through(g: SimpleGraph, v: int) -> bool:
+    """Whether some hole contains v.
+
+    Exact: a hole through v leaves v's two hole-neighbours, which are
+    non-adjacent, attached to one component of g - N[v]; conversely a shortest
+    path through such a component between two non-adjacent attachments closes
+    a hole with v.  One BFS over g - N[v] and one clique test per component.
+    """
+    if not 0 <= v < g.n:
+        raise ContractViolation("vertex out of range")
+    adj = g.adj
+    nv = adj[v]
+    rest = g.vertices_mask & ~nv & ~(1 << v)
+    while rest:
+        comp = frontier = rest & -rest
+        reach = 0
+        while frontier:
+            nxt = 0
+            for u in bits(frontier):
+                nxt |= adj[u]
+            reach |= nxt
+            frontier = nxt & rest & ~comp
+            comp |= frontier
+        rest &= ~comp
+        if not _is_clique(g, reach & nv):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,12 @@ UNLABELED_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668, 12005168)
 
 
 def _refine(n: int, adj: tuple[int, ...], colors: list[int]) -> list[int]:
-    # densify color ids, then iterate; signatures are packed into ints
+    # densify color ids, then iterate; signatures are packed into ints, one
+    # field per cell, wide enough for any count 0..n-1
     remap = {c: i for i, c in enumerate(sorted(set(colors)))}
     colors = [remap[c] for c in colors]
     k = len(remap)
+    width = max(4, n.bit_length())
     while True:
         cells = [0] * k
         for v in range(n):
@@ -39,7 +41,7 @@ def _refine(n: int, adj: tuple[int, ...], colors: list[int]) -> list[int]:
             row = adj[v]
             s = colors[v]
             for cm in cells:
-                s = s << 4 | (row & cm).bit_count()
+                s = s << width | (row & cm).bit_count()
             sigs.append(s)
         ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
         if len(ranking) == k:

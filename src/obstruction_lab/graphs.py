@@ -62,6 +62,8 @@ class SimpleGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "SimpleGraph":
+        if not 0 <= n <= MAX_VERTICES:
+            raise ContractViolation(f"vertex count {n} outside 0..{MAX_VERTICES}")
         adj = [0] * n
         for u, v in edges:
             if u == v or not (0 <= u < n and 0 <= v < n):

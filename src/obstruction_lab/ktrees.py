@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .detectors import dirac_order, has_clique, _is_clique
 from .errors import ContractViolation, GraphFormatError
 from .graphs import (
+    MAX_VERTICES,
     SimpleGraph,
     add_vertex,
     bits,
@@ -130,6 +131,15 @@ def gen_tdr(d: int, r: int) -> SimpleGraph:
     leaf at depth r; vertex 0 is the root, levels are numbered consecutively."""
     if d < 0 or r < 0:
         raise ContractViolation("d and r must be >= 0")
+    # the vertex count 1 + d + ... + d^r, summed only until it passes the cap
+    n = level_size = 1
+    for _ in range(r):
+        level_size *= d
+        n += level_size
+        if not level_size or n > MAX_VERTICES:
+            break
+    if n > MAX_VERTICES:
+        raise ContractViolation(f"tree with d={d}, r={r} has more than {MAX_VERTICES} vertices")
     edges = []
     level = [0]
     next_id = 1

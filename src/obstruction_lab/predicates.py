@@ -218,6 +218,8 @@ def verify_blurry(g: SimpleGraph, w: BlurryWitness) -> str | None:
         raise ContractViolation("zset has duplicates")
     if sorted(w.order) != sorted(w.zset):
         raise ContractViolation("order must be a bijection on zset")
+    if sorted(w.target.order) != list(range(w.target.graph.n)):
+        raise ContractViolation("target order must be a bijection on the target's vertices")
     h = len(w.zset)
     if w.target.k != 2 or w.target.graph.n != h:
         return "B1"
@@ -236,7 +238,6 @@ def verify_blurry(g: SimpleGraph, w: BlurryWitness) -> str | None:
         return "B1"
     # isomorphic to the target respecting both orderings
     t = w.target
-    tpos = {v: i for i, v in enumerate(t.order)}
     for i in range(h):
         for j in range(i + 1, h):
             if y_graph.has_edge(i, j) != t.graph.has_edge(t.order[i], t.order[j]):

@@ -19,18 +19,18 @@ from functools import partial
 from multiprocessing import get_context
 
 from .detectors import (
-    dirac_order,
     find_even_wheel,
     find_hole,
     find_prism,
     find_theta,
     has_clique,
+    hole_through,
     in_class_e,
 )
 from .enumeration import ENUMERATION_CAP, expand_children
 from .errors import ContractViolation
 from .finders import extract_induced_from_blurry
-from .graphs import SimpleGraph, add_vertex, bits, write_graph6
+from .graphs import SimpleGraph, add_vertex, bits, induced_subgraph, write_graph6
 from .ktrees import KTree, embed_in_ktree, validate_embedding, validate_ktree
 from .minors import (
     eligible_pairs,
@@ -109,23 +109,50 @@ class SweepReport:
 
 # ---------------------------------------------------------------------------
 # hereditary prunes (must be module-level for multiprocessing)
+#
+# Each prune is anchored on the child's new vertex v = g.n - 1: its parent
+# g - v already passed the same prune, so only an obstruction through v can
+# reject g.  Every vertex of a C4, theta or prism, and every rim vertex of a
+# wheel, lies on a hole.  So when no hole runs through v, the only possible
+# obstruction is an even wheel centred at v; its rim lies in N(v), since a rim
+# vertex outside N(v) would sit on a hole through v, and it is an even hole
+# of g[N(v)].  The anchored prunes are therefore valid only inside the
+# generation tree, on a child whose parent passed the same prune.
+
+
+def _neighbourhood(g: SimpleGraph, v: int) -> SimpleGraph:
+    return induced_subgraph(g, g.adj[v])[0]
 
 
 def prune_class_e(g: SimpleGraph) -> bool:
-    return in_class_e(g).member
+    """Class-E membership; valid only inside the generation tree, where g
+    minus its last vertex is in E."""
+    v = g.n - 1
+    if hole_through(g, v):
+        return in_class_e(g).member
+    return find_hole(_neighbourhood(g, v), parity="even") is None
 
 
 def prune_even_hole_free(g: SimpleGraph) -> bool:
-    return find_hole(g, parity="even") is None
+    """Even-hole-freeness; valid only inside the generation tree, where g minus
+    its last vertex is even-hole-free."""
+    return not hole_through(g, g.n - 1) or find_hole(g, parity="even") is None
 
 
 def prune_tpw_free(g: SimpleGraph) -> bool:
-    # theta-, prism- and even-wheel-free; C4 explicitly allowed
-    return find_theta(g) is None and find_prism(g) is None and find_even_wheel(g) is None
+    """Theta-, prism- and even-wheel-freeness (C4 allowed); valid only inside
+    the generation tree, where g minus its last vertex has it."""
+    v = g.n - 1
+    if hole_through(g, v):
+        return find_theta(g) is None and find_prism(g) is None and find_even_wheel(g) is None
+    return find_hole(_neighbourhood(g, v), parity="even") is None
 
 
 def _prune_chordal(g: SimpleGraph, k: int) -> bool:
-    return dirac_order(g) is not None and has_clique(g, k + 2) is None
+    """Chordal and K_{k+2}-free; valid only inside the generation tree, where g
+    minus its last vertex is.  A new K_{k+2} is v plus a K_{k+1} in N(v)."""
+    v = g.n - 1
+    return not hole_through(g, v) and has_clique(_neighbourhood(g, v), k + 1) is None
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -114,6 +115,14 @@ def test_embed_cli(tmp_path, capsys):
     assert len(lines) == 3  # graph6, ordering, embedding map
 
 
+def test_gen_tdr_over_vertex_cap_is_usage_error(capsys):
+    # 1 + 50 + ... + 50^50 vertices: refused before any edge is built
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "gen", "tdr", "--d", "50", "--r", "50")
+    assert code == 2 and err.startswith("error:")
+    assert time.perf_counter() - start < 1.0
+
+
 def test_gen_commands(capsys):
     code, out, _ = run_cli(capsys, "gen", "tdr", "--d", "2", "--r", "2")
     assert code == 0 and parse_graph6(out.strip()).n == 7
@@ -178,6 +187,7 @@ def test_edgelist_format(tmp_path, capsys):
 
 # each malformed document or k-tree file once ended in a traceback
 C5 = write_graph6(cycle_graph(5))
+K2 = write_graph6(complete_graph(2))
 MALFORMED_INPUTS = {
     "clique-vertex-1e8": ("verify", {"kind": "clique", "vertices": [10**8], "graph6": C5}),
     "hole-vertex-negative": ("verify", {"kind": "hole", "cycle": [0, 1, 2, -1], "graph6": C5}),
@@ -193,6 +203,10 @@ MALFORMED_INPUTS = {
         "verify", {"kind": "alignment", "graph6": C5, "s_set": [], "path": [], "x": 0, "pi": []}
     ),
     "ktree-ordering-not-int": ("grow", write_graph6(complete_graph(3)) + "\n2 x 1 2\n"),
+    "blurry-target-order-not-bijection": ("verify", {
+        "kind": "blurry", "graph6": K2, "zset": [0, 1], "y_edges": [[0, 1]], "order": [0, 1],
+        "target_graph6": K2, "target_k": 2, "target_order": [0, 1, 1],
+    }),
 }
 
 

@@ -19,6 +19,7 @@ from obstruction_lab.detectors import (
     find_theta,
     has_biclique,
     has_clique,
+    hole_through,
     in_class_e,
     in_class_et,
     is_chordal,
@@ -257,6 +258,17 @@ def test_even_hole_free_implies_member_small():
         for g in all_graphs(n):
             if find_hole(g, parity="even") is None:
                 assert in_class_e(g).member
+
+
+def test_hole_through_matches_iter_holes():
+    for n in range(1, 8):
+        for g in all_graphs(n):
+            on_hole = 0
+            for cyc in iter_holes(g):
+                on_hole |= mask_of(cyc)
+            assert [hole_through(g, v) for v in range(n)] == [bool(on_hole >> v & 1) for v in range(n)]
+    with pytest.raises(ContractViolation):
+        hole_through(cycle_graph(4), 4)
 
 
 def test_oracle_equivalence_small():

@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -92,3 +93,23 @@ ENUMERATION_PINS = {
 def test_enumeration_order_pinned(n):
     text = "\n".join(write_graph6(g) for g in enumerate_graphs(n))
     assert hashlib.sha256(text.encode()).hexdigest() == ENUMERATION_PINS[n]
+
+
+def _relabel(g: SimpleGraph, perm: list[int]) -> SimpleGraph:
+    return SimpleGraph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def test_canonical_cert_relabelling_invariant_with_hub():
+    # a hub of degree >= 16 puts counts past 4 bits into the refinement
+    # signatures; each count field must stay wide enough not to collide
+    rng = random.Random(16)
+    for n in range(16, 25):
+        for _ in range(8):
+            hub = rng.sample(range(1, n), rng.randint(min(16, n - 1), n - 1))
+            p = rng.choice([0.0, 0.1, 0.3])
+            edges = [(0, v) for v in hub]
+            edges += [(u, v) for u in range(1, n) for v in range(u + 1, n) if rng.random() < p]
+            g = SimpleGraph.from_edges(n, edges)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            assert canonical_cert(_relabel(g, perm)) == canonical_cert(g)
