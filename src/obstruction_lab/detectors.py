@@ -16,7 +16,8 @@ from itertools import combinations
 from typing import Iterator
 
 from .errors import ContractViolation
-from .graphs import SimpleGraph, bits, is_induced_path, mask_of, write_graph6
+from .graphs import SimpleGraph, bits, closed_neighborhood, is_induced_path, mask_of, write_graph6
+from .graphs import check_vertices, ints_from_json, ints_to_json
 
 HOLE = "hole"
 THETA = "theta"
@@ -30,9 +31,8 @@ BICLIQUE = "biclique"
 class Certificate:
     """Tagged witness for a found structure, as explicit vertex lists.
 
-    Role fields by kind: hole -> cycle; theta -> ends + paths; prism ->
-    triangles + paths; even_wheel -> cycle + center; clique -> vertices;
-    biclique -> side_a + side_b.  Unused fields stay at their defaults.
+    CERTIFICATE_KINDS names the fields each kind uses; the other fields
+    stay at their defaults.
     """
 
     kind: str
@@ -47,45 +47,21 @@ class Certificate:
 
     def to_dict(self, g: SimpleGraph | None = None) -> dict:
         out: dict = {"kind": self.kind}
-        if self.kind == HOLE:
-            out["cycle"] = list(self.cycle)
-        elif self.kind == THETA:
-            out["ends"] = list(self.ends)
-            out["paths"] = [list(p) for p in self.paths]
-        elif self.kind == PRISM:
-            out["triangles"] = [list(t) for t in self.triangles]
-            out["paths"] = [list(p) for p in self.paths]
-        elif self.kind == EVEN_WHEEL:
-            out["cycle"] = list(self.cycle)
-            out["center"] = self.center
-        elif self.kind == CLIQUE:
-            out["vertices"] = list(self.vertices)
-        elif self.kind == BICLIQUE:
-            out["side_a"] = list(self.side_a)
-            out["side_b"] = list(self.side_b)
+        for name, depth in _certificate_kind(self.kind)[1]:
+            out[name] = ints_to_json(getattr(self, name), depth)
         if g is not None:
             out["graph6"] = write_graph6(g)
         return out
 
 
 def certificate_from_dict(d: dict) -> Certificate:
+    """Certificate from its JSON form.  An unknown kind, or a field of the
+    kind that is not ints nested to its depth, raises ContractViolation; a
+    missing field keeps its default."""
     kind = d.get("kind")
-    if not isinstance(kind, str):
-        raise ContractViolation(f"certificate kind must be a string, got {kind!r}")
-    try:
-        return Certificate(
-            kind=kind,
-            cycle=tuple(d.get("cycle", ())),
-            center=d.get("center", -1),
-            ends=tuple(d.get("ends", (-1, -1))),
-            paths=tuple(tuple(p) for p in d.get("paths", ())),
-            triangles=tuple(tuple(t) for t in d.get("triangles", ())),
-            vertices=tuple(d.get("vertices", ())),
-            side_a=tuple(d.get("side_a", ())),
-            side_b=tuple(d.get("side_b", ())),
-        )
-    except TypeError:
-        raise ContractViolation(f"{kind} certificate: vertex fields must be lists") from None
+    fields = _certificate_kind(kind)[1]
+    values = {name: ints_from_json(d[name], depth) for name, depth in fields if name in d}
+    return Certificate(kind, **values)
 
 
 class WheelClass(enum.Enum):
@@ -197,7 +173,7 @@ def hole_through(g: SimpleGraph, v: int) -> bool:
             frontier = nxt & rest & ~comp
             comp |= frontier
         rest &= ~comp
-        if not _is_clique(g, reach & nv):
+        if not is_clique(g, reach & nv):
             return True
     return False
 
@@ -218,7 +194,7 @@ def dirac_order(g: SimpleGraph) -> tuple[int, ...] | None:
         found = -1
         for v in bits(remaining):
             nbrs = g.adj[v] & remaining
-            if _is_clique(g, nbrs):
+            if is_clique(g, nbrs):
                 found = v
                 break
         if found < 0:
@@ -233,7 +209,7 @@ def is_chordal(g: SimpleGraph) -> tuple[bool, tuple[int, ...] | None]:
     return (order is not None), order
 
 
-def _is_clique(g: SimpleGraph, mask: int) -> bool:
+def is_clique(g: SimpleGraph, mask: int) -> bool:
     rest = mask
     while rest:
         low = rest & -rest
@@ -249,29 +225,10 @@ def _is_clique(g: SimpleGraph, mask: int) -> bool:
 
 
 def clique_number(g: SimpleGraph) -> int:
-    best = _max_clique(g)
-    return best.bit_count()
-
-
-def _max_clique(g: SimpleGraph) -> int:
-    adj = g.adj
-    best = [0]
-
-    def grow(current: int, cand: int):
-        if current.bit_count() + cand.bit_count() <= best[0].bit_count():
-            return
-        if not cand:
-            if current.bit_count() > best[0].bit_count():
-                best[0] = current
-            return
-        # pivot on the candidate with most candidate-neighbors
-        pivot = max(bits(cand), key=lambda v: (adj[v] & cand).bit_count())
-        for v in bits(cand & ~adj[pivot] | (1 << pivot)):
-            grow(current | (1 << v), cand & adj[v])
-            cand ^= 1 << v
-
-    grow(0, g.vertices_mask)
-    return best[0]
+    t = 0
+    while has_clique(g, t + 1) is not None:
+        t += 1
+    return t
 
 
 def has_clique(g: SimpleGraph, t: int) -> Certificate | None:
@@ -328,7 +285,7 @@ def _is_stable(g: SimpleGraph, mask: int) -> bool:
 
 def validate_clique(g: SimpleGraph, cert: Certificate) -> bool:
     m = mask_of(cert.vertices)
-    return cert.kind == CLIQUE and len(cert.vertices) == m.bit_count() and _is_clique(g, m)
+    return cert.kind == CLIQUE and len(cert.vertices) == m.bit_count() and is_clique(g, m)
 
 
 def validate_biclique(g: SimpleGraph, cert: Certificate) -> bool:
@@ -371,7 +328,7 @@ def _iter_induced_ab_paths(g: SimpleGraph, a: int, b: int, allowed: int) -> Iter
         yield from extend((first,), 0)
 
 
-def _induced_ab_paths(g: SimpleGraph, a: int, b: int, allowed: int) -> list[tuple[int, ...]]:
+def induced_ab_paths(g: SimpleGraph, a: int, b: int, allowed: int) -> list[tuple[int, ...]]:
     """All induced a-b paths of length >= 2, shortest first then lexicographic."""
     out = list(_iter_induced_ab_paths(g, a, b, allowed))
     out.sort(key=lambda p: (len(p), p))
@@ -389,16 +346,11 @@ def find_theta(g: SimpleGraph) -> Certificate | None:
             if adj[b].bit_count() < 3 or g.has_edge(a, b):
                 continue
             allowed = g.vertices_mask & ~(1 << a) & ~(1 << b)
-            paths = _induced_ab_paths(g, a, b, allowed)
+            paths = induced_ab_paths(g, a, b, allowed)
             if len(paths) < 3:
                 continue
             interiors = [mask_of(p[1:-1]) for p in paths]
-            closed = []
-            for im in interiors:
-                nb = im
-                for v in bits(im):
-                    nb |= adj[v]
-                closed.append(nb)
+            closed = [closed_neighborhood(g, im) for im in interiors]
             count = len(paths)
             compat = [0] * count
             for i in range(count):
@@ -507,7 +459,6 @@ def find_prism(g: SimpleGraph) -> Certificate | None:
 def _prism_paths(
     g: SimpleGraph, aa: tuple[int, int, int], bb: tuple[int, int, int]
 ) -> tuple[tuple[int, ...], ...] | None:
-    adj = g.adj
     corner_mask = mask_of(aa) | mask_of(bb)
     # no cross edges between corners other than the two triangles and the matching
     for i in range(3):
@@ -518,26 +469,17 @@ def _prism_paths(
     def path_for(i: int, banned: int) -> Iterator[tuple[int, ...]]:
         a, b = aa[i], bb[i]
         other = corner_mask & ~(1 << a) & ~(1 << b)
-        other_nbrs = 0
-        for v in bits(other):
-            other_nbrs |= adj[v]
-        allowed = g.vertices_mask & ~corner_mask & ~banned & ~other_nbrs
+        allowed = g.vertices_mask & ~corner_mask & ~banned & ~closed_neighborhood(g, other)
         if g.has_edge(a, b):
             yield (a, b)
             return
         yield from _iter_induced_ab_paths(g, a, b, allowed)
 
     for p1 in path_for(0, 0):
-        used1 = mask_of(p1[1:-1])
-        nb1 = used1
-        for v in bits(used1):
-            nb1 |= adj[v]
-        for p2 in path_for(1, used1 | nb1):
-            used2 = mask_of(p2[1:-1])
-            nb2 = used2
-            for v in bits(used2):
-                nb2 |= adj[v]
-            for p3 in path_for(2, used1 | nb1 | used2 | nb2):
+        nb1 = closed_neighborhood(g, mask_of(p1[1:-1]))
+        for p2 in path_for(1, nb1):
+            nb2 = closed_neighborhood(g, mask_of(p2[1:-1]))
+            for p3 in path_for(2, nb1 | nb2):
                 return (p1, p2, p3)
     return None
 
@@ -551,7 +493,7 @@ def validate_prism(g: SimpleGraph, cert: Certificate) -> bool:
     if mask_of(aa) & mask_of(bb):
         return False
     for tri in (aa, bb):
-        if not _is_clique(g, mask_of(tri)) or len(set(tri)) != 3:
+        if not is_clique(g, mask_of(tri)) or len(set(tri)) != 3:
             return False
     masks = []
     for i, p in enumerate(cert.paths):
@@ -612,12 +554,6 @@ class Verdict:
     member: bool
     violation: Certificate | None = None
 
-    def to_dict(self, g: SimpleGraph | None = None) -> dict:
-        out = {"member": self.member}
-        if self.violation is not None:
-            out["violation"] = self.violation.to_dict(g)
-        return out
-
 
 def in_class_e(g: SimpleGraph) -> Verdict:
     """Membership in the (C4, theta, prism, even wheel)-free class; the first
@@ -650,26 +586,30 @@ def in_class_et(g: SimpleGraph, t: int) -> Verdict:
     return Verdict(True)
 
 
-# per kind: the validator, and the vertices the kind's fields name
-_CERTIFICATE_KINDS = {
-    HOLE: (validate_hole, lambda c: c.cycle),
-    THETA: (validate_theta, lambda c: c.ends + sum(c.paths, ())),
-    PRISM: (validate_prism, lambda c: sum(c.triangles + c.paths, ())),
-    EVEN_WHEEL: (validate_even_wheel, lambda c: c.cycle + (c.center,)),
-    CLIQUE: (validate_clique, lambda c: c.vertices),
-    BICLIQUE: (validate_biclique, lambda c: c.side_a + c.side_b),
+# per kind: the validator, and the kind's fields in document order, each with
+# the list depth of the vertices it names
+CERTIFICATE_KINDS = {
+    HOLE: (validate_hole, (("cycle", 1),)),
+    THETA: (validate_theta, (("ends", 1), ("paths", 2))),
+    PRISM: (validate_prism, (("triangles", 2), ("paths", 2))),
+    EVEN_WHEEL: (validate_even_wheel, (("cycle", 1), ("center", 0))),
+    CLIQUE: (validate_clique, (("vertices", 1),)),
+    BICLIQUE: (validate_biclique, (("side_a", 1), ("side_b", 1))),
 }
+
+
+def _certificate_kind(kind) -> tuple:
+    if not isinstance(kind, str) or kind not in CERTIFICATE_KINDS:
+        raise ContractViolation(f"unknown certificate kind {kind!r}")
+    return CERTIFICATE_KINDS[kind]
 
 
 def validate_certificate(g: SimpleGraph, cert: Certificate) -> bool:
     """Whether the certificate holds in g; a malformed one (unknown kind, or a
     vertex that is not an int in 0..n-1) raises ContractViolation."""
-    if cert.kind not in _CERTIFICATE_KINDS:
-        raise ContractViolation(f"unknown certificate kind {cert.kind!r}")
-    validator, vertices = _CERTIFICATE_KINDS[cert.kind]
-    for v in vertices(cert):
-        if type(v) is not int or not 0 <= v < g.n:
-            raise ContractViolation(f"{cert.kind} certificate vertex {v!r} is not in 0..{g.n - 1}")
+    validator, fields = _certificate_kind(cert.kind)
+    for name, depth in fields:
+        check_vertices(g, getattr(cert, name), depth, name)
     return validator(g, cert)
 
 
@@ -695,7 +635,7 @@ def classify_attachment(g: SimpleGraph, nbrs: int) -> WheelClass:
         return WheelClass.NO_NEIGHBOR
     if k == 1:
         return WheelClass.GOOD
-    return WheelClass.BAD if _is_clique(g, nbrs) else WheelClass.UGLY
+    return WheelClass.BAD if is_clique(g, nbrs) else WheelClass.UGLY
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,14 @@ from dataclasses import dataclass
 
 from .detectors import WheelClass, classify_attachment, has_clique
 from .errors import ContractViolation, HypothesisMiss
-from .graphs import SimpleGraph, bits, complement_graph, is_induced_path, mask_of
+from .graphs import (
+    SimpleGraph,
+    bits,
+    closed_neighborhood,
+    complement_graph,
+    is_induced_path,
+    mask_of,
+)
 from .ktrees import Embedding, contains_induced
 from .predicates import (
     Alignment,
@@ -188,12 +195,7 @@ def anticomplete_family(g: SimpleGraph, sets: list[int], q: int) -> tuple[int, .
         if m & seen:
             raise ContractViolation("sets must be pairwise disjoint")
         seen |= m
-    closed = []
-    for m in sets:
-        nb = 0
-        for v in bits(m):
-            nb |= g.adj[v]
-        closed.append(nb)
+    closed = [closed_neighborhood(g, m) for m in sets]
     count = len(sets)
     conflict = [0] * count
     for i in range(count):

@@ -9,6 +9,7 @@ construction and safe to share across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .errors import ContractViolation, GraphFormatError
@@ -210,6 +211,14 @@ def is_induced_path(g: SimpleGraph, seq: tuple[int, ...]) -> bool:
     return True
 
 
+def closed_neighborhood(g: SimpleGraph, mask: int) -> int:
+    """The vertex set `mask` plus every neighbor of its members."""
+    out = mask
+    for v in bits(mask):
+        out |= g.adj[v]
+    return out
+
+
 def components(g: SimpleGraph) -> list[int]:
     """Connected components as vertex-set masks, ordered by smallest member."""
     seen = 0
@@ -232,6 +241,40 @@ def components(g: SimpleGraph) -> list[int]:
 
 def is_connected(g: SimpleGraph) -> bool:
     return g.n <= 1 or len(components(g)) == 1
+
+
+# ---------------------------------------------------------------------------
+# vertex fields of certificate and witness documents: ints nested `depth`
+# lists deep in JSON, tuples in memory
+
+
+def ints_from_json(value, depth: int = 0):
+    """An int (depth 0), or lists nested `depth` deep around ints, as tuples;
+    anything else raises ContractViolation."""
+    if depth == 0:
+        if type(value) is not int:
+            raise ContractViolation(f"expected an integer, got {value!r}")
+        return value
+    if not isinstance(value, list):
+        raise ContractViolation(f"expected a list, got {value!r}")
+    return tuple(ints_from_json(v, depth - 1) for v in value)
+
+
+def ints_to_json(value, depth: int = 0):
+    """Inverse of ints_from_json: tuples nested `depth` deep become lists."""
+    return [ints_to_json(v, depth - 1) for v in value] if depth else value
+
+
+def check_vertices(g: SimpleGraph, value, depth: int, field: str) -> None:
+    """Raise ContractViolation unless every int of `value` (nested `depth`
+    deep) is a vertex of g; `field` names the value in the message."""
+    flat = (value,) if depth == 0 else value
+    for _ in range(depth - 1):
+        flat = chain.from_iterable(flat)
+    n = g.n
+    for v in flat:
+        if type(v) is not int or not 0 <= v < n:
+            raise ContractViolation(f"{field} vertex {v!r} is not in 0..{n - 1}")
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .detectors import dirac_order, has_clique, _is_clique
+from .detectors import dirac_order, has_clique, is_clique
 from .errors import ContractViolation, GraphFormatError
 from .graphs import (
     MAX_VERTICES,
@@ -72,11 +72,11 @@ def validate_ktree(g: SimpleGraph, k: int, order: tuple[int, ...]) -> tuple[bool
     if h < k:
         return False, 0
     if h == k:
-        ok = _is_clique(g, (1 << h) - 1)
+        ok = is_clique(g, (1 << h) - 1)
         return ok, (None if ok else 0)
     for i in range(h - k):
         fwd = forward_neighbors(g, order, i)
-        if fwd.bit_count() != k or not _is_clique(g, fwd):
+        if fwd.bit_count() != k or not is_clique(g, fwd):
             return False, i + 1
     return True, None
 
@@ -95,14 +95,14 @@ def recognize_ktree(g: SimpleGraph, k: int) -> tuple[int, ...] | None:
         found = -1
         for v in bits(remaining):
             nbrs = g.adj[v] & remaining
-            if nbrs.bit_count() == k and _is_clique(g, nbrs):
+            if nbrs.bit_count() == k and is_clique(g, nbrs):
                 found = v
                 break
         if found < 0:
             return None
         order.append(found)
         remaining ^= 1 << found
-    if not _is_clique(g, remaining):
+    if not is_clique(g, remaining):
         return None
     order.extend(bits(remaining))
     return tuple(order)
@@ -235,8 +235,8 @@ def embed_in_ktree(h: SimpleGraph, k: int) -> tuple[KTree, Embedding]:
     ladder of new vertices whose forward neighborhoods are k-cliques by
     construction.
     """
-    if k < 1:
-        raise ContractViolation("k must be >= 1")
+    if not 1 <= k <= MAX_VERTICES:
+        raise ContractViolation(f"k must be in 1..{MAX_VERTICES}, got {k}")
     peo = dirac_order(h)
     if peo is None:
         raise ContractViolation("input is not chordal")
@@ -256,7 +256,7 @@ def embed_in_ktree(h: SimpleGraph, k: int) -> tuple[KTree, Embedding]:
 
 def _embed_connected(h: SimpleGraph, k: int) -> tuple[KTree, Embedding]:
     n = h.n
-    if n <= k and _is_clique(h, h.vertices_mask):
+    if n <= k and is_clique(h, h.vertices_mask):
         # small complete graphs sit inside the base K_k
         base = complete_graph(k)
         return KTree(base, k, tuple(range(k))), tuple(range(n))

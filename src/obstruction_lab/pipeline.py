@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .detectors import _induced_ab_paths, in_class_et
+from .detectors import in_class_et, induced_ab_paths
 from .errors import ContractViolation
 from .graphs import SimpleGraph, bits, mask_of
 from .ktrees import KTree, forward_neighbors, ktree_quotient, validate_ktree
@@ -90,7 +90,7 @@ def _assemble_kaleidoscope(g: SimpleGraph, need_w: int, budget: list[int]):
                     continue
                 allowed = g.vertices_mask & ~(1 << a) & ~g.adj[a] | (1 << x) | (1 << y)
                 allowed &= ~(1 << a)
-                paths = _induced_ab_paths(g, x, y, allowed & ~(1 << x) & ~(1 << y))
+                paths = induced_ab_paths(g, x, y, allowed & ~(1 << x) & ~(1 << y))
                 budget[0] -= len(paths) + 1
                 if budget[0] <= 0:
                     return None

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .errors import ContractViolation
 from .graphs import SimpleGraph, bits, is_induced_path, mask_of, parse_graph6, write_graph6
+from .graphs import check_vertices, ints_from_json, ints_to_json
 from .ktrees import KTree, validate_ktree
 
 PathSeq = tuple[int, ...]
@@ -26,11 +27,6 @@ class Kaleidoscope:
     x: int
     y: int
     paths: tuple[PathSeq, ...]
-
-    @property
-    def holes(self) -> tuple[PathSeq, ...]:
-        """Each path W closed through the apex: a-x-W-y-a, as cycle sequences."""
-        return tuple((self.a,) + w for w in self.paths)
 
 
 @dataclass(frozen=True)
@@ -79,9 +75,12 @@ class StrongBlockWitness:
     families: tuple[tuple[tuple[int, int], tuple[PathSeq, ...]], ...]
 
 
-def _check_vertex(g: SimpleGraph, v: int):
-    if not 0 <= v < g.n:
-        raise ContractViolation(f"vertex {v} out of range")
+def _check_vertex_fields(g: SimpleGraph, witness) -> None:
+    """The range check every verifier starts with: each field of the witness
+    that names vertices names vertices of g."""
+    for name, depth in _WITNESS_KINDS[type(witness)][2]:
+        if depth is not None:
+            check_vertices(g, getattr(witness, name), depth, name)
 
 
 # ---------------------------------------------------------------------------
@@ -89,11 +88,7 @@ def _check_vertex(g: SimpleGraph, v: int):
 
 
 def verify_kaleidoscope(g: SimpleGraph, k: Kaleidoscope) -> str | None:
-    for v in (k.a, k.x, k.y):
-        _check_vertex(g, v)
-    for w in k.paths:
-        for v in w:
-            _check_vertex(g, v)
+    _check_vertex_fields(g, k)
     if len({k.a, k.x, k.y}) != 3 or not is_induced_path(g, (k.x, k.a, k.y)):
         return "K1"
     a_bit = 1 << k.a
@@ -130,8 +125,7 @@ def verify_mirrored(g: SimpleGraph, k: Kaleidoscope, zset: tuple[int, ...], d: i
         return bad
     if d < 1:
         raise ContractViolation("d must be >= 1")
-    for z in zset:
-        _check_vertex(g, z)
+    check_vertices(g, zset, 1, "zset")
     zmask = mask_of(zset)
     body = 1 << k.a
     for w in k.paths:
@@ -148,12 +142,7 @@ def verify_mirrored(g: SimpleGraph, k: Kaleidoscope, zset: tuple[int, ...], d: i
 
 
 def verify_palanquin(g: SimpleGraph, p: Palanquin) -> str | None:
-    _check_vertex(g, p.a)
-    for v in p.s_set:
-        _check_vertex(g, v)
-    for path in p.paths:
-        for v in path:
-            _check_vertex(g, v)
+    _check_vertex_fields(g, p)
     smask = mask_of(p.s_set)
     if len(p.s_set) != smask.bit_count() or not p.s_set:
         raise ContractViolation("s_set must be nonempty and duplicate-free")
@@ -182,8 +171,7 @@ def verify_palanquin(g: SimpleGraph, p: Palanquin) -> str | None:
 def verify_alignment(g: SimpleGraph, al: Alignment) -> str | None:
     if not al.path:
         raise ContractViolation("alignment path must be nonempty")
-    for v in al.s_set + al.path:
-        _check_vertex(g, v)
+    _check_vertex_fields(g, al)
     smask = mask_of(al.s_set)
     if sorted(al.pi) != sorted(al.s_set):
         raise ContractViolation("pi must be a bijection onto the stable set")
@@ -211,8 +199,7 @@ def verify_alignment(g: SimpleGraph, al: Alignment) -> str | None:
 
 
 def verify_blurry(g: SimpleGraph, w: BlurryWitness) -> str | None:
-    for v in w.zset + w.order:
-        _check_vertex(g, v)
+    _check_vertex_fields(g, w)
     zmask = mask_of(w.zset)
     if len(w.zset) != zmask.bit_count():
         raise ContractViolation("zset has duplicates")
@@ -226,7 +213,7 @@ def verify_blurry(g: SimpleGraph, w: BlurryWitness) -> str | None:
     pos = {v: i for i, v in enumerate(w.order)}
     y_adj = [0] * h
     for u, v in w.y_edges:
-        if not (zmask >> u & 1 and zmask >> v & 1):
+        if u not in pos or v not in pos:
             raise ContractViolation("spanning edge outside the induced set")
         if not g.has_edge(u, v):
             return "B1"
@@ -276,13 +263,12 @@ def _is_plain_path(g: SimpleGraph, seq: PathSeq) -> bool:
 
 
 def verify_strong_block(g: SimpleGraph, w: StrongBlockWitness) -> str | None:
-    for v in w.block:
-        _check_vertex(g, v)
+    _check_vertex_fields(g, w)
     for pair, paths in w.families:
         if len(pair) != 2:
             raise ContractViolation(f"family pair {pair} is not a vertex pair")
-        for v in sum(paths, ()):
-            _check_vertex(g, v)
+        check_vertices(g, pair, 1, "pair")
+        check_vertices(g, paths, 2, "paths")
     bmask = mask_of(w.block)
     if len(w.block) != bmask.bit_count():
         raise ContractViolation("block has duplicates")
@@ -333,104 +319,98 @@ def verify_strong_block(g: SimpleGraph, w: StrongBlockWitness) -> str | None:
 # witness file format (the finders emit these; `verify` consumes them)
 
 
-def witness_to_dict(g: SimpleGraph, witness) -> dict:
-    out: dict = {"schema": "obstruction-lab/witness-v1", "graph6": write_graph6(g)}
-    if isinstance(witness, Kaleidoscope):
-        out["kind"] = "kaleidoscope"
-        out.update(a=witness.a, x=witness.x, y=witness.y, paths=[list(p) for p in witness.paths])
-    elif isinstance(witness, Palanquin):
-        out["kind"] = "palanquin"
-        out.update(a=witness.a, s_set=list(witness.s_set), paths=[list(p) for p in witness.paths])
-    elif isinstance(witness, Alignment):
-        out["kind"] = "alignment"
-        out.update(
-            s_set=list(witness.s_set), path=list(witness.path), x=witness.x, pi=list(witness.pi)
-        )
-    elif isinstance(witness, BlurryWitness):
-        out["kind"] = "blurry"
-        out.update(
-            zset=list(witness.zset),
-            y_edges=[list(e) for e in witness.y_edges],
-            order=list(witness.order),
-            target_graph6=write_graph6(witness.target.graph),
-            target_k=witness.target.k,
-            target_order=list(witness.target.order),
-        )
-    elif isinstance(witness, StrongBlockWitness):
-        out["kind"] = "strong_block"
-        out.update(
-            k=witness.k,
-            block=list(witness.block),
-            families=[
-                {"pair": list(pair), "paths": [list(p) for p in paths]}
-                for pair, paths in witness.families
-            ],
-        )
-    else:
+def _edges_from_json(d: dict) -> tuple:
+    edges = ints_from_json(d["y_edges"], 2)
+    if any(len(e) != 2 for e in edges):
+        raise ContractViolation("blurry witness: each y_edge must be a vertex pair")
+    return edges
+
+
+def _target_to_json(t: KTree) -> dict:
+    return {"target_graph6": write_graph6(t.graph), "target_k": t.k, "target_order": list(t.order)}
+
+
+def _target_from_json(d: dict) -> KTree:
+    graph, k = parse_graph6(d["target_graph6"]), ints_from_json(d["target_k"])
+    return KTree(graph, k, ints_from_json(d["target_order"], 1))
+
+
+def _families_to_json(families) -> dict:
+    return {"families": [{"pair": list(p), "paths": ints_to_json(ps, 2)} for p, ps in families]}
+
+
+def _families_from_json(d: dict):
+    families = d["families"]
+    if not isinstance(families, list) or not all(isinstance(f, dict) for f in families):
+        raise ContractViolation("strong_block witness: families must be a list of objects")
+    return tuple((ints_from_json(f["pair"], 1), ints_from_json(f["paths"], 2)) for f in families)
+
+
+# fields with an encoding of their own: the field to its document entries,
+# and the field back from the document.  The verifiers check these fields
+# themselves: y_edges and the families hold vertex pairs, k counts paths.
+_NESTED = {
+    "k": (lambda k: {"k": k}, lambda d: ints_from_json(d["k"])),
+    "y_edges": (lambda e: {"y_edges": ints_to_json(e, 2)}, _edges_from_json),
+    "target": (_target_to_json, _target_from_json),
+    "families": (_families_to_json, _families_from_json),
+}
+
+# per witness type: its kind tag, its verifier, and its fields in document
+# order, each with the list depth of the vertices it names (None: see _NESTED)
+_WITNESS_KINDS = {
+    Kaleidoscope: (
+        "kaleidoscope", verify_kaleidoscope, (("a", 0), ("x", 0), ("y", 0), ("paths", 2))
+    ),
+    Palanquin: ("palanquin", verify_palanquin, (("a", 0), ("s_set", 1), ("paths", 2))),
+    Alignment: ("alignment", verify_alignment, (("s_set", 1), ("path", 1), ("x", 0), ("pi", 1))),
+    BlurryWitness: (
+        "blurry", verify_blurry, (("zset", 1), ("y_edges", None), ("order", 1), ("target", None))
+    ),
+    StrongBlockWitness: (
+        "strong_block", verify_strong_block, (("k", None), ("block", 1), ("families", None))
+    ),
+}
+_TYPES = {tag: cls for cls, (tag, _, _) in _WITNESS_KINDS.items()}
+
+
+def _witness_kind(witness) -> tuple:
+    if type(witness) not in _WITNESS_KINDS:
         raise ContractViolation(f"unknown witness type {type(witness).__name__}")
+    return _WITNESS_KINDS[type(witness)]
+
+
+def witness_to_dict(g: SimpleGraph, witness) -> dict:
+    tag, _, fields = _witness_kind(witness)
+    out: dict = {"schema": "obstruction-lab/witness-v1", "graph6": write_graph6(g), "kind": tag}
+    for name, depth in fields:
+        value = getattr(witness, name)
+        if depth is None:
+            out.update(_NESTED[name][0](value))
+        else:
+            out[name] = ints_to_json(value, depth)
     return out
 
 
-def _ints(value, depth: int = 0):
-    """An int (depth 0), or lists nested `depth` deep around ints, as tuples."""
-    if depth == 0:
-        if type(value) is not int:
-            raise ContractViolation(f"expected an integer, got {value!r}")
-        return value
-    if not isinstance(value, list):
-        raise ContractViolation(f"expected a list, got {value!r}")
-    return tuple(_ints(v, depth - 1) for v in value)
-
-
 def witness_from_dict(d: dict):
-    """Graph and witness from a witness document; a missing or ill-typed field
-    raises ContractViolation."""
+    """Graph and witness from a witness document; an unknown kind, or a
+    missing or ill-typed field, raises ContractViolation."""
     kind = d.get("kind")
+    if not isinstance(kind, str) or kind not in _TYPES:
+        raise ContractViolation(f"unknown witness kind {kind!r}")
+    cls = _TYPES[kind]
+    fields = _WITNESS_KINDS[cls][2]
     try:
-        return parse_graph6(d["graph6"]), _witness_fields(kind, d)
+        g = parse_graph6(d["graph6"])
+        values = {
+            name: _NESTED[name][1](d) if depth is None else ints_from_json(d[name], depth)
+            for name, depth in fields
+        }
     except KeyError as exc:
         raise ContractViolation(f"{kind} witness has no {exc} field") from None
-
-
-def _witness_fields(kind, d: dict):
-    if kind == "kaleidoscope":
-        return Kaleidoscope(_ints(d["a"]), _ints(d["x"]), _ints(d["y"]), _ints(d["paths"], 2))
-    if kind == "palanquin":
-        return Palanquin(_ints(d["a"]), _ints(d["s_set"], 1), _ints(d["paths"], 2))
-    if kind == "alignment":
-        return Alignment(
-            _ints(d["s_set"], 1), _ints(d["path"], 1), _ints(d["x"]), _ints(d["pi"], 1)
-        )
-    if kind == "blurry":
-        y_edges = _ints(d["y_edges"], 2)
-        if any(len(e) != 2 for e in y_edges):
-            raise ContractViolation("blurry witness: each y_edge must be a vertex pair")
-        target = KTree(
-            parse_graph6(d["target_graph6"]), _ints(d["target_k"]), _ints(d["target_order"], 1)
-        )
-        return BlurryWitness(_ints(d["zset"], 1), y_edges, _ints(d["order"], 1), target)
-    if kind == "strong_block":
-        families = d["families"]
-        if not isinstance(families, list) or not all(isinstance(f, dict) for f in families):
-            raise ContractViolation("strong_block witness: families must be a list of objects")
-        return StrongBlockWitness(
-            _ints(d["k"]),
-            _ints(d["block"], 1),
-            tuple((_ints(f["pair"], 1), _ints(f["paths"], 2)) for f in families),
-        )
-    raise ContractViolation(f"unknown witness kind {kind!r}")
+    return g, cls(**values)
 
 
 def verify_witness(g: SimpleGraph, witness) -> str | None:
     """Dispatch on witness type."""
-    if isinstance(witness, Kaleidoscope):
-        return verify_kaleidoscope(g, witness)
-    if isinstance(witness, Palanquin):
-        return verify_palanquin(g, witness)
-    if isinstance(witness, Alignment):
-        return verify_alignment(g, witness)
-    if isinstance(witness, BlurryWitness):
-        return verify_blurry(g, witness)
-    if isinstance(witness, StrongBlockWitness):
-        return verify_strong_block(g, witness)
-    raise ContractViolation(f"unknown witness type {type(witness).__name__}")
+    return _witness_kind(witness)[1](g, witness)

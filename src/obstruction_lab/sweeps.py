@@ -30,7 +30,7 @@ from .detectors import (
 from .enumeration import ENUMERATION_CAP, expand_children
 from .errors import ContractViolation
 from .finders import extract_induced_from_blurry
-from .graphs import SimpleGraph, add_vertex, bits, induced_subgraph, write_graph6
+from .graphs import MAX_VERTICES, SimpleGraph, add_vertex, bits, induced_subgraph, write_graph6
 from .ktrees import KTree, embed_in_ktree, validate_embedding, validate_ktree
 from .minors import (
     eligible_pairs,
@@ -359,8 +359,8 @@ def sweep_c4_necessity(max_n: int, threads: int | None = None, archive_path: str
 
 def random_two_tree(rng: random.Random, h: int) -> KTree:
     """Random 2-tree grown by attaching each new vertex to a random edge."""
-    if h < 2:
-        raise ContractViolation("2-trees need at least 2 vertices")
+    if not 2 <= h <= MAX_VERTICES:
+        raise ContractViolation(f"a random 2-tree has 2..{MAX_VERTICES} vertices, got {h}")
     g = SimpleGraph.from_edges(2, [(0, 1)])
     edges = [(0, 1)]
     for v in range(2, h):

@@ -77,7 +77,15 @@ def test_verify_rejects_malformed_document(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text("[]")
     code, _, err = run_cli(capsys, "verify", str(p))
-    assert code == 2 and "kind" in err
+    assert code == 2 and err.startswith("error:") and "kind" in err
+
+
+def test_verify_flags_wrong_certificate(tmp_path, capsys):
+    # well formed, but 0-1-2-3 is no hole of C5
+    p = tmp_path / "hole.json"
+    p.write_text(json.dumps({"kind": "hole", "cycle": [0, 1, 2, 3], "graph6": C5}))
+    code, out, _ = run_cli(capsys, "verify", str(p))
+    assert code == 1 and "hole: invalid certificate" in out
 
 
 def test_verify_witness_file(tmp_path, capsys):
@@ -115,10 +123,19 @@ def test_embed_cli(tmp_path, capsys):
     assert len(lines) == 3  # graph6, ordering, embedding map
 
 
-def test_gen_tdr_over_vertex_cap_is_usage_error(capsys):
-    # 1 + 50 + ... + 50^50 vertices: refused before any edge is built
+# each is refused before any vertex or pair is built: tdr has 1 + 50 + ... +
+# 50^50 vertices, random-graph 20000 would draw 2*10^8 pairs
+OVER_CAP = {
+    "tdr": ["--d", "50", "--r", "50"],
+    "random-graph": ["--n", "20000", "--p", "0"],
+    "ktree-random": ["--n", "5000"],
+}
+
+
+@pytest.mark.parametrize("what", OVER_CAP)
+def test_gen_over_vertex_cap_is_usage_error(what, capsys):
     start = time.perf_counter()
-    code, _, err = run_cli(capsys, "gen", "tdr", "--d", "50", "--r", "50")
+    code, _, err = run_cli(capsys, "gen", what, *OVER_CAP[what])
     assert code == 2 and err.startswith("error:")
     assert time.perf_counter() - start < 1.0
 
@@ -137,6 +154,14 @@ def test_gen_commands(capsys):
 
     t = KTree.from_text(out)
     assert validate_ktree(t.graph, 2, t.order) == (True, None)
+
+
+def test_gen_cone(tmp_path, capsys):
+    p = tmp_path / "c5.g6"
+    p.write_text(write_graph6(cycle_graph(5)) + "\n")
+    code, out, _ = run_cli(capsys, "gen", "cone", str(p))
+    g = parse_graph6(out.strip())
+    assert code == 0 and g.n == 6 and g.degree(5) == 5 and g.edge_count() == 10
 
 
 def test_sweep_cli(tmp_path, capsys):
@@ -185,7 +210,8 @@ def test_edgelist_format(tmp_path, capsys):
     assert code == 0 and "member" in out
 
 
-# each malformed document or k-tree file once ended in a traceback
+# each malformed document or k-tree file once ended in a traceback, or in
+# exit code 2 without an `error:` line
 C5 = write_graph6(cycle_graph(5))
 K2 = write_graph6(complete_graph(2))
 MALFORMED_INPUTS = {
@@ -203,6 +229,11 @@ MALFORMED_INPUTS = {
         "verify", {"kind": "alignment", "graph6": C5, "s_set": [], "path": [], "x": 0, "pi": []}
     ),
     "ktree-ordering-not-int": ("grow", write_graph6(complete_graph(3)) + "\n2 x 1 2\n"),
+    "ktree-target-not-a-2-tree": ("grow", write_graph6(cycle_graph(4)) + "\n2 0 1 2 3\n"),
+    "blurry-edge-vertex-negative": ("verify", {
+        "kind": "blurry", "graph6": K2, "zset": [0, 1], "y_edges": [[0, -1]], "order": [0, 1],
+        "target_graph6": K2, "target_k": 2, "target_order": [0, 1],
+    }),
     "blurry-target-order-not-bijection": ("verify", {
         "kind": "blurry", "graph6": K2, "zset": [0, 1], "y_edges": [[0, 1]], "order": [0, 1],
         "target_graph6": K2, "target_k": 2, "target_order": [0, 1, 1],

@@ -10,6 +10,7 @@ from obstruction_lab.detectors import (
     THETA,
     Certificate,
     WheelClass,
+    certificate_from_dict,
     classify_against_hole,
     clique_number,
     dirac_order,
@@ -290,14 +291,23 @@ def test_certificates_validate_everywhere():
 
 
 def test_certificate_json_round_trip():
-    from obstruction_lab.detectors import certificate_from_dict
-
     k33 = complete_bipartite(3, 3)
     cert = find_theta(k33)
     doc = cert.to_dict(k33)
     assert doc["graph6"]
     again = certificate_from_dict(doc)
     assert again == cert
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"kind": "wheel", "cycle": [0, 1, 2, 3]}, {"kind": "hole", "cycle": [0, 1, 2, "3"]},
+     {"kind": "theta", "ends": [0, 1], "paths": [0, 1]}, {"kind": "even_wheel", "center": True}],
+    ids=["unknown-kind", "vertex-not-int", "paths-not-nested", "center-bool"],
+)
+def test_certificate_from_dict_rejects_malformed(doc):
+    with pytest.raises(ContractViolation):
+        certificate_from_dict(doc)
 
 
 PRISM_GRAPH = SimpleGraph.from_edges(

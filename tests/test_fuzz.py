@@ -9,7 +9,7 @@ from obstruction_lab.errors import ContractViolation, GraphFormatError
 from obstruction_lab.graphs import parse_edgelist, parse_graph6, write_graph6
 from obstruction_lab.graphs import complete_graph, cycle_graph
 from obstruction_lab.ktrees import KTree
-from obstruction_lab.predicates import witness_from_dict
+from obstruction_lab.predicates import verify_witness, witness_from_dict
 
 TYPED = (GraphFormatError, ContractViolation)
 FUZZ = settings(max_examples=300, deadline=None, derandomize=True)
@@ -72,7 +72,10 @@ def test_certificate_from_dict_fuzz(doc):
 @given(_documents(WITNESS_FIELDS))
 @FUZZ
 def test_witness_from_dict_fuzz(doc):
-    _parses_or_typed(witness_from_dict, doc)
+    parsed = _parses_or_typed(witness_from_dict, doc)
+    if parsed is not None:
+        # verification either answers or rejects the witness as malformed
+        _parses_or_typed(verify_witness, *parsed)
 
 
 @given(st.one_of(

@@ -1,5 +1,6 @@
-"""Source hygiene: no module-level import in the package goes unused, and no
-import sits inside a function.
+"""Source hygiene: no module-level import in the package goes unused, no
+import sits inside a function, no module imports another's underscore name,
+and no `assert` guards anything (`python -O` strips it).
 
 Neither pyflakes nor ruff is a dependency, so this walks the AST itself.
 `__init__.py` is skipped because its imports are the package's re-exports.
@@ -58,3 +59,33 @@ def test_function_import_detector():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_function_imports(path):
     assert function_imports(path.read_text()) == []
+
+
+def private_imports(source: str) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names if alias.name.startswith("_")]
+            found += [f"{name} (line {node.lineno})" for name in names]
+    return sorted(found)
+
+
+def asserts(source: str) -> list[str]:
+    nodes = ast.walk(ast.parse(source))
+    return sorted(f"line {node.lineno}" for node in nodes if isinstance(node, ast.Assert))
+
+
+def test_private_import_and_assert_detectors():
+    source = "from x import _a, b\ndef f():\n    assert b\n"
+    assert private_imports(source) == ["_a (line 1)"]
+    assert asserts(source) == ["line 3"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_imports(path):
+    assert private_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_asserts(path):
+    assert asserts(path.read_text()) == []

@@ -5,6 +5,7 @@ import pytest
 from obstruction_lab.detectors import find_hole, has_clique
 from obstruction_lab.errors import ContractViolation
 from obstruction_lab.graphs import (
+    MAX_VERTICES,
     SimpleGraph,
     complete_bipartite,
     complete_graph,
@@ -30,17 +31,17 @@ from conftest import all_graphs, diamond
 
 def brute_force_ktree_order(g: SimpleGraph, k: int):
     """Exhaustive ordering search with pruning: the oracle for recognition."""
-    from obstruction_lab.detectors import _is_clique
+    from obstruction_lab.detectors import is_clique
 
     n = g.n
     if n < k:
         return None
     if n == k:
-        return tuple(range(n)) if _is_clique(g, g.vertices_mask) else None
+        return tuple(range(n)) if is_clique(g, g.vertices_mask) else None
 
     def extend(prefix, remaining_mask):
         if remaining_mask.bit_count() == k:
-            if _is_clique(g, remaining_mask):
+            if is_clique(g, remaining_mask):
                 return prefix + tuple(
                     v for v in range(n) if remaining_mask >> v & 1
                 )
@@ -49,7 +50,7 @@ def brute_force_ktree_order(g: SimpleGraph, k: int):
             if not remaining_mask >> v & 1:
                 continue
             fwd = g.adj[v] & remaining_mask & ~(1 << v)
-            if fwd.bit_count() == k and _is_clique(g, fwd):
+            if fwd.bit_count() == k and is_clique(g, fwd):
                 got = extend(prefix + (v,), remaining_mask ^ (1 << v))
                 if got is not None:
                     return got
@@ -178,6 +179,9 @@ def test_embed_rejects_bad_inputs():
         embed_in_ktree(cycle_graph(4), 2)
     with pytest.raises(ContractViolation, match="clique"):
         embed_in_ktree(complete_graph(4), 2)
+    # refused before the base K_k is built; memory would grow as k^2
+    with pytest.raises(ContractViolation, match="k must be"):
+        embed_in_ktree(complete_graph(1), MAX_VERTICES + 1)
 
 
 def test_embed_exhaustive_small():

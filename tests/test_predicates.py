@@ -102,6 +102,10 @@ def test_alignment_verifier():
     assert verify_alignment(g, Alignment((0, 1), (2, 3, 4, 5, 6, 7), 2, (1, 0))) == "A3"
     with pytest.raises(ContractViolation):
         verify_alignment(g, Alignment((0, 1), (2, 3, 4, 5, 6, 7), 2, (0, 0)))
+    # the end x names a vertex too
+    for x in (-1, 9):
+        with pytest.raises(ContractViolation):
+            verify_alignment(g, Alignment((0, 1), (2, 3, 4, 5, 6, 7), x, (0, 1)))
 
 
 def test_blurry_witness_and_extra_edges():

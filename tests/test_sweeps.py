@@ -4,10 +4,10 @@ import json
 import pytest
 
 from obstruction_lab import sweeps
-from obstruction_lab.detectors import find_hole, find_theta, in_class_e, validate_certificate
+from obstruction_lab.detectors import in_class_e, validate_certificate
 from obstruction_lab.detectors import certificate_from_dict
 from obstruction_lab.graphs import parse_graph6
-from obstruction_lab.minors import eligible_pairs, triangle_minor
+from obstruction_lab.minors import triangle_minor
 from obstruction_lab.sweeps import (
     SweepReport,
     corrupt_toggle_01,
@@ -104,24 +104,6 @@ def test_random_two_tree_always_valid():
     for _ in range(50):
         t = random_two_tree(rng, rng.randint(2, 10))
         assert validate_ktree(t.graph, 2, t.order) == (True, None)
-
-
-def test_sweep_c4_necessity_finds_at_8(tmp_path):
-    archive = tmp_path / "exemplars.json"
-    r = sweep_c4_necessity(8, threads=1, archive_path=str(archive))
-    assert len(r.findings) >= 1
-    assert r.ok  # findings are not violations
-    doc = json.loads(archive.read_text())
-    for entry in doc["exemplars"]:
-        host = parse_graph6(entry["graph6"])
-        assert find_hole(host, min_len=4, max_len=4) is not None
-        assert find_theta(host) is None
-        pair = tuple(entry["pair"])
-        assert any((p.z1, p.z2) == pair for p in eligible_pairs(host))
-        minor, _, _ = triangle_minor(host, *pair)
-        assert parse_graph6(entry["minor_graph6"]) == minor
-        cert = certificate_from_dict(entry["theta"])
-        assert validate_certificate(minor, cert)
 
 
 def test_sweep_c4_necessity_empty_below_8():
