@@ -2,13 +2,30 @@
 
 Canonical labeling is color-refinement plus individualization with twin
 pruning; the certificate is the adjacency upper triangle packed under the
-minimizing labeling.  Generation follows the canonical-construction-path
-rule: a child produced by adding one vertex to a canonical parent is kept iff
-deleting the child's canonical-last vertex lands back in the parent's
+minimizing labeling.  The search also yields automorphisms: each twin swap
+it skips, and for each leaf whose certificate ties the best, the map
+best_lab[i] -> lab[i].  Generation follows the canonical-construction-path
+rule: a child produced by adding one vertex v to a canonical parent is kept
+iff deleting the child's canonical-last vertex lands back in the parent's
 isomorphism class, with a per-parent certificate set deduplicating additions
-that differ only by an automorphism of the parent.  Hereditary pruning
-predicates are applied before the (more expensive) acceptance test, which is
-sound because a pruned class cannot have unpruned descendants.
+that differ only by an automorphism of the parent.
+
+Two exact filters run on the neighbour subset before the child is built:
+
+- Degree.  The initial colours rank degrees, and neither refinement nor
+  individualization reorders cells, so the canonical-last vertex has maximum
+  degree.  If v does not, deleting that vertex drops more edges than
+  deleting v, so the result cannot be the parent: the subset is skipped.
+- Orbits.  A parent automorphism extends to a child isomorphism fixing v,
+  and the degree filter, the v-anchored prunes and the deletion test are
+  invariant under it.  So only the smallest subset of each orbit under the
+  automorphisms found is tried; the rest would be rejected with it or be
+  duplicates of it.  The accepted subset of each class is thus the same as
+  without the filter, even when the automorphisms found span a subgroup.
+
+Hereditary pruning predicates are applied before the (more expensive)
+acceptance test, which is sound because a pruned class cannot have unpruned
+descendants.
 """
 
 from __future__ import annotations
@@ -51,11 +68,16 @@ def _refine(n: int, adj: tuple[int, ...], colors: list[int]) -> list[int]:
         colors = [ranking[s] for s in sigs]
 
 
-def _canonical(n: int, adj: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """Minimal certificate and a labeling achieving it (labeling[pos] = vertex)."""
+Perm = tuple[int, ...]
+
+
+def _canonical(n: int, adj: tuple[int, ...]) -> tuple[int, Perm, tuple[Perm, ...]]:
+    """Minimal certificate, a labeling achieving it (labeling[pos] = vertex),
+    and automorphisms generating a subgroup of Aut(g) (perm[u] = image of u)."""
     if n <= 1:
-        return 0, tuple(range(n))
+        return 0, tuple(range(n)), ()
     best: list = [None, None]
+    gens: dict[Perm, None] = {}
 
     def leaf(colors: list[int]):
         lab = sorted(range(n), key=colors.__getitem__)
@@ -65,7 +87,13 @@ def _canonical(n: int, adj: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
             for j in range(i + 1, n):
                 cert = cert << 1 | (row >> lab[j] & 1)
         if best[0] is None or cert < best[0]:
-            best[0], best[1] = cert, tuple(lab)
+            best[0], best[1] = cert, lab
+        elif cert == best[0]:
+            # both labelings give the same graph
+            perm = [0] * n
+            for b, u in zip(best[1], lab):
+                perm[b] = u
+            gens[tuple(perm)] = None
 
     def descend(colors: list[int]):
         colors = _refine(n, adj, colors)
@@ -83,14 +111,18 @@ def _canonical(n: int, adj: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
         members = [v for v in range(n) if colors[v] == target]
         branched: list[int] = []
         for u in members:
-            # skip vertices interchangeable with an already-branched one
-            twin = False
+            # skip vertices interchangeable with an already-branched one;
+            # swapping the two is an automorphism
+            twin = None
             for w in branched:
                 pair = ~((1 << u) | (1 << w))
                 if adj[u] & pair == adj[w] & pair:
-                    twin = True
+                    twin = w
                     break
-            if twin:
+            if twin is not None:
+                perm = list(range(n))
+                perm[u], perm[twin] = twin, u
+                gens[tuple(perm)] = None
                 continue
             branched.append(u)
             child = [2 * c for c in colors]
@@ -100,11 +132,11 @@ def _canonical(n: int, adj: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     degs = [row.bit_count() for row in adj]
     rank = {d: i for i, d in enumerate(sorted(set(degs)))}
     descend([rank[d] for d in degs])
-    return best[0], best[1]
+    return best[0], tuple(best[1]), tuple(gens)
 
 
 @lru_cache(maxsize=1 << 21)
-def _canonical_cached(n: int, adj: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+def _canonical_cached(n: int, adj: tuple[int, ...]) -> tuple[int, Perm, tuple[Perm, ...]]:
     return _canonical(n, adj)
 
 
@@ -113,9 +145,9 @@ def canonical_cert(g: SimpleGraph) -> int:
     return _canonical_cached(g.n, g.adj)[0]
 
 
-def canonical_form(g: SimpleGraph) -> tuple[int, tuple[int, ...]]:
+def canonical_form(g: SimpleGraph) -> tuple[int, Perm]:
     """Certificate plus a labeling achieving it (labeling[i] = original vertex)."""
-    return _canonical_cached(g.n, g.adj)
+    return _canonical_cached(g.n, g.adj)[:2]
 
 
 def are_isomorphic(g: SimpleGraph, h: SimpleGraph) -> bool:
@@ -129,8 +161,22 @@ def expand_children(
     out = []
     seen: set[int] = set()
     parent_cert = canonical_cert(parent)
+    gens = _canonical_cached(parent.n, parent.adj)[2]
+    done: set[int] = set()
     new_v = parent.n
+    # v needs degree >= every child degree: above top, or equal to it when
+    # it avoids the parent's vertices of degree top
+    degs = [row.bit_count() for row in parent.adj]
+    top = max(degs, default=0)
+    top_mask = sum(1 << u for u, d in enumerate(degs) if d == top)
     for subset in range(1 << parent.n):
+        d = subset.bit_count()
+        if d < top or d == top and subset & top_mask:
+            continue
+        if gens:
+            if subset in done:
+                continue
+            _close_orbit(subset, gens, done)
         child = add_vertex(parent, subset)
         if prune is not None and not prune(child):
             continue
@@ -147,6 +193,22 @@ def expand_children(
         seen.add(cert)
         out.append(child)
     return out
+
+
+def _close_orbit(subset: int, gens: tuple[Perm, ...], done: set[int]) -> None:
+    """Add the orbit of `subset` under the group `gens` generate to `done`."""
+    done.add(subset)
+    stack = [subset]
+    while stack:
+        s = stack.pop()
+        for perm in gens:
+            t = 0
+            for u, image in enumerate(perm):
+                if s >> u & 1:
+                    t |= 1 << image
+            if t not in done:
+                done.add(t)
+                stack.append(t)
 
 
 def enumerate_graphs(
@@ -170,17 +232,3 @@ def enumerate_graphs(
         for g in expand_children(parent, prune):
             if keep is None or keep(g):
                 yield g
-
-
-def count_isomorphism_classes_brute(n: int) -> int:
-    """Labeled brute force modulo isomorphism; cross-check for small n."""
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    certs = set()
-    for code in range(1 << len(pairs)):
-        adj = [0] * n
-        for k, (i, j) in enumerate(pairs):
-            if code >> k & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-        certs.add(canonical_cert(SimpleGraph(n, tuple(adj))))
-    return len(certs)

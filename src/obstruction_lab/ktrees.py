@@ -313,6 +313,10 @@ def _attach(t: KTree, n_mask: int, k: int) -> tuple[KTree, int]:
     m = len(ys)  # = k - |N|
     g = t.graph
     base_n = g.n
+    if base_n + m + 1 > MAX_VERTICES:
+        raise ContractViolation(
+            f"k={k}: the k-tree would grow to {base_n + m + 1} vertices, past {MAX_VERTICES}"
+        )
     new_ids = list(range(base_n, base_n + m + 1))  # x_0 .. x_m
     adj = list(g.adj)
     adj.extend([0] * (m + 1))

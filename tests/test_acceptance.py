@@ -63,11 +63,13 @@ def test_criterion_1_thm31_sweep_n9():
 @pytest.mark.stretch
 def test_criterion_1_stretch_thm31_sweep_n10():
     report = sweep_thm31(10, threads=default_threads())
+    # class-E members on 10 vertices; a serial and a two-thread run agree
+    members = report.details["graphs_per_n"][10]
     _report(
         1,
-        "stretch tier n=10, zero violations",
-        report.ok,
-        f"graphs={report.graphs_examined} wall={report.wall_time_s:.0f}s",
+        "stretch tier n=10, zero violations, 180916 members at n=10",
+        report.ok and members == 180916,
+        f"graphs={report.graphs_examined} members_n10={members} wall={report.wall_time_s:.0f}s",
     )
 
 

@@ -3,14 +3,17 @@ import time
 
 import pytest
 
+from obstruction_lab import ktrees
 from obstruction_lab.cli import main
 from obstruction_lab.graphs import (
+    MAX_VERTICES,
     SimpleGraph,
     complete_graph,
     cycle_graph,
     parse_graph6,
     write_graph6,
 )
+from obstruction_lab.ktrees import KTree
 
 from conftest import diamond
 
@@ -121,6 +124,17 @@ def test_embed_cli(tmp_path, capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) == 3  # graph6, ordering, embedding map
+
+
+def test_embed_over_vertex_cap_is_usage_error(tmp_path, capsys, monkeypatch):
+    # the 127-tree holding P3 would have 254 vertices
+    built = []
+    monkeypatch.setattr(ktrees, "KTree", lambda g, k, order: built.append(g.n) or KTree(g, k, order))
+    p = tmp_path / "p3.g6"
+    p.write_text("Bg\n")
+    code, out, err = run_cli(capsys, "embed", "--k", "127", str(p))
+    assert code == 2 and err.startswith("error: k=127:") and out == ""
+    assert max(built) <= MAX_VERTICES
 
 
 # each is refused before any vertex or pair is built: tdr has 1 + 50 + ... +

@@ -1,26 +1,53 @@
 import hashlib
+import itertools
 import random
+from functools import partial
 
 import pytest
 
+from obstruction_lab import enumeration
 from obstruction_lab.enumeration import (
     UNLABELED_COUNTS,
+    _canonical,
     are_isomorphic,
     canonical_cert,
-    count_isomorphism_classes_brute,
+    canonical_form,
     enumerate_graphs,
+    expand_children,
 )
 from obstruction_lab.errors import ContractViolation
 from obstruction_lab.graphs import (
     SimpleGraph,
+    add_vertex,
     complete_graph,
     cycle_graph,
+    delete_vertex,
     is_connected,
     path_graph,
     write_graph6,
 )
+from obstruction_lab.sweeps import (
+    _prune_chordal,
+    prune_class_e,
+    prune_even_hole_free,
+    prune_tpw_free,
+)
 
 from conftest import all_graphs
+
+
+def count_isomorphism_classes_brute(n: int) -> int:
+    """Labeled brute force modulo isomorphism."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    certs = set()
+    for code in range(1 << len(pairs)):
+        adj = [0] * n
+        for k, (i, j) in enumerate(pairs):
+            if code >> k & 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+        certs.add(canonical_cert(SimpleGraph(n, tuple(adj))))
+    return len(certs)
 
 
 def test_counts_match_sequence():
@@ -113,3 +140,122 @@ def test_canonical_cert_relabelling_invariant_with_hub():
             perm = list(range(n))
             rng.shuffle(perm)
             assert canonical_cert(_relabel(g, perm)) == canonical_cert(g)
+
+
+def test_canonical_last_has_maximum_degree():
+    # the invariant the degree filter in expand_children relies on
+    for n in range(1, 9):
+        for g in all_graphs(n):
+            last = canonical_form(g)[1][-1]
+            assert g.adj[last].bit_count() == max(row.bit_count() for row in g.adj)
+
+
+def _permute_mask(mask: int, perm) -> int:
+    return sum(1 << perm[u] for u in range(len(perm)) if mask >> u & 1)
+
+
+def _is_automorphism(g: SimpleGraph, perm) -> bool:
+    return all(_permute_mask(g.adj[u], perm) == g.adj[perm[u]] for u in range(g.n))
+
+
+def _group(n: int, gens) -> set:
+    """Every product of the generators (perm[u] = image of u)."""
+    group = {tuple(range(n))}
+    stack = list(group)
+    while stack:
+        p = stack.pop()
+        for gen in gens:
+            q = tuple(gen[u] for u in p)
+            if q not in group:
+                group.add(q)
+                stack.append(q)
+    return group
+
+
+def test_canonical_generators_are_automorphisms():
+    rng = random.Random(7)
+    for n in range(1, 8):
+        for g in all_graphs(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for h in (g, _relabel(g, perm)):
+                for gen in _canonical(h.n, h.adj)[2]:
+                    assert sorted(gen) == list(range(n))
+                    assert _is_automorphism(h, gen)
+
+
+def test_canonical_generators_span_aut_for_small_graphs():
+    # not needed for exactness (a subgroup suffices), but it shows the
+    # generators are not vacuous: for n <= 6 they generate all of Aut(g)
+    for n in range(1, 7):
+        for g in all_graphs(n):
+            aut = sum(_is_automorphism(g, p) for p in itertools.permutations(range(n)))
+            assert len(_group(n, _canonical(g.n, g.adj)[2])) == aut
+
+
+def _reference_expand_children(parent, prune=None):
+    """expand_children without the degree and orbit filters."""
+    out = []
+    seen = set()
+    parent_cert = canonical_cert(parent)
+    for subset in range(1 << parent.n):
+        child = add_vertex(parent, subset)
+        if prune is not None and not prune(child):
+            continue
+        cert, labeling = canonical_form(child)
+        if cert in seen:
+            continue
+        canon_last = labeling[-1]
+        if canon_last != parent.n and canonical_cert(delete_vertex(child, canon_last)) != parent_cert:
+            continue
+        seen.add(cert)
+        out.append(child)
+    return out
+
+
+SWEEP_PRUNES = {
+    "none": None,
+    "class_e": prune_class_e,
+    "tpw_free": prune_tpw_free,
+    "even_hole_free": prune_even_hole_free,
+    "chordal_k1": partial(_prune_chordal, k=1),
+    "chordal_k2": partial(_prune_chordal, k=2),
+    "chordal_k3": partial(_prune_chordal, k=3),
+}
+
+
+@pytest.mark.parametrize("name", SWEEP_PRUNES)
+def test_filters_keep_expand_children_unchanged(name):
+    prune = SWEEP_PRUNES[name]
+    parents = [SimpleGraph(0, ())]
+    for n in range(1, 8):
+        parents += enumerate_graphs(n, prune=prune)
+    for parent in parents:
+        assert expand_children(parent, prune) == _reference_expand_children(parent, prune)
+
+
+def _survives_degree_filter(parent: SimpleGraph, subset: int) -> bool:
+    d = subset.bit_count()
+    return all(row.bit_count() + (subset >> u & 1) <= d for u, row in enumerate(parent.adj))
+
+
+def test_expand_children_labels_one_survivor_per_orbit(monkeypatch):
+    # only the smallest degree-filter survivor of each Aut(parent) orbit is
+    # built, and the orbit closure runs on exactly those subsets
+    built, closed = [], []
+    monkeypatch.setattr(enumeration, "add_vertex", lambda g, s: built.append(s) or add_vertex(g, s))
+    close = enumeration._close_orbit
+    monkeypatch.setattr(enumeration, "_close_orbit", lambda s, gens, done: closed.append(s) or close(s, gens, done))
+    for n in range(0, 7):
+        for parent in all_graphs(n) if n else [SimpleGraph(0, ())]:
+            built.clear()
+            closed.clear()
+            expand_children(parent)
+            gens = _canonical(parent.n, parent.adj)[2]
+            group = _group(n, gens)
+            minima = [
+                s for s in range(1 << n)
+                if _survives_degree_filter(parent, s) and s == min(_permute_mask(s, p) for p in group)
+            ]
+            assert built == minima
+            assert closed == (minima if gens else [])
