@@ -239,7 +239,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ContractViolation, GraphFormatError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ContractViolation, GraphFormatError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

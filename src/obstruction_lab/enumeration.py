@@ -160,8 +160,7 @@ def expand_children(
     """Accepted one-vertex extensions of a canonical parent, in subset order."""
     out = []
     seen: set[int] = set()
-    parent_cert = canonical_cert(parent)
-    gens = _canonical_cached(parent.n, parent.adj)[2]
+    parent_cert, _, gens = _canonical_cached(parent.n, parent.adj)
     done: set[int] = set()
     new_v = parent.n
     # v needs degree >= every child degree: above top, or equal to it when

@@ -144,6 +144,8 @@ def gen_tdr(d: int, r: int) -> SimpleGraph:
     level = [0]
     next_id = 1
     for _ in range(r):
+        if not level:
+            break
         nxt = []
         for parent in level:
             for _ in range(d):

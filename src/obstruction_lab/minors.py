@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .detectors import (
     WheelClass,
-    classify_against_hole,
+    classify_attachment,
     in_class_e,
     is_hole,
     iter_holes,
@@ -173,8 +173,9 @@ def check_thm32(g: SimpleGraph, cycle: tuple[int, ...], z1: int, z2: int) -> Thm
 def thm32_verdict(g: SimpleGraph, cycle: tuple[int, ...], z1: int, z2: int) -> Thm32Verdict:
     """The exactly-one-bad verdict itself, for an instance already known to
     meet the hypothesis (as every thm32_instances entry of a member does)."""
-    c1 = classify_against_hole(g, cycle, z1)
-    c2 = classify_against_hole(g, cycle, z2)
+    cmask = mask_of(cycle)
+    c1 = classify_attachment(g, g.adj[z1] & cmask)
+    c2 = classify_attachment(g, g.adj[z2] & cmask)
     bad_count = (c1 is WheelClass.BAD) + (c2 is WheelClass.BAD)
     return Thm32Verdict("ok" if bad_count == 1 else "violation", classes=(c1, c2))
 

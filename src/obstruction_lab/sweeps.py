@@ -14,6 +14,7 @@ import json
 import os
 import random
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from multiprocessing import get_context
@@ -281,27 +282,22 @@ def _run_levels(name: str, max_n: int, threads: int | None, stages, stop_when=No
     t0 = time.perf_counter()
     level = [SimpleGraph(0, ())]
     per_n = {}
-    for n in range(1, max_n + 1):
-        if stop_when is not None and stop_when(report):
-            break
-        jobs = [(parent, prune, processor) for parent in level]
-        nxt: list[SimpleGraph] = []
-        workers = min(threads, os.cpu_count() or 1, len(jobs))
-        if workers > 1:
-            ctx = get_context("fork")
-            chunk = max(1, len(jobs) // (workers * 4))
-            with ctx.Pool(workers) as pool:
-                results = pool.map(_expand_and_process, jobs, chunksize=chunk)
-        else:
-            results = map(_expand_and_process, jobs)
-        for children, i, v, f in results:
-            nxt.extend(children)
-            report.instances_checked += i
-            report.violations.extend(v)
-            report.findings.extend(f)
-        level = nxt
-        report.graphs_examined += len(level)
-        per_n[n] = len(level)
+    # one pool for the whole sweep: a worker keeps the labellings it cached
+    # for its children and can find them again when they come back as parents
+    workers = min(threads, os.cpu_count() or 1)
+    with get_context("fork").Pool(workers) if workers > 1 else nullcontext() as pool:
+        for n in range(1, max_n + 1):
+            if stop_when is not None and stop_when(report):
+                break
+            jobs = [(parent, prune, processor) for parent in level]
+            level = []
+            for children, i, v, f in (pool.map if pool else map)(_expand_and_process, jobs):
+                level.extend(children)
+                report.instances_checked += i
+                report.violations.extend(v)
+                report.findings.extend(f)
+            report.graphs_examined += len(level)
+            per_n[n] = len(level)
     report.details["graphs_per_n"] = per_n
     report.violations.sort(key=lambda v: json.dumps(v, sort_keys=True))
     report.findings.sort(key=lambda v: json.dumps(v, sort_keys=True))

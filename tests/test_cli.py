@@ -1,3 +1,4 @@
+import io
 import json
 import time
 
@@ -157,6 +158,9 @@ def test_gen_over_vertex_cap_is_usage_error(what, capsys):
 def test_gen_commands(capsys):
     code, out, _ = run_cli(capsys, "gen", "tdr", "--d", "2", "--r", "2")
     assert code == 0 and parse_graph6(out.strip()).n == 7
+    # d = 0 leaves every level below the root empty, whatever r is
+    code, out, _ = run_cli(capsys, "gen", "tdr", "--d", "0", "--r", "1000000000000")
+    assert code == 0 and out == "@\n"
     code, out, _ = run_cli(capsys, "gen", "random-graph", "--n", "6", "--p", "0.4", "--seed", "9")
     assert code == 0
     first = out.strip()
@@ -280,3 +284,30 @@ def test_single_graph_commands_need_exactly_one(command, count, tmp_path, capsys
     p.write_text("".join(write_graph6(diamond()) + "\n" for _ in range(count)))
     code, _, err = run_cli(capsys, *command, str(p))
     assert code == 2 and f"expected exactly one graph, got {count}" in err
+
+
+# each unreadable or non-UTF-8 input once ended in a traceback with exit
+# code 1, the code for a violation; {dir} is a directory, {bad} holds byte
+# 0xff, as does stdin, and {host} is K2
+UNREADABLE_INPUTS = {
+    "check-directory": ["check", "{dir}"],
+    "check-not-utf8": ["check", "{bad}"],
+    "check-stdin-not-utf8": ["check", "-"],
+    "verify-not-utf8": ["verify", "{bad}"],
+    "grow-target-not-utf8": ["grow", "--target", "{bad}", "{host}"],
+    "sweep-out-directory": ["sweep", "thm31", "--max-n", "3", "--threads", "1", "--out", "{dir}"],
+    "find-out-directory": ["find", "--structure", "clique", "--size", "2", "--out", "{dir}", "{host}"],
+}
+
+
+@pytest.mark.parametrize("case", UNREADABLE_INPUTS)
+def test_unreadable_input_is_usage_error(case, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff\n"), encoding="utf-8"))
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\n")
+    host = tmp_path / "k2.g6"
+    host.write_text(K2 + "\n")
+    paths = {"dir": str(tmp_path), "bad": str(bad), "host": str(host)}
+    code, _, err = run_cli(capsys, *(arg.format(**paths) for arg in UNREADABLE_INPUTS[case]))
+    assert code == 2 and err.startswith("error:") and "Traceback" not in err
+

@@ -140,6 +140,7 @@ def test_cone_examples():
 
 def test_gen_tdr_examples():
     assert gen_tdr(2, 0) == complete_graph(1)
+    assert gen_tdr(0, 10**12) == complete_graph(1)  # stops at the first empty level
     assert gen_tdr(2, 1).n == 3 and gen_tdr(2, 1).edge_count() == 2
     t = gen_tdr(2, 2)
     assert t.n == 7  # 1 + d + d*d

@@ -69,6 +69,8 @@ def test_parallel_serial_reports_identical():
     s32 = sweep_thm32(6, threads=1)
     p32 = sweep_thm32(6, threads=2)
     assert s32.canonical_json() == p32.canonical_json()
+    c4 = sweep_c4_necessity(7, threads=2).canonical_json()
+    assert hashlib.sha256(c4.encode()).hexdigest() == PAYLOAD_PINS["c4_necessity-n7"][1]
 
 
 def test_sweeps_deterministic_given_args():
@@ -137,32 +139,58 @@ def test_canonical_payload_pinned(key):
     assert hashlib.sha256(run().canonical_json().encode()).hexdigest() == digest
 
 
-def test_pool_size_clamped_to_level_jobs(monkeypatch):
-    # a fake pool maps serially, so asking for 10**6 workers starts no process
-    sizes = []
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """A fake pool that maps in-process, so asking for 10**6 workers starts
+    no process; returns the log of its sizes, entries and exits."""
+    log = []
 
     class SerialPool:
         def __init__(self, size):
-            sizes.append(size)
+            log.append(("pool", size))
 
         def __enter__(self):
+            log.append("enter")
             return self
 
         def __exit__(self, *exc):
+            log.append("exit")
             return False
 
-        def map(self, fn, jobs, chunksize=1):
+        def map(self, fn, jobs):
             return list(map(fn, jobs))
 
     class SerialContext:
         Pool = SerialPool
 
     monkeypatch.setattr(sweeps, "get_context", lambda method: SerialContext)
-    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 10**6)
-    # forests: levels n=3 and n=4 expand 2 and 3 parents
+    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 3)
+    return log
+
+
+def test_one_pool_per_sweep_sized_by_cores(serial_pool):
+    serial = sweep_embed(4, 1, threads=1)
+    assert serial_pool == []
+    # forests: four levels, of 1, 1, 2 and 3 parents, share one pool of
+    # min(threads, cores) workers
     report = sweep_embed(4, 1, threads=10**6)
-    assert sizes == [2, 3]
-    assert report.canonical_json() == sweep_embed(4, 1, threads=1).canonical_json()
+    assert serial_pool == [("pool", 3), "enter", "exit"]
+    assert report.canonical_json() == serial.canonical_json()
+
+
+def test_stop_when_on_one_pool(serial_pool):
+    # even-hole-free graphs: 1, 2, 4 and 10 on n = 1..4, so the sweep stops
+    # after n = 4, one level short of max_n
+    def stop(report):
+        return report.graphs_examined > 10
+
+    stages = sweeps.PROCESSORS["even_hole_subset_E"]
+    serial = sweeps._run_levels("stop", 5, 1, stages, stop_when=stop)
+    assert serial_pool == []
+    pooled = sweeps._run_levels("stop", 5, 2, stages, stop_when=stop)
+    assert serial_pool == [("pool", 2), "enter", "exit"]
+    assert pooled.details["graphs_per_n"] == serial.details["graphs_per_n"] == {1: 1, 2: 2, 3: 4, 4: 10}
+    assert pooled.canonical_json() == serial.canonical_json()
 
 
 def test_prune_rejecting_k1_examines_nothing():
