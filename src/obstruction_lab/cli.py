@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -32,6 +33,17 @@ def _read_text(path: str) -> str:
         return sys.stdin.read()
     with open(path) as fh:
         return fh.read()
+
+
+def _check_writable(path: str | None) -> None:
+    """Raise OSError now, before any work, if `path` cannot be written; a
+    file this check creates is removed again."""
+    if path is None:
+        return
+    existed = os.path.exists(path)
+    open(path, "a").close()
+    if not existed:
+        os.remove(path)
 
 
 def _read_graphs(path: str, fmt: str) -> list[SimpleGraph]:
@@ -73,6 +85,7 @@ _FINDERS = {
 
 
 def _cmd_find(args) -> int:
+    _check_writable(args.out)
     graphs = _read_graphs(args.input, args.format)
     results = []
     for g in graphs:
@@ -129,6 +142,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _check_writable(args.out)
+    _check_writable(args.out_archive)
     report = sweeps.SWEEPS[args.suite](args)
     print(report.summary())
     if args.out:

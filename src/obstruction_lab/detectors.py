@@ -17,7 +17,7 @@ from typing import Iterator
 
 from .errors import ContractViolation
 from .graphs import SimpleGraph, bits, closed_neighborhood, is_induced_path, mask_of, write_graph6
-from .graphs import check_vertices, ints_from_json, ints_to_json
+from .graphs import check_vertices, induced_subgraph, ints_from_json, ints_to_json
 
 HOLE = "hole"
 THETA = "theta"
@@ -571,6 +571,22 @@ def in_class_e(g: SimpleGraph) -> Verdict:
     if wheel is not None:
         return Verdict(False, wheel)
     return Verdict(True)
+
+
+def class_e_through(g: SimpleGraph, v: int) -> bool:
+    """Class-E membership of g, exact whenever g - v is in E.
+
+    Then every obstruction of g contains v.  Every vertex of a C4, theta or
+    prism, and every rim vertex of a wheel, lies on a hole.  So when no hole
+    runs through v, the only possible obstruction is an even wheel centred at
+    v.  Its rim lies in N(v), since a rim vertex outside N(v) would sit on a
+    hole through v (the rim arc between two consecutive neighbours of v, closed
+    by v), and it is then an even hole of g[N(v)]; conversely, an even hole of
+    g[N(v)] is the rim of an even wheel centred at v.
+    """
+    if hole_through(g, v):
+        return in_class_e(g).member
+    return find_hole(induced_subgraph(g, g.adj[v])[0], parity="even") is None
 
 
 def in_class_et(g: SimpleGraph, t: int) -> Verdict:

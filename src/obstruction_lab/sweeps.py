@@ -20,6 +20,7 @@ from functools import partial
 from multiprocessing import get_context
 
 from .detectors import (
+    class_e_through,
     find_even_wheel,
     find_hole,
     find_prism,
@@ -39,6 +40,7 @@ from .minors import (
     thm32_instances,
     thm32_verdict,
     triangle_minor,
+    z_may_lie_on_hole,
 )
 from .predicates import BlurryWitness, verify_blurry
 
@@ -113,12 +115,10 @@ class SweepReport:
 #
 # Each prune is anchored on the child's new vertex v = g.n - 1: its parent
 # g - v already passed the same prune, so only an obstruction through v can
-# reject g.  Every vertex of a C4, theta or prism, and every rim vertex of a
-# wheel, lies on a hole.  So when no hole runs through v, the only possible
-# obstruction is an even wheel centred at v; its rim lies in N(v), since a rim
-# vertex outside N(v) would sit on a hole through v, and it is an even hole
-# of g[N(v)].  The anchored prunes are therefore valid only inside the
-# generation tree, on a child whose parent passed the same prune.
+# reject g.  When no hole runs through v, that obstruction can only be an even
+# wheel centred at v whose rim is an even hole of g[N(v)]; the argument is in
+# `detectors.class_e_through`.  The anchored prunes are therefore valid only
+# inside the generation tree, on a child whose parent passed the same prune.
 
 
 def _neighbourhood(g: SimpleGraph, v: int) -> SimpleGraph:
@@ -128,10 +128,7 @@ def _neighbourhood(g: SimpleGraph, v: int) -> SimpleGraph:
 def prune_class_e(g: SimpleGraph) -> bool:
     """Class-E membership; valid only inside the generation tree, where g
     minus its last vertex is in E."""
-    v = g.n - 1
-    if hole_through(g, v):
-        return in_class_e(g).member
-    return find_hole(_neighbourhood(g, v), parity="even") is None
+    return class_e_through(g, g.n - 1)
 
 
 def prune_even_hole_free(g: SimpleGraph) -> bool:
@@ -230,8 +227,14 @@ def process_c4_necessity(g: SimpleGraph):
     findings = []
     instances = 0
     for pair in eligible_pairs(g):
-        minor, _, _ = triangle_minor(g, pair.z1, pair.z2)
         instances += 1
+        # minor - z is an induced subgraph of the theta-free g, so a theta of
+        # the minor runs through z, and every theta vertex lies on a hole
+        if not z_may_lie_on_hole(pair):
+            continue
+        minor, z, _ = triangle_minor(g, pair.z1, pair.z2)
+        if not hole_through(minor, z):
+            continue
         theta = find_theta(minor)
         if theta is not None:
             findings.append(

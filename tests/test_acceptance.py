@@ -5,6 +5,7 @@ The n=10 stretch tier sits behind the `stretch` marker and is excluded by
 default (`pytest -m stretch` opts in).
 """
 
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -49,12 +50,17 @@ def _report(num: int, label: str, ok: bool, extra: str = ""):
     assert ok, f"criterion {num}: {label}{tail}"
 
 
+# sha256 of the thm31 n <= 9 canonical payload
+THM31_N9_SHA256 = "5046dcfc7b097a9a3d090177535d2626b2f3d30dddba82cbfe15e20d798e9a24"
+
+
 def test_criterion_1_thm31_sweep_n9():
     report = sweep_thm31(9, threads=default_threads())
+    digest = hashlib.sha256(report.canonical_json().encode()).hexdigest()
     _report(
         1,
-        "triangle-minor closure sweep, all members n<=9, zero violations",
-        report.ok,
+        "triangle-minor closure sweep, all members n<=9, zero violations, payload pinned",
+        report.ok and digest == THM31_N9_SHA256,
         f"graphs={report.graphs_examined} instances={report.instances_checked} "
         f"wall={report.wall_time_s:.0f}s",
     )

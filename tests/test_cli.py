@@ -297,6 +297,9 @@ UNREADABLE_INPUTS = {
     "grow-target-not-utf8": ["grow", "--target", "{bad}", "{host}"],
     "sweep-out-directory": ["sweep", "thm31", "--max-n", "3", "--threads", "1", "--out", "{dir}"],
     "find-out-directory": ["find", "--structure", "clique", "--size", "2", "--out", "{dir}", "{host}"],
+    # no exemplar exists at n <= 3, so the archive itself is never written
+    "sweep-out-archive-directory": ["sweep", "c4-necessity", "--max-n", "3", "--threads", "1",
+                                    "--out-archive", "{dir}"],
 }
 
 
@@ -308,6 +311,9 @@ def test_unreadable_input_is_usage_error(case, tmp_path, capsys, monkeypatch):
     host = tmp_path / "k2.g6"
     host.write_text(K2 + "\n")
     paths = {"dir": str(tmp_path), "bad": str(bad), "host": str(host)}
-    code, _, err = run_cli(capsys, *(arg.format(**paths) for arg in UNREADABLE_INPUTS[case]))
+    code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in UNREADABLE_INPUTS[case]))
     assert code == 2 and err.startswith("error:") and "Traceback" not in err
+    if "-out" in case:
+        # an output path is checked before any work, so nothing is printed
+        assert out == ""
 

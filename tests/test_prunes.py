@@ -1,16 +1,20 @@
-"""The anchored hereditary prunes against the full predicates they replace.
+"""The anchored hereditary prunes and the "obstruction through v" kernel
+against the full predicates they replace.
 
 A prune only sees children of parents that passed it, so each gate walks
 every parent in the class and every neighbour subset of the new vertex, and
-compares the prune's verdict on the child with the full predicate's.
+compares the prune's verdict on the child with the full predicate's.  The
+kernel `class_e_through` is gated the same way, with the new vertex moved to
+other positions, and on the triangle minors of every class member.
 """
 
+import functools
 import random
 from functools import partial
 
 import pytest
 
-from obstruction_lab import sweeps
+from obstruction_lab import detectors, minors, sweeps
 from obstruction_lab.detectors import (
     dirac_order,
     find_even_wheel,
@@ -21,7 +25,9 @@ from obstruction_lab.detectors import (
     hole_through,
     in_class_e,
 )
-from obstruction_lab.graphs import SimpleGraph, add_vertex, cycle_graph, write_graph6
+from obstruction_lab.enumeration import expand_children
+from obstruction_lab.graphs import SimpleGraph, add_vertex, bits, cycle_graph, write_graph6
+from obstruction_lab.minors import eligible_pairs, triangle_minor
 from obstruction_lab.sweeps import (
     PROCESSORS,
     _prune_chordal,
@@ -94,3 +100,113 @@ def test_prunes_are_named_module_functions():
     # jobs pickle the prunes by name, and tracers wrap them by __name__
     for prune, _ in PROCESSORS.values():
         assert getattr(sweeps, prune.__name__) is prune
+
+
+# ---------------------------------------------------------------------------
+# the kernel class_e_through(g, v), exact whenever g - v is in E
+
+
+def _move_last(g, pos):
+    """g with its last vertex moved to index pos, the others in order."""
+    order = list(range(g.n - 1))
+    order.insert(pos, g.n - 1)  # order[new index] = old index
+    back = {old: new for new, old in enumerate(order)}
+    return SimpleGraph(g.n, tuple(sum(1 << back[u] for u in bits(g.adj[old])) for old in order))
+
+
+def _children_anywhere(full):
+    """(child, v) for every parent passing `full` with n <= 6 and every
+    neighbour subset, with the new vertex v placed first, in the middle and
+    last."""
+    for n in range(7):
+        for parent in _members(full, n):
+            for subset in range(1 << n):
+                child = add_vertex(parent, subset)
+                for pos in sorted({0, n // 2, n}):
+                    yield _move_last(child, pos), pos
+
+
+def _kernel_disagreements():
+    full = PRUNES["class_e"][1]
+    for g, v in _children_anywhere(full):
+        if detectors.class_e_through(g, v) != full(g):
+            yield write_graph6(g), v
+
+
+@functools.cache
+def _class_members():
+    """Every class member with n <= 8, walked with the full predicate so that
+    the kernel under test plays no part."""
+    level, out = [SimpleGraph(0, ())], []
+    for _ in range(8):
+        level = [c for p in level for c in expand_children(p, lambda g: in_class_e(g).member)]
+        out += level
+    return tuple(out)
+
+
+def _minor_disagreements(monkeypatch):
+    """Runs thm31_minor_violations on every member with n <= 8 and yields each
+    eligible pair whose minor it skipped although z lies on a hole there, or
+    on which the kernel and in_class_e disagree."""
+    built = []
+    monkeypatch.setattr(
+        minors, "triangle_minor", lambda g, z1, z2: built.append((z1, z2)) or triangle_minor(g, z1, z2)
+    )
+    for g in _class_members():
+        built.clear()
+        eligible = eligible_pairs(g)
+        if minors.thm31_minor_violations(g) != (len(eligible), []):
+            yield write_graph6(g), "count or violation"
+        for pair in eligible:
+            minor, z, _ = triangle_minor(g, pair.z1, pair.z2)
+            if (pair.z1, pair.z2) not in built and hole_through(minor, z):
+                yield write_graph6(g), (pair.z1, pair.z2), "skipped"
+            if detectors.class_e_through(minor, z) != in_class_e(minor).member:
+                yield write_graph6(g), (pair.z1, pair.z2), "kernel"
+
+
+def test_kernel_matches_in_class_e_with_v_anywhere():
+    assert list(_kernel_disagreements()) == []
+
+
+def test_no_hole_through_v_means_no_theta():
+    # the c4-necessity loop skips find_theta on a minor with no hole through z
+    bad = [
+        (write_graph6(g), v)
+        for g, v in _children_anywhere(lambda g: find_theta(g) is None)
+        if not hole_through(g, v) and find_theta(g) is not None
+    ]
+    assert bad == []
+
+
+def test_kernel_on_every_minor_n8(monkeypatch):
+    assert sum(len(eligible_pairs(g)) for g in _class_members()) == 9873
+    assert list(_minor_disagreements(monkeypatch)) == []
+
+
+# each mutant, and the gate that must catch it
+KERNEL_MUTANTS = {
+    "no_neighbourhood_even_hole": (
+        detectors, "class_e_through",
+        lambda g, v: not hole_through(g, v) or in_class_e(g).member,
+        "kernel",
+    ),
+    "anchored_on_vertex_0": (
+        detectors, "class_e_through",
+        lambda g, v, kernel=detectors.class_e_through: kernel(g, 0),
+        "kernel",
+    ),
+    "shortcut_common_at_most_2": (
+        minors, "z_may_lie_on_hole",
+        lambda pair: pair.common.bit_count() >= 3,
+        "minors",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", KERNEL_MUTANTS)
+def test_kernel_gates_catch_mutants(name, monkeypatch):
+    module, attr, mutant, gate = KERNEL_MUTANTS[name]
+    monkeypatch.setattr(module, attr, mutant)
+    gate = _kernel_disagreements() if gate == "kernel" else _minor_disagreements(monkeypatch)
+    assert next(gate, None) is not None

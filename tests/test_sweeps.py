@@ -118,6 +118,8 @@ def test_sweep_c4_necessity_empty_below_8():
 PAYLOAD_PINS = {
     "thm31-n6": (lambda: sweep_thm31(6, threads=1),
                  "17d50db29089d60eb474f06589257431199a0974c5089d78353a6702af27b940"),
+    "thm31-n8": (lambda: sweep_thm31(8, threads=1),
+                 "401d26d77dd49c5d2134f840f8b28bb17bd950ae9b3d58b7cc3e3bf9290d47f7"),
     "thm32-n6": (lambda: sweep_thm32(6, threads=1),
                  "fc26e5486037e036f30fadd3e68208c3c5c6fafa716d9260372b818a772c7bec"),
     "even_hole_subset-n6": (lambda: sweep_even_hole_subset_E(6, threads=1),
