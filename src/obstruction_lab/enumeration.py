@@ -2,9 +2,14 @@
 
 Canonical labeling is color-refinement plus individualization with twin
 pruning; the certificate is the adjacency upper triangle packed under the
-minimizing labeling.  The search also yields automorphisms: each twin swap
-it skips, and for each leaf whose certificate ties the best, the map
-best_lab[i] -> lab[i].  Generation follows the canonical-construction-path
+minimizing labeling.  Colours stay dense, 0..k-1.  A refinement round splits
+each non-singleton cell in place, in colour order, by its members' counts
+into the round's cells, which ranks vertices as one sort by (old colour,
+counts) would; refinement stops as soon as the colouring is discrete, and
+individualizing u gives it its cell's colour and moves the rest of the cell
+and every later cell up one.  The search also yields automorphisms: each
+twin swap it skips, and for each leaf whose certificate ties the best, the
+map best_lab[i] -> lab[i].  Generation follows the canonical-construction-path
 rule: a child produced by adding one vertex v to a canonical parent is kept
 iff deleting the child's canonical-last vertex lands back in the parent's
 isomorphism class, with a per-parent certificate set deduplicating additions
@@ -42,30 +47,38 @@ ENUMERATION_CAP = 10
 UNLABELED_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668, 12005168)
 
 
-def _refine(n: int, adj: tuple[int, ...], colors: list[int]) -> list[int]:
-    # densify color ids, then iterate; signatures are packed into ints, one
-    # field per cell, wide enough for any count 0..n-1
-    remap = {c: i for i, c in enumerate(sorted(set(colors)))}
-    colors = [remap[c] for c in colors]
-    k = len(remap)
+def _refine(n: int, adj: tuple[int, ...], colors: list[int], k: int) -> tuple[list[int], int]:
+    """Refine the dense colouring `colors` (k colours) until it is equitable;
+    signatures pack one count field per cell, wide enough for 0..n-1."""
     width = max(4, n.bit_length())
-    while True:
+    while k < n:
         cells = [0] * k
         for v in range(n):
             cells[colors[v]] |= 1 << v
-        sigs = []
-        for v in range(n):
-            row = adj[v]
-            s = colors[v]
-            for cm in cells:
-                s = s << width | (row & cm).bit_count()
-            sigs.append(s)
-        ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        if len(ranking) == k:
-            # high bits of the signature are the old color, so no split means stable
-            return colors
-        k = len(ranking)
-        colors = [ranking[s] for s in sigs]
+        split = [0] * n
+        nk = 0
+        for cm in cells:
+            if not cm & (cm - 1):
+                split[cm.bit_length() - 1] = nk
+                nk += 1
+                continue
+            sigs: dict[int, list[int]] = {}
+            while cm:
+                v = (cm & -cm).bit_length() - 1
+                cm &= cm - 1
+                row = adj[v]
+                s = 0
+                for other in cells:
+                    s = s << width | (row & other).bit_count()
+                sigs.setdefault(s, []).append(v)
+            for s in sorted(sigs):
+                for v in sigs[s]:
+                    split[v] = nk
+                nk += 1
+        if nk == k:  # no cell split, so the colouring is equitable
+            return colors, k
+        colors, k = split, nk
+    return colors, k
 
 
 Perm = tuple[int, ...]
@@ -80,12 +93,14 @@ def _canonical(n: int, adj: tuple[int, ...]) -> tuple[int, Perm, tuple[Perm, ...
     gens: dict[Perm, None] = {}
 
     def leaf(colors: list[int]):
-        lab = sorted(range(n), key=colors.__getitem__)
+        lab = [0] * n
+        for v in range(n):
+            lab[colors[v]] = v
         cert = 0
         for i in range(n - 1):
             row = adj[lab[i]]
-            for j in range(i + 1, n):
-                cert = cert << 1 | (row >> lab[j] & 1)
+            for u in lab[i + 1:]:
+                cert = cert << 1 | (row >> u & 1)
         if best[0] is None or cert < best[0]:
             best[0], best[1] = cert, lab
         elif cert == best[0]:
@@ -95,19 +110,15 @@ def _canonical(n: int, adj: tuple[int, ...]) -> tuple[int, Perm, tuple[Perm, ...
                 perm[b] = u
             gens[tuple(perm)] = None
 
-    def descend(colors: list[int]):
-        colors = _refine(n, adj, colors)
-        counts: dict[int, int] = {}
-        for c in colors:
-            counts[c] = counts.get(c, 0) + 1
-        target = None
-        for c in sorted(counts):
-            if counts[c] > 1:
-                target = c
-                break
-        if target is None:
+    def descend(colors: list[int], k: int):
+        colors, k = _refine(n, adj, colors, k)
+        if k == n:
             leaf(colors)
             return
+        counts = [0] * k
+        for c in colors:
+            counts[c] += 1
+        target = next(c for c in range(k) if counts[c] > 1)
         members = [v for v in range(n) if colors[v] == target]
         branched: list[int] = []
         for u in members:
@@ -125,13 +136,15 @@ def _canonical(n: int, adj: tuple[int, ...]) -> tuple[int, Perm, tuple[Perm, ...
                 gens[tuple(perm)] = None
                 continue
             branched.append(u)
-            child = [2 * c for c in colors]
-            child[u] -= 1
-            descend(child)
+            # u alone takes colour target; the rest of its cell and every
+            # later cell move up one
+            child = [c + (c >= target) for c in colors]
+            child[u] = target
+            descend(child, k + 1)
 
     degs = [row.bit_count() for row in adj]
     rank = {d: i for i, d in enumerate(sorted(set(degs)))}
-    descend([rank[d] for d in degs])
+    descend([rank[d] for d in degs], len(rank))
     return best[0], tuple(best[1]), tuple(gens)
 
 

@@ -57,8 +57,27 @@ def _eligible(g: SimpleGraph, common: int) -> bool:
 
 
 def eligible_pairs(g: SimpleGraph) -> list[TrianglePair]:
-    """Adjacent pairs meeting the stable-degree-three hypothesis."""
-    return [p for p in triangle_pairs(g) if p.eligible]
+    """Adjacent pairs meeting the stable-degree-three hypothesis: the eligible
+    entries of `triangle_pairs`, in its order, built only for those pairs."""
+    adj = g.adj
+    low_degree = mask_of(v for v, row in enumerate(adj) if row.bit_count() <= 3)
+    out = []
+    for z1, row in enumerate(adj):
+        later = row >> (z1 + 1) << (z1 + 1)
+        while later:
+            z2 = (later & -later).bit_length() - 1
+            later &= later - 1
+            common = row & adj[z2]
+            if common & ~low_degree:
+                continue
+            rest = common
+            while rest:
+                if adj[(rest & -rest).bit_length() - 1] & common:
+                    break
+                rest &= rest - 1
+            else:
+                out.append(TrianglePair(z1, z2, common, True))
+    return out
 
 
 def z_may_lie_on_hole(pair: TrianglePair) -> bool:

@@ -400,6 +400,8 @@ def _creates_k4(g: SimpleGraph, mask: int) -> bool:
 def sweep_obs51(trials: int, seed: int) -> SweepReport:
     """Randomized blurry witnesses over K4-free hosts: the direct extraction
     path must always apply and the extracted embedding must re-verify."""
+    if trials < 0:
+        raise ContractViolation(f"obs51 needs a trial count >= 0, got {trials}")
     report = SweepReport(name="obs51", max_n=0)
     t0 = time.perf_counter()
     rng = random.Random(seed)

@@ -216,6 +216,8 @@ def test_usage_errors(capsys, tmp_path):
     bad.write_text("\x19bad\n")
     code, _, err = run_cli(capsys, "check", str(bad))
     assert code == 2 and "error" in err
+    code, out, err = run_cli(capsys, "sweep", "obs51", "--trials", "-1")
+    assert code == 2 and err.startswith("error:") and "[ok]" not in out
     with pytest.raises(SystemExit) as exc:
         main(["definitely-not-a-command"])
     assert exc.value.code == 2

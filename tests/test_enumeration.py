@@ -9,6 +9,7 @@ from obstruction_lab import enumeration
 from obstruction_lab.enumeration import (
     UNLABELED_COUNTS,
     _canonical,
+    _refine,
     are_isomorphic,
     canonical_cert,
     canonical_form,
@@ -140,6 +141,72 @@ def test_canonical_cert_relabelling_invariant_with_hub():
             perm = list(range(n))
             rng.shuffle(perm)
             assert canonical_cert(_relabel(g, perm)) == canonical_cert(g)
+
+
+def _random_graphs(count: int, seed: int, sizes: tuple[int, int]):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(*sizes)
+        p = rng.random()
+        yield SimpleGraph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+# sha256 of repr(_canonical(n, adj)), certificate, labelling and generators,
+# over every graph with n <= 7 in enumeration order and then 3,000 seeded
+# random graphs with n = 8..10; taken from the kernel that re-sorted every
+# vertex each refinement round, so any faster kernel must match it exactly
+CANONICAL_PIN = "99600a550103db1fc816a337028a2301f3006310e1621220d6a0f66a501e4e17"
+
+
+def test_canonical_output_pinned():
+    digest = hashlib.sha256()
+    graphs = itertools.chain(
+        (g for n in range(1, 8) for g in all_graphs(n)), _random_graphs(3000, 1, (8, 10))
+    )
+    for g in graphs:
+        digest.update(repr(_canonical(g.n, g.adj)).encode())
+    assert digest.hexdigest() == CANONICAL_PIN
+
+
+def _dense_colouring(rng: random.Random, n: int) -> tuple[list[int], int]:
+    k = rng.randint(1, n)
+    colors = [rng.randrange(k) for _ in range(n)]
+    used = {c: i for i, c in enumerate(sorted(set(colors)))}
+    return [used[c] for c in colors], len(used)
+
+
+def test_refine_is_an_ordered_equitable_refinement():
+    rng = random.Random(5)
+    for g in _random_graphs(400, 5, (1, 12)):
+        colors, k = _dense_colouring(rng, g.n)
+        out, out_k = _refine(g.n, g.adj, colors, k)
+        assert sorted(set(out)) == list(range(out_k))
+        # every cell of the input is a run of consecutive output cells
+        for u in range(g.n):
+            for v in range(g.n):
+                if colors[u] < colors[v]:
+                    assert out[u] < out[v]
+        cells = [sum(1 << v for v in range(g.n) if out[v] == c) for c in range(out_k)]
+        for c in range(out_k):
+            counts = {tuple((g.adj[v] & cell).bit_count() for cell in cells) for v in range(g.n) if out[v] == c}
+            assert len(counts) == 1
+
+
+class _Unread(list):
+    """A colouring that fails when a refinement round reads it."""
+
+    def __getitem__(self, i):
+        raise AssertionError("a refinement round ran on a discrete colouring")
+
+
+def test_refine_returns_a_discrete_colouring_without_a_round():
+    rng = random.Random(6)
+    for n in range(1, 12):
+        order = list(range(n))
+        rng.shuffle(order)
+        colors = _Unread(order)
+        out, k = _refine(n, None, colors, n)
+        assert out is colors and k == n and out == order
 
 
 def test_canonical_last_has_maximum_degree():

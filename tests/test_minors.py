@@ -22,7 +22,7 @@ from obstruction_lab.minors import (
     triangle_pairs,
 )
 
-from conftest import diamond
+from conftest import all_graphs, diamond
 
 
 def test_triangle_minor_diamond():
@@ -56,6 +56,13 @@ def test_eligible_pairs_examples():
     assert len(eligible_pairs(complete_graph(4))) == 0
     c5_pairs = eligible_pairs(cycle_graph(5))
     assert len(c5_pairs) == 5 and all(p.common == 0 for p in c5_pairs)
+
+
+def test_eligible_pairs_match_triangle_pairs():
+    # the inline eligibility test picks the same pairs, in the same order
+    for n in range(1, 8):
+        for g in all_graphs(n):
+            assert eligible_pairs(g) == [p for p in triangle_pairs(g) if p.eligible]
 
 
 @given(st.integers(0, 10_000))
