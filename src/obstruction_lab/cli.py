@@ -8,10 +8,12 @@ codes: 0 clean, 1 violation found, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import random
 import sys
+from typing import Iterator
 
 from . import detectors, sweeps
 from .detectors import certificate_from_dict, validate_certificate
@@ -28,10 +30,13 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
 
+def _open_text(path: str):
+    """The named file, or stdin for "-"; stdin stays open after the block."""
+    return contextlib.nullcontext(sys.stdin) if path == "-" else open(path)
+
+
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path) as fh:
+    with _open_text(path) as fh:
         return fh.read()
 
 
@@ -46,26 +51,36 @@ def _check_writable(path: str | None) -> None:
         os.remove(path)
 
 
-def _read_graphs(path: str, fmt: str) -> list[SimpleGraph]:
-    text = _read_text(path)
+def _read_graphs(path: str, fmt: str) -> Iterator[tuple[int, SimpleGraph]]:
+    """(line number, graph) for each non-blank graph6 line, read and parsed
+    one line at a time; a malformed line raises GraphFormatError naming its
+    line.  An edge list is one document, reported as line 1."""
     if fmt == "edgelist":
-        return [parse_edgelist(text)]
-    return [parse_graph6(line) for line in text.splitlines() if line.strip()]
+        yield 1, parse_edgelist(_read_text(path))
+        return
+    with _open_text(path) as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                g = parse_graph6(line)
+            except GraphFormatError as exc:
+                raise GraphFormatError(f"line {number}: {exc}") from None
+            yield number, g
 
 
 def _read_one_graph(path: str, fmt: str) -> SimpleGraph:
-    graphs = _read_graphs(path, fmt)
+    graphs = [g for _, g in _read_graphs(path, fmt)]
     if len(graphs) != 1:
         raise ContractViolation(f"expected exactly one graph, got {len(graphs)}")
     return graphs[0]
 
 
 def _cmd_check(args) -> int:
-    graphs = _read_graphs(args.input, args.format)
     worst = EXIT_OK
-    for g in graphs:
+    name = f"E_{args.t}" if args.t else "E"
+    for _, g in _read_graphs(args.input, args.format):
         verdict = detectors.in_class_et(g, args.t) if args.t else detectors.in_class_e(g)
-        name = f"E_{args.t}" if args.t else "E"
         if verdict.member:
             print(f"{write_graph6(g)}: member of {name}")
         else:
@@ -86,9 +101,8 @@ _FINDERS = {
 
 def _cmd_find(args) -> int:
     _check_writable(args.out)
-    graphs = _read_graphs(args.input, args.format)
     results = []
-    for g in graphs:
+    for _, g in _read_graphs(args.input, args.format):
         cert = _FINDERS[args.structure](g, args)
         results.append(
             {"graph6": write_graph6(g), "found": cert is not None}

@@ -6,6 +6,15 @@ enumeration; the subset oracles live with the tests.  All searches iterate in
 a fixed ascending order, so certificates are deterministic: holes come
 shortest length first, then smallest anchor vertex, then lexicographically
 smallest vertex sequence (with the orientation fixed by second < last).
+
+The two path kernels, the hole search of one length and the induced a-b path
+search, are depth-first loops over an explicit stack.  Each entry holds a
+path, its vertex mask, the neighbourhoods the next vertex must avoid and the
+candidates not yet tried; the lowest candidate bit is peeled first, so the
+order is the ascending one above.  find_theta only tries ends whose
+neighbourhood holds three pairwise non-adjacent vertices: the three paths
+leave an end through interiors that are disjoint and anticomplete, so their
+first vertices are pairwise non-adjacent.
 """
 
 from __future__ import annotations
@@ -89,51 +98,64 @@ def is_hole(g: SimpleGraph, cycle: tuple[int, ...]) -> bool:
     return True
 
 
+# hole lengths mod 2 that each parity admits
+_PARITIES = {"any": (0, 1), "even": (0,), "odd": (1,)}
+
+
 def iter_holes(
     g: SimpleGraph, min_len: int = 4, max_len: int | None = None, parity: str = "any"
 ) -> Iterator[tuple[int, ...]]:
     """All holes, shortest first; each exactly once in canonical orientation.
 
     Canonical form: the cycle starts at its smallest vertex and runs toward
-    the smaller of that vertex's two cycle-neighbors.
+    the smaller of that vertex's two cycle-neighbors.  The search is lazy and
+    length-major: one explicit-stack DFS per length and anchor, so the first
+    short hole comes out before any longer one is looked for.  The arguments
+    are checked here, before any search; a bad one raises ContractViolation.
     """
     if min_len < 4:
         raise ContractViolation("holes have at least 4 vertices")
+    if not isinstance(parity, str) or parity not in _PARITIES:
+        raise ContractViolation(f"unknown hole parity {parity!r}")
     top = g.n if max_len is None else min(max_len, g.n)
-    want = {"any": (0, 1), "even": (0,), "odd": (1,)}[parity]
-    for length in range(min_len, top + 1):
-        if length % 2 not in want:
-            continue
-        yield from _holes_of_length(g, length)
+    lengths = [k for k in range(min_len, top + 1) if k % 2 in _PARITIES[parity]]
+    return (cyc for length in lengths for cyc in _holes_of_length(g, length))
 
 
 def _holes_of_length(g: SimpleGraph, length: int) -> Iterator[tuple[int, ...]]:
     n, adj = g.n, g.adj
+    closing = length - 1
     for anchor in range(n - length + 1):
         above = ((1 << n) - 1) & ~((1 << (anchor + 1)) - 1)
         a_adj = adj[anchor]
-
-        # path[0]=anchor; intermediate vertices avoid the anchor's neighborhood,
-        # the closing vertex must sit in it
-        def extend(path: tuple[int, ...], forbidden: int) -> Iterator[tuple[int, ...]]:
-            last = path[-1]
-            depth = len(path)
-            if depth == length - 1:
-                cands = adj[last] & a_adj & above & ~forbidden & ~mask_of(path)
-                first = path[1]
-                for w in bits(cands):
-                    if first < w:
-                        yield path + (w,)
-                return
-            if depth == 1:
-                cands = a_adj & above
-            else:
-                cands = adj[last] & above & ~a_adj & ~forbidden & ~mask_of(path)
-            nxt_forbidden = forbidden | (adj[last] if depth > 1 else 0)
-            for w in bits(cands):
-                yield from extend(path + (w,), nxt_forbidden)
-
-        yield from extend((anchor,), 0)
+        first = a_adj & above
+        if not first:
+            continue
+        inner = above & ~a_adj
+        # entry: path from the anchor, its mask, the neighbourhoods the next
+        # vertex must avoid, the candidates not yet tried; interior vertices
+        # avoid N(anchor), the closing vertex sits in it
+        stack = [((anchor,), 1 << anchor, 0, first)]
+        while stack:
+            path, pmask, forbidden, cands = stack.pop()
+            low = cands & -cands
+            if cands ^ low:
+                stack.append((path, pmask, forbidden, cands ^ low))
+            w = low.bit_length() - 1
+            path += (w,)
+            pmask |= low
+            if len(path) < closing:
+                nxt = adj[w] & inner & ~forbidden & ~pmask
+                if nxt:
+                    stack.append((path, pmask, forbidden | adj[w], nxt))
+                continue
+            # the closing vertex exceeds path[1], fixing the orientation
+            closers = adj[w] & a_adj & above & ~forbidden & ~pmask
+            closers = closers >> (path[1] + 1) << (path[1] + 1)
+            while closers:
+                low = closers & -closers
+                yield path + (low.bit_length() - 1,)
+                closers ^= low
 
 
 def find_hole(
@@ -312,20 +334,28 @@ def _iter_induced_ab_paths(g: SimpleGraph, a: int, b: int, allowed: int) -> Iter
     in DFS order (ascending vertex choices)."""
     adj = g.adj
     b_adj = adj[b]
-
-    def extend(seq: tuple[int, ...], forbidden: int) -> Iterator[tuple[int, ...]]:
-        last = seq[-1]
-        if b_adj >> last & 1:
+    first = adj[a] & allowed
+    if not first:
+        return
+    inner = allowed & ~adj[a]
+    # entry: path from a, its interior mask, the neighbourhoods the next
+    # vertex must avoid, the candidates not yet tried
+    stack = [((a,), 0, 0, first)]
+    while stack:
+        path, pmask, forbidden, cands = stack.pop()
+        low = cands & -cands
+        if cands ^ low:
+            stack.append((path, pmask, forbidden, cands ^ low))
+        w = low.bit_length() - 1
+        path += (w,)
+        if b_adj >> w & 1:
             # a b-neighbor closes the path; extending past it would chord
-            yield (a,) + seq + (b,)
-            return
-        cands = adj[last] & allowed & ~forbidden & ~adj[a] & ~mask_of(seq)
-        nxt_forbidden = forbidden | adj[last]
-        for w in bits(cands):
-            yield from extend(seq + (w,), nxt_forbidden)
-
-    for first in bits(adj[a] & allowed):
-        yield from extend((first,), 0)
+            yield path + (b,)
+            continue
+        pmask |= low
+        nxt = adj[w] & inner & ~forbidden & ~pmask
+        if nxt:
+            stack.append((path, pmask, forbidden | adj[w], nxt))
 
 
 def induced_ab_paths(g: SimpleGraph, a: int, b: int, allowed: int) -> list[tuple[int, ...]]:
@@ -337,13 +367,18 @@ def induced_ab_paths(g: SimpleGraph, a: int, b: int, allowed: int) -> list[tuple
 
 def find_theta(g: SimpleGraph) -> Certificate | None:
     """Two non-adjacent ends joined by three internally disjoint induced paths
-    of length >= 2 whose interiors are pairwise anticomplete."""
+    of length >= 2 whose interiors are pairwise anticomplete.
+
+    An end needs three pairwise non-adjacent neighbours, its neighbours on
+    the three paths; other vertices are skipped as ends before any search.
+    """
     n, adj = g.n, g.adj
+    ends = [_has_stable_triple(g, adj[v]) for v in range(n)]
     for a in range(n):
-        if adj[a].bit_count() < 3:
+        if not ends[a]:
             continue
         for b in range(a + 1, n):
-            if adj[b].bit_count() < 3 or g.has_edge(a, b):
+            if not ends[b] or g.has_edge(a, b):
                 continue
             allowed = g.vertices_mask & ~(1 << a) & ~(1 << b)
             paths = induced_ab_paths(g, a, b, allowed)
@@ -365,6 +400,17 @@ def find_theta(g: SimpleGraph) -> Certificate | None:
                         k = next(bits(both))
                         return Certificate(THETA, ends=(a, b), paths=(paths[i], paths[j], paths[k]))
     return None
+
+
+def _has_stable_triple(g: SimpleGraph, mask: int) -> bool:
+    """Whether `mask` holds three pairwise non-adjacent vertices."""
+    adj = g.adj
+    for u in bits(mask):
+        later = mask & ~adj[u] & ~((2 << u) - 1)
+        for v in bits(later):
+            if later & ~adj[v] & ~((2 << v) - 1):
+                return True
+    return False
 
 
 def validate_theta(g: SimpleGraph, cert: Certificate) -> bool:

@@ -1,4 +1,5 @@
 import functools
+import random
 import sys
 from pathlib import Path
 
@@ -24,6 +25,16 @@ def diamond() -> SimpleGraph:
 @functools.cache
 def all_graphs(n: int) -> tuple[SimpleGraph, ...]:
     return tuple(enumerate_graphs(n))
+
+
+def random_graphs(count: int, seed: int, sizes: tuple[int, int]):
+    """`count` seeded random graphs, each with n drawn from `sizes` and its
+    own edge probability."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(*sizes)
+        p = rng.random()
+        yield SimpleGraph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
 
 
 @pytest.fixture(scope="session")

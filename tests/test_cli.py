@@ -46,6 +46,42 @@ def test_check_streams_multiple_lines(tmp_path, capsys):
     assert code == 0 and out.count("member") == 2
 
 
+def test_check_output_for_valid_lines(tmp_path, capsys):
+    # blank and whitespace-only lines are skipped, a CRLF ending is accepted
+    p = tmp_path / "mixed.g6"
+    p.write_bytes(b"Dhc\n\n  \nCr\r\nD~{\n")
+    code, out, err = run_cli(capsys, "check", "--t", "3", str(p))
+    assert (code, err) == (1, "")
+    assert out == (
+        "Dhc: member of E_3\n"
+        'Cr: violation {"kind": "hole", "cycle": [0, 1, 3, 2]}\n'
+        'D~{: violation {"kind": "clique", "vertices": [0, 1, 2]}\n'
+    )
+
+
+# input, the error it must raise, and what check prints before the error;
+# Dhc is C5, and lines count from 1 with blank lines included
+MALFORMED_LINES = {
+    "second-line": ("Dhc\nzzz\n", "line 2: truncated graph6 body at offset 3", "Dhc: member of E\n"),
+    "after-blank-line": ("Dhc\n\nzzz\n", "line 3: truncated graph6 body at offset 3", "Dhc: member of E\n"),
+    "first-line": ("Dh\nDhc\n", "line 1: truncated graph6 body at offset 2", ""),
+    "bad-byte": ("Dhc\nDhc\nDh c", "line 3: invalid graph6 byte at offset 2", "Dhc: member of E\n" * 2),
+}
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("case", MALFORMED_LINES)
+def test_malformed_line_is_named(case, source, tmp_path, capsys, monkeypatch):
+    text, error, checked = MALFORMED_LINES[case]
+    p = tmp_path / "graphs.g6"
+    p.write_text(text)
+    path = "-" if source == "stdin" else str(p)
+    for argv, out_before in ((["check"], checked), (["find", "--structure", "hole"], "")):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        # check reports each line as it reads it; find prints once at the end
+        assert run_cli(capsys, *argv, path) == (2, out_before, f"error: {error}\n")
+
+
 def test_minor_diamond(tmp_path, capsys):
     p = tmp_path / "dia.g6"
     p.write_text(write_graph6(diamond()) + "\n")

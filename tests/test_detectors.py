@@ -1,9 +1,13 @@
+import hashlib
+import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from obstruction_lab import detectors
 from obstruction_lab.detectors import (
     BICLIQUE,
     PRISM,
@@ -23,6 +27,7 @@ from obstruction_lab.detectors import (
     hole_through,
     in_class_e,
     in_class_et,
+    induced_ab_paths,
     is_chordal,
     is_d_substantial,
     is_hole,
@@ -33,6 +38,7 @@ from obstruction_lab.errors import ContractViolation
 from obstruction_lab.graphs import (
     SimpleGraph,
     add_vertex,
+    bits,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -41,7 +47,7 @@ from obstruction_lab.graphs import (
     path_graph,
 )
 
-from conftest import all_graphs, diamond
+from conftest import all_graphs, diamond, random_graphs
 from oracle_detectors import (
     oracle_has_even_wheel,
     oracle_has_hole,
@@ -334,3 +340,112 @@ def test_certificate_vertex_out_of_range_raises(vertex):
     cert = Certificate(BICLIQUE, side_a=(0,), side_b=(vertex,))
     with pytest.raises(ContractViolation):
         validate_certificate(PRISM_GRAPH, cert)
+
+
+def _detector_outputs(g: SimpleGraph) -> list:
+    out = [list(iter_holes(g, parity=p)) for p in ("any", "even", "odd")]
+    for a, b in itertools.permutations(range(g.n), 2):
+        out.append(induced_ab_paths(g, a, b, g.vertices_mask & ~(1 << a) & ~(1 << b)))
+    for cert in (find_hole(g), find_theta(g), find_prism(g), find_even_wheel(g), in_class_e(g).violation):
+        out.append(cert and cert.to_dict())
+    return out
+
+
+# sha256 of repr(_detector_outputs(g)), every hole of each parity, the induced
+# paths of every ordered pair and each detector's certificate, over every
+# graph with n <= 7 in enumeration order and then 100 seeded random graphs
+# with n = 8..14; taken from the recursive hole and induced-path kernels and
+# the degree-3 end test of find_theta, so faster kernels must match it exactly
+DETECTOR_PIN = "28129fd328fa80cfb91d91a9b0999cf56badb00da8bb11c33b7e37ad03f0f1db"
+
+
+def test_detector_output_pinned():
+    digest = hashlib.sha256()
+    graphs = itertools.chain(
+        (g for n in range(1, 8) for g in all_graphs(n)), random_graphs(100, 1, (8, 14))
+    )
+    for g in graphs:
+        digest.update(repr(_detector_outputs(g)).encode())
+    assert digest.hexdigest() == DETECTOR_PIN
+
+
+def _necklace(k: int) -> SimpleGraph:
+    """A cycle of k C4 beads: junctions 3i, each joined to the next junction
+    through two middle vertices.  Its holes are the k beads and the 2**k
+    rims of length 2k, all of which pass through junction 0."""
+    edges = []
+    for i in range(k):
+        j, nxt = 3 * i, 3 * ((i + 1) % k)
+        for m in (j + 1, j + 2):
+            edges += [(j, m), (m, nxt)]
+    return SimpleGraph.from_edges(3 * k, edges)
+
+
+def test_iter_holes_is_lazy():
+    # listing every hole of this graph takes seconds; the first comes at once
+    g = _necklace(16)
+    start = time.perf_counter()
+    first = next(iter_holes(g))
+    assert time.perf_counter() - start < 0.5
+    assert first == (0, 1, 3, 2)
+    assert len(list(iter_holes(_necklace(6), min_len=5))) == 2**6
+
+
+@pytest.mark.parametrize("parity", ["even ", "EVEN", "", None, 0])
+def test_unknown_parity_raises_before_search(parity):
+    with pytest.raises(ContractViolation):
+        iter_holes(cycle_graph(4), parity=parity)
+    with pytest.raises(ContractViolation):
+        find_hole(cycle_graph(4), parity=parity)
+
+
+def _has_set(size: int, stable: bool):
+    """Subset test: whether the mask holds `size` pairwise non-adjacent
+    vertices (or, when not `stable`, pairwise adjacent ones)."""
+    def holds(g: SimpleGraph, mask: int) -> bool:
+        for t in itertools.combinations(bits(mask), size):
+            if all(g.has_edge(u, v) != stable for u, v in itertools.combinations(t, 2)):
+                return True
+        return False
+    return holds
+
+
+def test_stable_triple_matches_subsets():
+    brute = _has_set(3, stable=True)
+    for g in random_graphs(300, 3, (1, 10)):
+        for v in range(g.n):
+            for mask in (g.adj[v], g.vertices_mask, g.vertices_mask & ~g.adj[v]):
+                assert detectors._has_stable_triple(g, mask) == brute(g, mask)
+
+
+def test_theta_ends_pass_the_end_filter():
+    for n in range(5, 8):
+        for g in all_graphs(n):
+            cert = find_theta(g)
+            if cert is None:
+                continue
+            for end, nbrs in zip(cert.ends, ([p[1] for p in cert.paths], [p[-2] for p in cert.paths])):
+                assert detectors._has_stable_triple(g, g.adj[end])
+                assert not any(g.has_edge(u, v) for u, v in itertools.combinations(nbrs, 2))
+
+
+def _theta_disagreements():
+    """Each graph with n <= 6 on which find_theta and the subset oracle differ."""
+    for n in range(1, 7):
+        for g in all_graphs(n):
+            if (find_theta(g) is not None) != oracle_has_theta(g):
+                yield g
+
+
+# end filters that are too strict; each must lose the theta in K_{2,3}
+END_FILTER_MUTANTS = {
+    "four_pairwise_non_adjacent": _has_set(4, stable=True),
+    "three_pairwise_adjacent": _has_set(3, stable=False),
+}
+
+
+@pytest.mark.parametrize("name", END_FILTER_MUTANTS)
+def test_theta_gate_catches_end_filter_mutants(name, monkeypatch):
+    monkeypatch.setattr(detectors, "_has_stable_triple", END_FILTER_MUTANTS[name])
+    assert find_theta(complete_bipartite(2, 3)) is None
+    assert next(_theta_disagreements(), None) is not None

@@ -34,7 +34,7 @@ from obstruction_lab.sweeps import (
     prune_tpw_free,
 )
 
-from conftest import all_graphs
+from conftest import all_graphs, random_graphs
 
 
 def count_isomorphism_classes_brute(n: int) -> int:
@@ -143,14 +143,6 @@ def test_canonical_cert_relabelling_invariant_with_hub():
             assert canonical_cert(_relabel(g, perm)) == canonical_cert(g)
 
 
-def _random_graphs(count: int, seed: int, sizes: tuple[int, int]):
-    rng = random.Random(seed)
-    for _ in range(count):
-        n = rng.randint(*sizes)
-        p = rng.random()
-        yield SimpleGraph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
-
-
 # sha256 of repr(_canonical(n, adj)), certificate, labelling and generators,
 # over every graph with n <= 7 in enumeration order and then 3,000 seeded
 # random graphs with n = 8..10; taken from the kernel that re-sorted every
@@ -161,7 +153,7 @@ CANONICAL_PIN = "99600a550103db1fc816a337028a2301f3006310e1621220d6a0f66a501e4e1
 def test_canonical_output_pinned():
     digest = hashlib.sha256()
     graphs = itertools.chain(
-        (g for n in range(1, 8) for g in all_graphs(n)), _random_graphs(3000, 1, (8, 10))
+        (g for n in range(1, 8) for g in all_graphs(n)), random_graphs(3000, 1, (8, 10))
     )
     for g in graphs:
         digest.update(repr(_canonical(g.n, g.adj)).encode())
@@ -177,7 +169,7 @@ def _dense_colouring(rng: random.Random, n: int) -> tuple[list[int], int]:
 
 def test_refine_is_an_ordered_equitable_refinement():
     rng = random.Random(5)
-    for g in _random_graphs(400, 5, (1, 12)):
+    for g in random_graphs(400, 5, (1, 12)):
         colors, k = _dense_colouring(rng, g.n)
         out, out_k = _refine(g.n, g.adj, colors, k)
         assert sorted(set(out)) == list(range(out_k))
