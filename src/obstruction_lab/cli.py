@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import random
@@ -70,9 +71,11 @@ def _read_graphs(path: str, fmt: str) -> Iterator[tuple[int, SimpleGraph]]:
 
 
 def _read_one_graph(path: str, fmt: str) -> SimpleGraph:
-    graphs = [g for _, g in _read_graphs(path, fmt)]
+    """The input's only graph; reading stops at a second one."""
+    with contextlib.closing(_read_graphs(path, fmt)) as stream:
+        graphs = [g for _, g in itertools.islice(stream, 2)]
     if len(graphs) != 1:
-        raise ContractViolation(f"expected exactly one graph, got {len(graphs)}")
+        raise ContractViolation(f"expected exactly one graph, got {'2 or more' if graphs else 0}")
     return graphs[0]
 
 
@@ -139,10 +142,20 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    """One `kind: …` line per object; a non-empty list, as `find --out`
+    writes for several graphs, is checked element by element."""
     doc = json.loads(_read_text(args.witness))
+    failed = [_verify_one(d) for d in (doc if isinstance(doc, list) and doc else [doc])]
+    return EXIT_VIOLATION if any(failed) else EXIT_OK
+
+
+def _verify_one(doc) -> bool:
+    """Print the verdict on one certificate or witness; True if it fails."""
     kind = doc.get("kind") if isinstance(doc, dict) else None
     if not isinstance(kind, str):
-        raise ContractViolation("witness file must be a JSON object with a string 'kind' field")
+        raise ContractViolation(
+            "witness file must be a JSON object with a string 'kind' field, or a non-empty list of them"
+        )
     if kind in detectors.CERTIFICATE_KINDS:
         if "graph6" not in doc:
             raise ContractViolation(f"{kind} certificate has no 'graph6' field")
@@ -152,7 +165,7 @@ def _cmd_verify(args) -> int:
         clause = verify_witness(*witness_from_dict(doc))
         bad = None if clause is None else f"clause {clause} violated"
     print(f"{kind}: {bad or 'ok'}")
-    return EXIT_OK if bad is None else EXIT_VIOLATION
+    return bad is not None
 
 
 def _cmd_sweep(args) -> int:

@@ -224,15 +224,12 @@ def _close_orbit(subset: int, gens: tuple[Perm, ...], done: set[int]) -> None:
 
 
 def enumerate_graphs(
-    n: int,
-    keep: Callable[[SimpleGraph], bool] | None = None,
-    prune: Callable[[SimpleGraph], bool] | None = None,
+    n: int, prune: Callable[[SimpleGraph], bool] | None = None
 ) -> Iterator[SimpleGraph]:
     """One representative per isomorphism class on exactly n vertices.
 
     `prune` must be hereditary (closed under induced subgraphs) and cuts the
-    generation tree; `keep` is an arbitrary filter applied post-canonically to
-    the yielded level only.
+    generation tree.
     """
     if not 1 <= n <= ENUMERATION_CAP:
         raise ContractViolation(f"enumeration supports 1..{ENUMERATION_CAP} vertices")
@@ -241,6 +238,4 @@ def enumerate_graphs(
     for _ in range(n - 1):
         level = [child for parent in level for child in expand_children(parent, prune)]
     for parent in level:
-        for g in expand_children(parent, prune):
-            if keep is None or keep(g):
-                yield g
+        yield from expand_children(parent, prune)

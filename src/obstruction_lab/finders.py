@@ -89,7 +89,7 @@ def find_alignment(
         hits = [pos[u] for u in bits(g.adj[s] & pmask)]
         intervals.append((min(hits), max(hits), s))
     intervals.sort()
-    for (lo1, hi1, _), (lo2, _hi2, _2) in zip(intervals, intervals[1:]):
+    for (_lo1, hi1, _), (lo2, _hi2, _2) in zip(intervals, intervals[1:]):
         if hi1 >= lo2:
             return AlignmentOutcome(None, anomaly=True)
     pi = tuple(s for _, _, s in intervals)

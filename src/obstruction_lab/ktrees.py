@@ -82,30 +82,18 @@ def validate_ktree(g: SimpleGraph, k: int, order: tuple[int, ...]) -> tuple[bool
 
 
 def recognize_ktree(g: SimpleGraph, k: int) -> tuple[int, ...] | None:
-    """Greedy peel: repeatedly remove the lowest vertex whose remaining
-    neighborhood is a k-clique; succeeds iff the graph is a k-tree."""
+    """A k-tree ordering of g, or None when g is no k-tree.
+
+    In a k-tree on more than k vertices every simplicial vertex has exactly k
+    neighbors, and deleting one leaves a k-tree; so Dirac's lowest-simplicial
+    order is a k-tree ordering whenever one exists, and validating it is exact.
+    """
     if k < 1:
         raise ContractViolation("k must be >= 1")
-    n = g.n
-    if n < k:
+    order = dirac_order(g)
+    if order is None or not validate_ktree(g, k, order)[0]:
         return None
-    remaining = g.vertices_mask
-    order: list[int] = []
-    while remaining.bit_count() > k:
-        found = -1
-        for v in bits(remaining):
-            nbrs = g.adj[v] & remaining
-            if nbrs.bit_count() == k and is_clique(g, nbrs):
-                found = v
-                break
-        if found < 0:
-            return None
-        order.append(found)
-        remaining ^= 1 << found
-    if not is_clique(g, remaining):
-        return None
-    order.extend(bits(remaining))
-    return tuple(order)
+    return order
 
 
 def ktree_quotient(t: KTree, i: int) -> KTree:
@@ -231,11 +219,11 @@ def embed_in_ktree(h: SimpleGraph, k: int) -> tuple[KTree, Embedding]:
     """Embed a chordal K_{k+2}-free graph into a k-tree, constructively.
 
     Disconnected inputs first gain a hub vertex with exactly one neighbor in
-    each component (the lowest-indexed vertex of each); the connected case
-    recurses on the graph minus the first vertex of a perfect elimination
-    ordering and then extends the neighborhood clique to size k, attaching a
-    ladder of new vertices whose forward neighborhoods are k-cliques by
-    construction.
+    each component (the lowest-indexed vertex of each).  The connected graph
+    is then built along one perfect elimination ordering: its first suffix
+    that is a clique on at most k vertices sits in the base K_k, and each
+    earlier vertex, the last first, gets a ladder of new vertices whose
+    forward neighborhoods are k-cliques by construction.
     """
     if not 1 <= k <= MAX_VERTICES:
         raise ContractViolation(f"k must be in 1..{MAX_VERTICES}, got {k}")
@@ -245,42 +233,28 @@ def embed_in_ktree(h: SimpleGraph, k: int) -> tuple[KTree, Embedding]:
     if has_clique(h, k + 2) is not None:
         raise ContractViolation(f"input contains a clique on {k + 2} vertices")
 
-    comps = components(h)
     if h.n == 0:
         return KTree(complete_graph(k), k, tuple(range(k))), ()
+    comps = components(h)
     if len(comps) > 1:
-        hub_neighbors = mask_of(next(bits(c)) for c in comps)
-        augmented = add_vertex(h, hub_neighbors)
-        tree, emb = _embed_connected(augmented, k)
+        augmented = add_vertex(h, mask_of(next(bits(c)) for c in comps))
+        tree, emb = _embed_along(augmented, dirac_order(augmented), k)
         return tree, emb[: h.n]
-    return _embed_connected(h, k)
+    return _embed_along(h, peo, k)
 
 
-def _embed_connected(h: SimpleGraph, k: int) -> tuple[KTree, Embedding]:
-    n = h.n
-    if n <= k and is_clique(h, h.vertices_mask):
-        # small complete graphs sit inside the base K_k
-        base = complete_graph(k)
-        return KTree(base, k, tuple(range(k))), tuple(range(n))
-
-    peo = dirac_order(h)
-    x0 = peo[0]
-    reduced, mapping = induced_subgraph(h, h.vertices_mask ^ (1 << x0))
-    pos = {v: i for i, v in enumerate(mapping)}
-    sub_tree, sub_emb = _embed_connected(reduced, k)
-
-    # image of N(x0) inside the sub-k-tree
-    n_mask = 0
-    for u in bits(h.adj[x0]):
-        n_mask |= 1 << sub_emb[pos[u]]
-    tree, new_root = _attach(sub_tree, n_mask, k)
-
-    # old vertices keep their indices in the extended k-tree; x0 maps to the
-    # first new vertex
-    emb = [0] * n
-    emb[x0] = new_root
-    for i, old in enumerate(mapping):
-        emb[old] = sub_emb[i]
+def _embed_along(h: SimpleGraph, peo: tuple[int, ...], k: int) -> tuple[KTree, Embedding]:
+    """One backward walk of a perfect elimination ordering of connected h."""
+    start = next(i for i in range(max(h.n - k, 0), h.n) if is_clique(h, mask_of(peo[i:])))
+    tree = KTree(complete_graph(k), k, tuple(range(k)))
+    emb = [0] * h.n
+    for image, v in enumerate(sorted(peo[start:])):
+        emb[v] = image
+    later = mask_of(peo[start:])
+    for v in reversed(peo[:start]):
+        # the new vertex sees exactly the images of v's later neighbors
+        tree, emb[v] = _attach(tree, mask_of(emb[u] for u in bits(h.adj[v] & later)), k)
+        later |= 1 << v
     return tree, tuple(emb)
 
 
@@ -299,16 +273,12 @@ def _extend_to_k_clique(t: KTree, n_mask: int, k: int) -> int:
     else:
         # all of the clique sits in the final base positions, which form a K_k
         pool = mask_of(t.order[g.n - k :])
-    extras = [v for v in bits(pool & ~n_mask)]
-    out = n_mask
-    for v in extras[: k - size]:
-        out |= 1 << v
-    return out
+    return n_mask | mask_of(list(bits(pool & ~n_mask))[: k - size])
 
 
 def _attach(t: KTree, n_mask: int, k: int) -> tuple[KTree, int]:
     """Add the ladder x_0..x_{k-|N|} in front of the ordering; x_0 is the
-    embedded image of the removed vertex and sees exactly N among old
+    image of the vertex being attached and sees exactly N among old
     vertices."""
     clique = _extend_to_k_clique(t, n_mask, k)
     ys = sorted(bits(clique & ~n_mask))  # enumeration of K minus N, ascending

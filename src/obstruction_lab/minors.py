@@ -136,15 +136,11 @@ class Thm31Report:
         return not self.violations
 
 
-def check_thm31(g: SimpleGraph, mutate=None) -> Thm31Report:
-    """For a class member, every eligible pair's minor must stay in the class.
-
-    `mutate` is the fault-injection hook used by the harness self-test: it
-    maps a minor to a corrupted minor before the membership check.
-    """
+def check_thm31(g: SimpleGraph) -> Thm31Report:
+    """For a class member, every eligible pair's minor must stay in the class."""
     if not in_class_e(g).member:
         return Thm31Report(hypothesis_met=False)
-    pairs_checked, violations = thm31_minor_violations(g, mutate)
+    pairs_checked, violations = thm31_minor_violations(g)
     return Thm31Report(True, pairs_checked, violations)
 
 

@@ -78,22 +78,22 @@ def _blurry_for_suffix(target: KTree, assigned: list[int]) -> BlurryWitness:
     )
 
 
-def _assemble_kaleidoscope(g: SimpleGraph, need_w: int, budget: list[int]):
-    """Search for (kaleidoscope, adjacent pair 3-mirrored by it); deterministic,
-    budget counts path-extension steps."""
+def _assemble_kaleidoscope(g: SimpleGraph, need_w: int, budget: int):
+    """Search for (kaleidoscope, adjacent pair 3-mirrored by it), or None;
+    deterministic, and returned with the budget left, which counts
+    path-extension steps."""
     for a in range(g.n):
+        allowed = g.vertices_mask & ~(1 << a) & ~g.adj[a]
         nbrs = list(bits(g.adj[a]))
         for xi in range(len(nbrs)):
             for yi in range(xi + 1, len(nbrs)):
                 x, y = nbrs[xi], nbrs[yi]
                 if g.has_edge(x, y):
                     continue
-                allowed = g.vertices_mask & ~(1 << a) & ~g.adj[a] | (1 << x) | (1 << y)
-                allowed &= ~(1 << a)
-                paths = induced_ab_paths(g, x, y, allowed & ~(1 << x) & ~(1 << y))
-                budget[0] -= len(paths) + 1
-                if budget[0] <= 0:
-                    return None
+                paths = induced_ab_paths(g, x, y, allowed)
+                budget -= len(paths) + 1
+                if budget <= 0:
+                    return None, budget
                 # greedy internally disjoint packing, shortest first
                 packed: list[tuple[int, ...]] = []
                 seen = 0
@@ -117,16 +117,13 @@ def _assemble_kaleidoscope(g: SimpleGraph, need_w: int, budget: list[int]):
                         if len(keep) >= need_w:
                             cand = Kaleidoscope(a, x, y, tuple(keep))
                             if verify_mirrored(g, cand, (z1, z2), 3) is None:
-                                return cand, (z1, z2)
-    return None
+                                return (cand, (z1, z2)), budget
+    return None, budget
 
 
 def _first_common_neighbor(g: SimpleGraph, w: tuple[int, ...], z1: int, z2: int) -> int | None:
     common = g.adj[z1] & g.adj[z2] & mask_of(w)
-    for v in w:  # traversal order from x
-        if common >> v & 1:
-            return v
-    return None
+    return next((v for v in w if common >> v & 1), None)  # traversal order from x
 
 
 def pipeline_grow(g: SimpleGraph, target: KTree, budget: int = 500000, t: int = 4) -> GrowTrace:
@@ -134,9 +131,8 @@ def pipeline_grow(g: SimpleGraph, target: KTree, budget: int = 500000, t: int = 
     ok, _ = validate_ktree(target.graph, target.k, target.order)
     if target.k != 2 or not ok:
         raise ContractViolation("target must be a valid 2-tree")
-    trace = GrowTrace(budget_left=budget)
     verdict = in_class_et(g, t)
-    trace.hypothesis_ok = verdict.member
+    trace = GrowTrace(hypothesis_ok=verdict.member)
     trace.stages.append(
         {
             "stage": "membership",
@@ -144,12 +140,18 @@ def pipeline_grow(g: SimpleGraph, target: KTree, budget: int = 500000, t: int = 
             "violation": None if verdict.member else verdict.violation.kind,
         }
     )
+    trace.budget_left = max(_grow(g, target, budget, trace), 0)
+    return trace
 
+
+def _grow(g: SimpleGraph, target: KTree, budget: int, trace: GrowTrace) -> int:
+    """The stages after the membership check, each recorded on the trace;
+    stops at the first that fails and returns the budget left."""
     h = target.graph.n
     seed = _first_edge(g)
     if seed is None:
         trace.stages.append({"stage": "seed", "ok": False})
-        return trace
+        return budget
     if h == 2:
         # no kaleidoscope demand: the witness is any edge (w parameter 0 case)
         trace.witness = _blurry_for_suffix(target, [seed[0], seed[1]])
@@ -158,11 +160,10 @@ def pipeline_grow(g: SimpleGraph, target: KTree, budget: int = 500000, t: int = 
             raise ContractViolation(f"seed-edge blurry witness fails clause {bad}")
         trace.status = "success"
         trace.stages.append({"stage": "seed", "ok": True, "pair": list(seed)})
-        return trace
+        return budget
 
-    counter = [budget]
     block = find_strong_block(g, 2, budget=budget)
-    counter[0] -= block.expansions
+    budget -= block.expansions
     trace.stages.append(
         {
             "stage": "strong_block",
@@ -172,70 +173,48 @@ def pipeline_grow(g: SimpleGraph, target: KTree, budget: int = 500000, t: int = 
         }
     )
     if block.witness is None:
-        trace.budget_left = max(counter[0], 0)
-        return trace
+        return budget
 
     steps = h - 2
-    got = _assemble_kaleidoscope(g, need_w=steps, budget=counter)
+    got, budget = _assemble_kaleidoscope(g, steps, budget)
     trace.stages.append({"stage": "kaleidoscope", "ok": got is not None})
     if got is None:
-        trace.budget_left = max(counter[0], 0)
-        return trace
+        return budget
     kal, (z1, z2) = got
     trace.kaleidoscope = kal
 
     # base pair maps to the last two ordering positions of the target
     assigned = [z1, z2]
-    witness = _blurry_for_suffix(target, assigned)
-    bad = verify_blurry(g, witness)
+    bad = verify_blurry(g, _blurry_for_suffix(target, assigned))
     if bad is not None:
         trace.stages.append({"stage": "extend", "step": 0, "ok": False, "clause": bad})
-        trace.budget_left = max(counter[0], 0)
-        return trace
+        return budget
 
     for step in range(1, steps + 1):
         pos = h - 2 - step  # 0-based target position being added
-        new_vertex = target.order[pos]
-        fwd = forward_neighbors(target.graph, target.order, pos)
-        images = {}
-        suffix = target.order[pos + 1 :]
-        for j, tv in enumerate(suffix):
-            images[tv] = assigned[j]
-        anchors = [images[v] for v in bits(fwd)]
-        picked = None
+        images = dict(zip(target.order[pos + 1 :], assigned))
+        p, q = (images[v] for v in bits(forward_neighbors(target.graph, target.order, pos)))
+        # growth adjacency: z sees both anchors and nothing of the grown
+        # suffix outside their closed common neighborhood
+        outside = mask_of(assigned) & ~((g.adj[p] | 1 << p) & (g.adj[q] | 1 << q))
         for wi, w in enumerate(kal.paths):
-            counter[0] -= len(w)
-            if counter[0] <= 0:
+            budget -= len(w)
+            if budget <= 0:
                 trace.stages.append({"stage": "extend", "step": step, "ok": False, "reason": "budget"})
-                trace.budget_left = 0
-                return trace
-            z = _first_common_neighbor(g, w, anchors[0], anchors[1])
-            if z is None:
-                continue
-            if g.has_edge(kal.a, z):
-                continue
-            # growth adjacency: z sees both anchors and nothing outside their
-            # closed common neighborhood
-            zn = g.adj[z] & mask_of(assigned)
-            allowed = (g.adj[anchors[0]] | (1 << anchors[0])) & (
-                g.adj[anchors[1]] | (1 << anchors[1])
-            )
-            if zn & ~allowed:
+                return budget
+            z = _first_common_neighbor(g, w, p, q)
+            if z is None or g.has_edge(kal.a, z) or g.adj[z] & outside:
                 continue
             survivors = [
                 other
                 for oj, other in enumerate(kal.paths)
                 if oj != wi and mirrors(g, z, kal.x, kal.y, other, 3)
             ]
-            if step < steps and not survivors:
-                continue
-            picked = (z, survivors)
-            break
-        if picked is None:
+            if survivors or step == steps:
+                break
+        else:
             trace.stages.append({"stage": "extend", "step": step, "ok": False, "reason": "no candidate"})
-            trace.budget_left = max(counter[0], 0)
-            return trace
-        z, survivors = picked
+            return budget
         assigned = [z] + assigned
         kal = Kaleidoscope(kal.a, kal.x, kal.y, tuple(survivors))
         witness = _blurry_for_suffix(target, assigned)
@@ -244,11 +223,9 @@ def pipeline_grow(g: SimpleGraph, target: KTree, budget: int = 500000, t: int = 
             {"stage": "extend", "step": step, "ok": bad is None, "vertex": z, "clause": bad}
         )
         if bad is not None:
-            trace.budget_left = max(counter[0], 0)
-            return trace
+            return budget
         trace.witness = witness
         trace.kaleidoscope = kal
 
     trace.status = "success"
-    trace.budget_left = max(counter[0], 0)
-    return trace
+    return budget

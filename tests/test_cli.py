@@ -113,6 +113,32 @@ def test_find_nothing_writes_no_witness(tmp_path, capsys):
     assert not out_file.exists() and "no witness file" in err
 
 
+def two_thetas_witness(tmp_path, capsys):
+    """`find --out` on two graphs with a theta each; returns the file."""
+    from obstruction_lab.graphs import complete_bipartite
+
+    src = tmp_path / "two.g6"
+    src.write_text("".join(write_graph6(complete_bipartite(3, m)) + "\n" for m in (3, 2)))
+    out_file = tmp_path / "thetas.json"
+    code, _, _ = run_cli(capsys, "find", "--structure", "theta", str(src), "--out", str(out_file))
+    assert code == 0 and len(json.loads(out_file.read_text())) == 2
+    return out_file
+
+
+def test_find_out_list_reverifies(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "verify", str(two_thetas_witness(tmp_path, capsys)))
+    assert code == 0 and out.splitlines() == ["theta: ok", "theta: ok"]
+
+
+def test_verify_list_flags_tampered_element(tmp_path, capsys):
+    path = two_thetas_witness(tmp_path, capsys)
+    doc = json.loads(path.read_text())
+    doc[1]["paths"][2] = [0, 1]  # 0 and 1 are not adjacent in K_{3,2}
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "verify", str(path))
+    assert code == 1 and out.splitlines() == ["theta: ok", "theta: invalid certificate"]
+
+
 def test_verify_rejects_malformed_document(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text("[]")
@@ -322,6 +348,17 @@ def test_single_graph_commands_need_exactly_one(command, count, tmp_path, capsys
     p.write_text("".join(write_graph6(diamond()) + "\n" for _ in range(count)))
     code, _, err = run_cli(capsys, *command, str(p))
     assert code == 2 and f"expected exactly one graph, got {count}" in err
+
+
+@pytest.mark.parametrize(
+    "command", [["minor", "--z1", "0", "--z2", "1"], ["embed", "--k", "2"], ["gen", "cone"]]
+)
+def test_single_graph_commands_stop_at_second_graph(command, tmp_path, capsys):
+    # the malformed third line is never read
+    p = tmp_path / "graphs.g6"
+    p.write_text(write_graph6(diamond()) + "\n" + write_graph6(diamond()) + "\n!!!\n")
+    code, _, err = run_cli(capsys, *command, str(p))
+    assert code == 2 and "expected exactly one graph, got 2 or more" in err
 
 
 # each unreadable or non-UTF-8 input once ended in a traceback with exit

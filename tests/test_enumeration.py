@@ -71,7 +71,7 @@ def test_representatives_are_pairwise_nonisomorphic():
 
 
 def test_connected_filter_count():
-    assert sum(1 for _ in enumerate_graphs(5, keep=is_connected)) == 21
+    assert sum(1 for g in enumerate_graphs(5) if is_connected(g)) == 21
     assert sum(1 for _ in enumerate_graphs(1)) == 1
     assert sum(1 for _ in enumerate_graphs(4)) == 11
 

@@ -1,6 +1,8 @@
 """Source hygiene: no module-level import in the package goes unused, no
 import sits inside a function, no module imports another's underscore name,
-and no `assert` guards anything (`python -O` strips it).
+no `assert` guards anything (`python -O` strips it), and no function assigns
+a local it never reads (a name starting with `_` marks one as unused on
+purpose).
 
 Neither pyflakes nor ruff is a dependency, so this walks the AST itself.
 `__init__.py` is skipped because its imports are the package's re-exports.
@@ -89,3 +91,55 @@ def test_no_private_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_asserts(path):
     assert asserts(path.read_text()) == []
+
+
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def own_nodes(func: ast.AST):
+    """The nodes of func's body outside nested functions and classes;
+    comprehensions count as func's own."""
+    stack = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def dead_locals(source: str) -> list[str]:
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        own = list(own_nodes(func))
+        # a nested function's reads count: it may close over the local
+        read = {n.id for n in ast.walk(func) if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+        read |= {name for n in own if isinstance(n, (ast.Global, ast.Nonlocal)) for name in n.names}
+        for n in own:
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+                if not n.id.startswith("_") and n.id not in read:
+                    found.append(f"{func.name}: {n.id} (line {n.lineno})")
+    return sorted(found)
+
+
+def test_dead_local_detector():
+    source = (
+        "def f(a):\n"
+        "    b = 1\n"
+        "    c, _d = a\n"
+        "    for i, x in a:\n"
+        "        print(x)\n"
+        "    def g():\n"
+        "        nonlocal c\n"
+        "        c = [y for y in a]\n"
+        "        e = 2\n"
+        "    g()\n"
+        "    return c\n"
+    )
+    assert dead_locals(source) == ["f: b (line 2)", "f: i (line 4)", "g: e (line 9)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dead_locals(path):
+    assert dead_locals(path.read_text()) == []

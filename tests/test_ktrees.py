@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -92,6 +94,34 @@ def test_recognize_agrees_with_exhaustive_search():
                 assert (greedy is None) == (brute is None), (g, k)
                 if greedy is not None:
                     assert validate_ktree(g, k, greedy) == (True, None)
+
+
+def random_ktree(rng: random.Random, k: int, n: int) -> SimpleGraph:
+    """A seeded k-tree on n >= k vertices: each new vertex joins a random
+    k-clique; the result is relabelled by a random permutation."""
+    edges = list(itertools.combinations(range(k), 2))
+    cliques = [tuple(range(k))]
+    for v in range(k, n):
+        c = rng.choice(cliques)
+        edges += [(u, v) for u in c]
+        cliques += [tuple(w for w in c if w != u) + (v,) for u in c]
+    perm = rng.sample(range(n), n)
+    return SimpleGraph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+# sha256 of repr(recognize_ktree(g, k)) for k = 1..4 over every graph with
+# n <= 7 and 240 seeded relabelled random k-trees, pinned while recognition
+# had its own greedy peel
+RECOGNIZE_PIN = "80ab6350b3cef31784fa5a61d26e2813d59d4d742212fa16b9f49a5fa9b93225"
+
+
+def test_recognize_output_pinned():
+    rng = random.Random(12)
+    trees = [random_ktree(rng, k, rng.randint(k, k + 9)) for k in (1, 2, 3, 4) for _ in range(60)]
+    graphs = [g for n in range(1, 8) for g in all_graphs(n)] + trees
+    out = [recognize_ktree(g, k) for g in graphs for k in (1, 2, 3, 4)]
+    assert sum(order is not None for order in out[-4 * len(trees) :]) >= len(trees)
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == RECOGNIZE_PIN
 
 
 def test_ktrees_are_connected_chordal_cliquefree():
@@ -194,6 +224,25 @@ def test_embed_exhaustive_small():
                 tree, emb = embed_in_ktree(g, k)
                 assert validate_ktree(tree.graph, k, tree.order) == (True, None)
                 assert validate_embedding(tree.graph, g, emb)
+
+
+# sha256 of repr((tree.to_text(), emb)) for every chordal graph with n <= 8
+# and every k in 1..3 with no K_{k+2} in it, pinned while the embedding
+# recursed on induced subgraphs
+EMBED_PIN = "a10aa1a3062a0e340d378d5f9704c6249f39a02358c73505a1624466e6787b62"
+
+
+def test_embed_output_pinned():
+    digest = hashlib.sha256()
+    for n in range(1, 9):
+        for g in all_graphs(n):
+            if find_hole(g) is not None:
+                continue
+            for k in (1, 2, 3):
+                if has_clique(g, k + 2) is None:
+                    tree, emb = embed_in_ktree(g, k)
+                    digest.update(repr((tree.to_text(), emb)).encode())
+    assert digest.hexdigest() == EMBED_PIN
 
 
 def test_ktree_serialization_round_trip():
