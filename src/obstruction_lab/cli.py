@@ -14,6 +14,7 @@ import json
 import os
 import random
 import sys
+import textwrap
 from typing import Iterator
 
 from . import detectors, sweeps
@@ -103,18 +104,31 @@ _FINDERS = {
 
 
 def _cmd_find(args) -> int:
+    """Each result is printed as its line is read: one graph as an object, several
+    as the indent=2 list, closed over the lines before one that fails."""
     _check_writable(args.out)
-    results = []
-    for _, g in _read_graphs(args.input, args.format):
-        cert = _FINDERS[args.structure](g, args)
-        results.append(
-            {"graph6": write_graph6(g), "found": cert is not None}
-            | ({"certificate": cert.to_dict(g)} if cert else {})
-        )
-    print(json.dumps(results[0] if len(results) == 1 else results, indent=2))
+    found, count = [], 0
+    try:
+        for _, g in _read_graphs(args.input, args.format):
+            cert = _FINDERS[args.structure](g, args)
+            result = {"graph6": write_graph6(g), "found": cert is not None}
+            if cert:
+                result["certificate"] = cert.to_dict(g)
+                found.append(result["certificate"])
+            count += 1
+            if count == 1:
+                first = result  # printed once the next line shows whether it heads a list
+                continue
+            if count == 2:
+                print("[\n" + textwrap.indent(json.dumps(first, indent=2), "  "), end="")
+            print(",\n" + textwrap.indent(json.dumps(result, indent=2), "  "), end="")
+    finally:
+        if count:
+            print(json.dumps(first, indent=2) if count == 1 else "\n]")
+    if not count:
+        print("[]")
     if args.out:
         # the file variant is the bare certificate so `verify` can consume it
-        found = [r["certificate"] for r in results if r["found"]]
         if not found:
             print("nothing found; no witness file written", file=sys.stderr)
         else:

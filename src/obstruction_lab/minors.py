@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 from .detectors import (
     WheelClass,
-    class_e_through,
     classify_attachment,
+    hole_through,
     in_class_e,
     is_hole,
     iter_holes,
@@ -148,13 +148,13 @@ def thm31_minor_violations(g: SimpleGraph, mutate=None) -> tuple[int, list[dict]
     """Membership check of every eligible pair's minor, without re-checking
     that g itself is a member; returns (pairs checked, violation records).
 
-    Precondition: g is in E.  Then minor - z = g - {z1, z2} is an induced
-    subgraph of g and in E too, so `class_e_through(minor, z)` is exact.  As
-    N(z) is the stable common neighbourhood, g[N(z)] has no hole, and a minor
-    with no hole through z is a member; when `z_may_lie_on_hole` says there
-    is none, the minor is not even built.  Only a minor the kernel rejects
-    pays for the full `in_class_e` that gives its certificate.  A `mutate`
-    hook can change the minor away from z, so its minors get the full check.
+    Precondition: g is in E.  Then minor - z = g - {z1, z2} is in E too, so
+    with no hole through z the minor's only possible obstruction is an even
+    wheel centred at z with its rim in N(z) (`detectors.class_e_through`);
+    N(z) is the stable common neighbourhood, so that minor is a member.  Each
+    minor with a hole through z runs `in_class_e` once; when
+    `z_may_lie_on_hole` says there is none, the minor is not even built.  A
+    `mutate` hook can change the minor away from z, so its minors all run it.
     """
     pairs = eligible_pairs(g)
     violations = []
@@ -164,7 +164,7 @@ def thm31_minor_violations(g: SimpleGraph, mutate=None) -> tuple[int, list[dict]
         minor, z, _ = triangle_minor(g, pair.z1, pair.z2)
         if mutate is not None:
             minor = mutate(minor)
-        elif class_e_through(minor, z):
+        elif not hole_through(minor, z):
             continue
         verdict = in_class_e(minor)
         if not verdict.member:

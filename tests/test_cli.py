@@ -4,8 +4,9 @@ import time
 
 import pytest
 
-from obstruction_lab import ktrees
+from obstruction_lab import cli, ktrees
 from obstruction_lab.cli import main
+from obstruction_lab.errors import ContractViolation
 from obstruction_lab.graphs import (
     MAX_VERTICES,
     SimpleGraph,
@@ -73,13 +74,35 @@ MALFORMED_LINES = {
 @pytest.mark.parametrize("case", MALFORMED_LINES)
 def test_malformed_line_is_named(case, source, tmp_path, capsys, monkeypatch):
     text, error, checked = MALFORMED_LINES[case]
+    # find prints what it prints for the lines before line N alone, and
+    # nothing when N = 1
+    number = int(error.split(":")[0].removeprefix("line "))
+    before = tmp_path / "before.g6"
+    before.write_text("".join(text.splitlines(keepends=True)[: number - 1]))
+    found = run_cli(capsys, "find", "--structure", "hole", str(before))[1] if number > 1 else ""
     p = tmp_path / "graphs.g6"
     p.write_text(text)
     path = "-" if source == "stdin" else str(p)
-    for argv, out_before in ((["check"], checked), (["find", "--structure", "hole"], "")):
+    witness = tmp_path / "w.json"
+    for argv, out_before in ((["check"], checked), (["find", "--structure", "hole", "--out", str(witness)], found)):
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
-        # check reports each line as it reads it; find prints once at the end
         assert run_cli(capsys, *argv, path) == (2, out_before, f"error: {error}\n")
+    assert not witness.exists()
+
+
+@pytest.mark.parametrize(
+    "lines", [["Dhc"], ["Dhc", "", "Cr"], ["Dhc", "D~{", "Cr"], []], ids=["one", "two", "three", "none"]
+)
+def test_find_prints_one_object_or_the_indented_list(lines, tmp_path, capsys):
+    # Dhc is C5 and Cr is C4, each with a hole; D~{ has none
+    p = tmp_path / "graphs.g6"
+    p.write_text("".join(line + "\n" for line in lines))
+    code, out, _ = run_cli(capsys, "find", "--structure", "hole", str(p))
+    doc = json.loads(out)
+    assert code == 0 and out == json.dumps(doc, indent=2) + "\n"
+    results = doc if isinstance(doc, list) else [doc]
+    assert isinstance(doc, dict) == (len(results) == 1)
+    assert [r["graph6"] for r in results] == [line for line in lines if line]
 
 
 def test_minor_diamond(tmp_path, capsys):
@@ -280,9 +303,43 @@ def test_usage_errors(capsys, tmp_path):
     assert code == 2 and "error" in err
     code, out, err = run_cli(capsys, "sweep", "obs51", "--trials", "-1")
     assert code == 2 and err.startswith("error:") and "[ok]" not in out
+    # a finder that refuses its arguments on the first graph prints nothing
+    one, two = tmp_path / "one.g6", tmp_path / "two.g6"
+    one.write_text("Dhc\n")
+    two.write_text("Dhc\nCr\n")
+    assert run_cli(capsys, "find", "--structure", "clique", "--size", "0", str(one)) == (
+        2, "", "error: clique size must be >= 1\n"
+    )
+    assert run_cli(capsys, "find", "--structure", "hole", "--min-len", "3", str(two)) == (
+        2, "", "error: holes have at least 4 vertices\n"
+    )
     with pytest.raises(SystemExit) as exc:
         main(["definitely-not-a-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("bad_line", [2, 3, 4])
+def test_find_error_on_a_later_line_closes_the_output(bad_line, tmp_path, capsys, monkeypatch):
+    # Dhc is C5, Cr is C4 and D~{ has no hole; the finder refuses line bad_line
+    lines = ["Dhc", "Cr", "D~{", "Dhc"]
+    before = tmp_path / "before.g6"
+    before.write_text("".join(line + "\n" for line in lines[: bad_line - 1]))
+    expected = run_cli(capsys, "find", "--structure", "hole", str(before))[1]
+    p = tmp_path / "graphs.g6"
+    p.write_text("".join(line + "\n" for line in lines))
+    calls = iter(range(1, len(lines) + 1))
+    real = cli._FINDERS["hole"]
+
+    def refuse_at_bad_line(g, a):
+        if next(calls) == bad_line:
+            raise ContractViolation("refused")
+        return real(g, a)
+
+    monkeypatch.setitem(cli._FINDERS, "hole", refuse_at_bad_line)
+    out_path = tmp_path / "w.json"
+    result = run_cli(capsys, "find", "--structure", "hole", "--out", str(out_path), str(p))
+    assert result == (2, expected, "error: refused\n")
+    assert not out_path.exists()
 
 
 def test_edgelist_format(tmp_path, capsys):

@@ -5,7 +5,8 @@ A prune only sees children of parents that passed it, so each gate walks
 every parent in the class and every neighbour subset of the new vertex, and
 compares the prune's verdict on the child with the full predicate's.  The
 kernel `class_e_through` is gated the same way, with the new vertex moved to
-other positions, and on the triangle minors of every class member.
+other positions, and on the triangle minors of every class member.  The thm31
+minor check must send every minor with a hole through z to `in_class_e`.
 """
 
 import functools
@@ -146,20 +147,22 @@ def _class_members():
 
 def _minor_disagreements(monkeypatch):
     """Runs thm31_minor_violations on every member with n <= 8 and yields each
-    eligible pair whose minor it skipped although z lies on a hole there, or
-    on which the kernel and in_class_e disagree."""
-    built = []
+    eligible pair whose minor never reached `minors.in_class_e` although z
+    lies on a hole there, or on which the kernel and in_class_e disagree."""
+    built, checked = [], []
     monkeypatch.setattr(
         minors, "triangle_minor", lambda g, z1, z2: built.append((z1, z2)) or triangle_minor(g, z1, z2)
     )
+    monkeypatch.setattr(minors, "in_class_e", lambda g: checked.append(built[-1]) or in_class_e(g))
     for g in _class_members():
         built.clear()
+        checked.clear()
         eligible = eligible_pairs(g)
         if minors.thm31_minor_violations(g) != (len(eligible), []):
             yield write_graph6(g), "count or violation"
         for pair in eligible:
             minor, z, _ = triangle_minor(g, pair.z1, pair.z2)
-            if (pair.z1, pair.z2) not in built and hole_through(minor, z):
+            if (pair.z1, pair.z2) not in checked and hole_through(minor, z):
                 yield write_graph6(g), (pair.z1, pair.z2), "skipped"
             if detectors.class_e_through(minor, z) != in_class_e(minor).member:
                 yield write_graph6(g), (pair.z1, pair.z2), "kernel"
@@ -199,6 +202,12 @@ KERNEL_MUTANTS = {
     "shortcut_common_at_most_2": (
         minors, "z_may_lie_on_hole",
         lambda pair: pair.common.bit_count() >= 3,
+        "minors",
+    ),
+    "minor_filter_skips_all": (minors, "hole_through", lambda g, v: False, "minors"),
+    "minor_filter_anchored_on_vertex_0": (
+        minors, "hole_through",
+        lambda g, v, through=detectors.hole_through: through(g, 0),
         "minors",
     ),
 }

@@ -1,12 +1,13 @@
 import hashlib
 import json
+import random
 
 import pytest
 
 from obstruction_lab import sweeps
-from obstruction_lab.detectors import in_class_e, validate_certificate
+from obstruction_lab.detectors import has_clique, in_class_e, validate_certificate
 from obstruction_lab.detectors import certificate_from_dict
-from obstruction_lab.graphs import parse_graph6
+from obstruction_lab.graphs import SimpleGraph, parse_graph6, write_graph6
 from obstruction_lab.minors import triangle_minor
 from obstruction_lab.sweeps import (
     SweepReport,
@@ -99,9 +100,36 @@ def test_sweep_obs51_small():
     assert r.details["fallbacks"] == 0
 
 
-def test_random_two_tree_always_valid():
-    import random
+def _obs51_hosts(seed, count):
+    """The hosts sweep_obs51 plants, drawn from its seeded stream as it draws them."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        tree = random_two_tree(rng, rng.randint(2, 9))
+        yield sweeps._plant_blurry_host(rng, tree)
 
+
+def test_planted_hosts_pinned_and_k4_free():
+    # sha256 pinned while each candidate still rescanned the whole mask for a triangle
+    digest = hashlib.sha256()
+    for host in _obs51_hosts(13, 2000):
+        assert has_clique(host, 4) is None
+        digest.update(write_graph6(host).encode() + b"\n")
+    assert digest.hexdigest() == "962ecfcd85f1f5fd22323d43620e089c4cf46a0c2ce16b04422ba3a4e129540c"
+
+
+def test_obs51_records_a_refused_witness(monkeypatch):
+    # a host without the spanning edge 0-1 fails clause B1 on every trial
+    def plant_without_edge_01(rng, tree):
+        return SimpleGraph.from_edges(tree.graph.n, [e for e in tree.graph.edges() if e != (0, 1)])
+
+    monkeypatch.setattr(sweeps, "_plant_blurry_host", plant_without_edge_01)
+    for seed in (1, 2):
+        report = sweep_obs51(50, seed)
+        assert (report.instances_checked, report.details["fallbacks"]) == (50, 0)
+        assert [(v["trial"], v["clause"]) for v in report.violations] == [(t, "B1") for t in range(50)]
+
+
+def test_random_two_tree_always_valid():
     rng = random.Random(5)
     for _ in range(50):
         t = random_two_tree(rng, rng.randint(2, 10))
@@ -132,6 +160,9 @@ PAYLOAD_PINS = {
                     "f1b6ecdeabddbef3bad52ba4908de31ff49e4e018373032a91f15d3aa6d474cb"),
     "c4_necessity-n7": (lambda: sweep_c4_necessity(7, threads=1),
                         "53c5ca571779c539decab2c7dc63c8110538c6e20a7de78c7397690ef636a846"),
+    # pinned while every blurry witness was still verified twice
+    "obs51-300-seed3": (lambda: sweep_obs51(300, seed=3),
+                        "638fa91dbf309ac1b6d110f954260ee9985236607b3dee1f8854302b6e091e0c"),
 }
 
 
