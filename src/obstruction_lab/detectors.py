@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterator
+from itertools import chain, combinations
+from typing import Generator, Iterator
 
 from .errors import ContractViolation
 from .graphs import SimpleGraph, bits, closed_neighborhood, is_induced_path, mask_of, write_graph6
@@ -109,23 +109,47 @@ def iter_holes(
 
     Canonical form: the cycle starts at its smallest vertex and runs toward
     the smaller of that vertex's two cycle-neighbors.  The search is lazy and
-    length-major: one explicit-stack DFS per length and anchor, so the first
-    short hole comes out before any longer one is looked for.  The arguments
-    are checked here, before any search; a bad one raises ContractViolation.
+    length-major: one explicit-stack DFS per length and live anchor, so the
+    first short hole comes out before any longer one is looked for.  The
+    arguments are checked here, before any search; a bad one raises
+    ContractViolation.
+
+    Dead anchors: an anchor whose length-L search never builds a path of
+    L - 1 vertices is the smallest vertex of no hole of length >= L, since
+    the first L - 1 vertices of such a hole are such a path under the same
+    constraints.  It is dropped for every longer length, and the search
+    stops once no anchor is live.  A length the parity skips is searched
+    only until each anchor first reaches L - 1 vertices, to learn which
+    anchors die there; lengths below min_len are not searched.
     """
     if min_len < 4:
         raise ContractViolation("holes have at least 4 vertices")
     if not isinstance(parity, str) or parity not in _PARITIES:
         raise ContractViolation(f"unknown hole parity {parity!r}")
     top = g.n if max_len is None else min(max_len, g.n)
-    lengths = [k for k in range(min_len, top + 1) if k % 2 in _PARITIES[parity]]
-    return (cyc for length in lengths for cyc in _holes_of_length(g, length))
+    return _live_anchor_holes(g, min_len, top, _PARITIES[parity])
 
 
-def _holes_of_length(g: SimpleGraph, length: int) -> Iterator[tuple[int, ...]]:
+def _live_anchor_holes(
+    g: SimpleGraph, min_len: int, top: int, parities: tuple[int, ...]
+) -> Iterator[tuple[int, ...]]:
+    live = g.vertices_mask
+    for length in range(min_len, top + 1):
+        if not live:
+            return
+        live = yield from _holes_of_length(g, length, live, length % 2 not in parities)
+
+
+def _holes_of_length(
+    g: SimpleGraph, length: int, live: int, probe: bool = False
+) -> Generator[tuple[int, ...], None, int]:
+    """Yields the holes of this length anchored at a live vertex, and returns
+    the mask of the anchors whose search built a path of length - 1 vertices.
+    A probe yields nothing and leaves each anchor at its first such path."""
     n, adj = g.n, g.adj
     closing = length - 1
-    for anchor in range(n - length + 1):
+    reached = 0
+    for anchor in bits(live & ((1 << (n - length + 1)) - 1)):
         above = ((1 << n) - 1) & ~((1 << (anchor + 1)) - 1)
         a_adj = adj[anchor]
         first = a_adj & above
@@ -149,6 +173,9 @@ def _holes_of_length(g: SimpleGraph, length: int) -> Iterator[tuple[int, ...]]:
                 if nxt:
                     stack.append((path, pmask, forbidden | adj[w], nxt))
                 continue
+            reached |= 1 << anchor
+            if probe:
+                break
             # the closing vertex exceeds path[1], fixing the orientation
             closers = adj[w] & a_adj & above & ~forbidden & ~pmask
             closers = closers >> (path[1] + 1) << (path[1] + 1)
@@ -156,6 +183,7 @@ def _holes_of_length(g: SimpleGraph, length: int) -> Iterator[tuple[int, ...]]:
                 low = closers & -closers
                 yield path + (low.bit_length() - 1,)
                 closers ^= low
+    return reached
 
 
 def find_hole(
@@ -569,7 +597,12 @@ def validate_prism(g: SimpleGraph, cert: Certificate) -> bool:
 def find_even_wheel(g: SimpleGraph) -> Certificate | None:
     """Hole C plus outside vertex with an even number (hence >= 4) of
     neighbors on C; holes are scanned shortest first (iterative deepening)."""
-    for cyc in iter_holes(g):
+    return _even_wheel_on(g, iter_holes(g))
+
+
+def _even_wheel_on(g: SimpleGraph, holes: Iterator[tuple[int, ...]]) -> Certificate | None:
+    """The first even wheel whose rim is one of `holes`, centre lowest first."""
+    for cyc in holes:
         cmask = mask_of(cyc)
         for v in range(g.n):
             if cmask >> v & 1:
@@ -603,17 +636,24 @@ class Verdict:
 
 def in_class_e(g: SimpleGraph) -> Verdict:
     """Membership in the (C4, theta, prism, even wheel)-free class; the first
-    violation is reported in the fixed order C4, theta, prism, even wheel."""
-    c4 = find_hole(g, min_len=4, max_len=4)
-    if c4 is not None:
-        return Verdict(False, c4)
+    violation is reported in the fixed order C4, theta, prism, even wheel.
+
+    One hole pass: the first hole is the C4 test, and the wheel scan goes on
+    from it.  A graph with no hole is a member, as every vertex of a theta or
+    a prism, and every rim vertex of a wheel, lies on a hole."""
+    holes = iter_holes(g)
+    first = next(holes, None)
+    if first is None:
+        return Verdict(True)
+    if len(first) == 4:
+        return Verdict(False, Certificate(HOLE, cycle=first))
     theta = find_theta(g)
     if theta is not None:
         return Verdict(False, theta)
     prism = find_prism(g)
     if prism is not None:
         return Verdict(False, prism)
-    wheel = find_even_wheel(g)
+    wheel = _even_wheel_on(g, chain((first,), holes))
     if wheel is not None:
         return Verdict(False, wheel)
     return Verdict(True)
@@ -632,6 +672,9 @@ def class_e_through(g: SimpleGraph, v: int) -> bool:
     """
     if hole_through(g, v):
         return in_class_e(g).member
+    # g[N(v)] lies in the C4-free g - v, so its even holes have >= 6 vertices
+    if g.adj[v].bit_count() < 6:
+        return True
     return find_hole(induced_subgraph(g, g.adj[v])[0], parity="even") is None
 
 

@@ -45,6 +45,7 @@ from obstruction_lab.graphs import (
     empty_graph,
     mask_of,
     path_graph,
+    write_graph6,
 )
 
 from conftest import all_graphs, diamond, random_graphs
@@ -359,14 +360,19 @@ def _detector_outputs(g: SimpleGraph) -> list:
 DETECTOR_PIN = "28129fd328fa80cfb91d91a9b0999cf56badb00da8bb11c33b7e37ad03f0f1db"
 
 
-def test_detector_output_pinned():
+def _pin_graphs():
+    return itertools.chain((g for n in range(1, 8) for g in all_graphs(n)), random_graphs(100, 1, (8, 14)))
+
+
+def _detector_digest() -> str:
     digest = hashlib.sha256()
-    graphs = itertools.chain(
-        (g for n in range(1, 8) for g in all_graphs(n)), random_graphs(100, 1, (8, 14))
-    )
-    for g in graphs:
+    for g in _pin_graphs():
         digest.update(repr(_detector_outputs(g)).encode())
-    assert digest.hexdigest() == DETECTOR_PIN
+    return digest.hexdigest()
+
+
+def test_detector_output_pinned():
+    assert _detector_digest() == DETECTOR_PIN
 
 
 def _necklace(k: int) -> SimpleGraph:
@@ -389,6 +395,96 @@ def test_iter_holes_is_lazy():
     assert time.perf_counter() - start < 0.5
     assert first == (0, 1, 3, 2)
     assert len(list(iter_holes(_necklace(6), min_len=5))) == 2**6
+
+
+def _window_mismatches():
+    """Each (graph, window) whose iter_holes differs from the default window's
+    holes filtered by length and parity, on the graphs of the pin."""
+    for g in _pin_graphs():
+        every = list(iter_holes(g))
+        for parity, a in itertools.product(("any", "even", "odd"), range(4, 9)):
+            for b in (a, a + 2, None):
+                want = [
+                    c for c in every
+                    if a <= len(c) <= (b or g.n) and parity in ("any", ("even", "odd")[len(c) % 2])
+                ]
+                if list(iter_holes(g, min_len=a, max_len=b, parity=parity)) != want:
+                    yield write_graph6(g), a, b, parity
+
+
+def test_iter_holes_window_matches_filtered_default():
+    assert next(_window_mismatches(), None) is None
+
+
+_KERNEL = detectors._holes_of_length
+
+
+def _lengths_searched(monkeypatch) -> list[int]:
+    """Spies on the per-length hole kernel; the list collects each length it
+    is called for, probes included."""
+    lengths = []
+
+    def spy(g, length, live, probe=False):
+        lengths.append(length)
+        return (yield from _KERNEL(g, length, live, probe))
+
+    monkeypatch.setattr(detectors, "_holes_of_length", spy)
+    return lengths
+
+
+def test_dead_anchors_end_the_search(monkeypatch):
+    # 42 disjoint triangles, as many as the vertex cap holds: no anchor
+    # builds a path of 3 vertices, so length 4 is the only one searched
+    lengths = _lengths_searched(monkeypatch)
+    edges = [(i + a, i + b) for i in range(0, 126, 3) for a, b in ((0, 1), (0, 2), (1, 2))]
+    assert list(iter_holes(SimpleGraph.from_edges(126, edges))) == []
+    assert lengths == [4]
+
+
+def test_find_hole_searches_no_length_below_min_len(monkeypatch):
+    lengths = _lengths_searched(monkeypatch)
+    g = SimpleGraph.from_edges(9, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 8), (8, 4)])
+    for k in range(4, 10):
+        lengths.clear()
+        find_hole(g, min_len=k)
+        assert lengths and min(lengths) == k
+
+
+def _closed_only(g, length, live, probe=False):
+    """An anchor stays live only if it closed a hole of this length."""
+    closed = 0
+    for cyc in _KERNEL(g, length, live, probe):
+        closed |= 1 << cyc[0]
+        yield cyc
+    return closed
+
+
+def _inverted(g, length, live, probe=False):
+    """The live anchors that built no path of length - 1 vertices."""
+    return live & ~(yield from _KERNEL(g, length, live, probe))
+
+
+def _one_length_early(g, length, live, probe=False):
+    """Keeps an anchor only if it reaches length + 1 vertices, the prefix of a
+    hole of length + 2, so an anchor of a hole of length + 1 is lost."""
+    reached = yield from _KERNEL(g, length, live, probe)
+    if length + 2 > g.n:
+        return 0
+    return (yield from _KERNEL(g, length + 2, reached, True))
+
+
+# each must fail the pin or the window test
+DEAD_ANCHOR_MUTANTS = {
+    "closed_only": _closed_only,
+    "inverted": _inverted,
+    "one_length_early": _one_length_early,
+}
+
+
+@pytest.mark.parametrize("name", DEAD_ANCHOR_MUTANTS)
+def test_pin_or_window_catches_dead_anchor_mutants(name, monkeypatch):
+    monkeypatch.setattr(detectors, "_holes_of_length", DEAD_ANCHOR_MUTANTS[name])
+    assert _detector_digest() != DETECTOR_PIN or next(_window_mismatches(), None) is not None
 
 
 @pytest.mark.parametrize("parity", ["even ", "EVEN", "", None, 0])

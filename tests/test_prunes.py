@@ -27,7 +27,14 @@ from obstruction_lab.detectors import (
     in_class_e,
 )
 from obstruction_lab.enumeration import expand_children
-from obstruction_lab.graphs import SimpleGraph, add_vertex, bits, cycle_graph, write_graph6
+from obstruction_lab.graphs import (
+    SimpleGraph,
+    add_vertex,
+    bits,
+    cycle_graph,
+    induced_subgraph,
+    write_graph6,
+)
 from obstruction_lab.minors import eligible_pairs, triangle_minor
 from obstruction_lab.sweeps import (
     PROCESSORS,
@@ -192,6 +199,13 @@ KERNEL_MUTANTS = {
     "no_neighbourhood_even_hole": (
         detectors, "class_e_through",
         lambda g, v: not hole_through(g, v) or in_class_e(g).member,
+        "kernel",
+    ),
+    "neighbourhood_bound_7": (
+        detectors, "class_e_through",
+        lambda g, v: in_class_e(g).member if hole_through(g, v) else (
+            g.adj[v].bit_count() < 7 or find_hole(induced_subgraph(g, g.adj[v])[0], parity="even") is None
+        ),
         "kernel",
     ),
     "anchored_on_vertex_0": (
