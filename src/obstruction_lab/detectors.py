@@ -207,25 +207,37 @@ def hole_through(g: SimpleGraph, v: int) -> bool:
     path through such a component between two non-adjacent attachments closes
     a hole with v.  One BFS over g - N[v] and one clique test per component.
     """
+    return _through(g, v, c4=False) is not None
+
+
+def _through(g: SimpleGraph, v: int, c4: bool) -> str | None:
+    """One pass over g - N[v]: "c4" when `c4` is set and some vertex there
+    has two non-adjacent neighbours in N(v), which close a C4 with v; else
+    "hole" when a hole runs through v (see hole_through); else None."""
     if not 0 <= v < g.n:
         raise ContractViolation("vertex out of range")
     adj = g.adj
     nv = adj[v]
     rest = g.vertices_mask & ~nv & ~(1 << v)
+    found = None
     while rest:
         comp = frontier = rest & -rest
         reach = 0
         while frontier:
             nxt = 0
             for u in bits(frontier):
+                if c4 and not is_clique(g, adj[u] & nv):
+                    return "c4"
                 nxt |= adj[u]
             reach |= nxt
             frontier = nxt & rest & ~comp
             comp |= frontier
         rest &= ~comp
         if not is_clique(g, reach & nv):
-            return True
-    return False
+            if not c4:
+                return "hole"
+            found = "hole"
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -282,25 +294,34 @@ def clique_number(g: SimpleGraph) -> int:
 
 
 def has_clique(g: SimpleGraph, t: int) -> Certificate | None:
+    """The lexicographically least K_t, or None.
+
+    Candidates are tried lowest first, each with its later common
+    neighbours; a vertex is branched on only when those can still complete
+    the clique, and a branch ends once too few candidates remain.  Only
+    branches holding no K_t are cut, so the first clique found is the least.
+    """
     if t < 1:
         raise ContractViolation("clique size must be >= 1")
     if g.n < t:
         return None
     adj = g.adj
 
-    def grow(current: int, cand: int) -> int | None:
-        if current.bit_count() == t:
-            return current
-        if current.bit_count() + cand.bit_count() < t:
-            return None
-        for v in bits(cand):
-            got = grow(current | (1 << v), cand & adj[v])
-            if got is not None:
-                return got
-            cand ^= 1 << v
+    def grow(current: int, need: int, cand: int) -> int | None:
+        # need >= 1 more vertices, all from cand, and |cand| >= need
+        if need == 1:
+            return current | (cand & -cand)
+        while cand.bit_count() >= need:
+            low = cand & -cand
+            cand ^= low
+            nxt = cand & adj[low.bit_length() - 1]
+            if nxt.bit_count() >= need - 1:
+                got = grow(current | low, need - 1, nxt)
+                if got is not None:
+                    return got
         return None
 
-    got = grow(0, g.vertices_mask)
+    got = grow(0, t, g.vertices_mask)
     if got is None:
         return None
     return Certificate(CLIQUE, vertices=tuple(bits(got)))
@@ -669,8 +690,15 @@ def class_e_through(g: SimpleGraph, v: int) -> bool:
     hole through v (the rim arc between two consecutive neighbours of v, closed
     by v), and it is then an even hole of g[N(v)]; conversely, an even hole of
     g[N(v)] is the rim of an even wheel centred at v.
+
+    A C4 of g runs through v too, so it is some x outside N[v] with two
+    non-adjacent neighbours in N(v); the pass that looks for a hole through v
+    looks for that x as well, and in_class_e only runs on the rest.
     """
-    if hole_through(g, v):
+    through = _through(g, v, c4=True)
+    if through == "c4":
+        return False
+    if through == "hole":
         return in_class_e(g).member
     # g[N(v)] lies in the C4-free g - v, so its even holes have >= 6 vertices
     if g.adj[v].bit_count() < 6:

@@ -32,6 +32,17 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+def relabel_mask(mask: int, bit_of: list[int]) -> int:
+    """A vertex-set mask carried to new labels: the union of bit_of[v] over
+    its members v, where bit_of[v] is 1 << (the new label of v)."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= bit_of[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 @dataclass(frozen=True)
 class SimpleGraph:
     """Undirected simple graph: vertex count plus one neighbor bitmask per vertex.

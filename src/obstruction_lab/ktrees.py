@@ -22,6 +22,7 @@ from .graphs import (
     induced_subgraph,
     mask_of,
     parse_graph6,
+    relabel_mask,
     write_graph6,
 )
 
@@ -74,8 +75,10 @@ def validate_ktree(g: SimpleGraph, k: int, order: tuple[int, ...]) -> tuple[bool
     if h == k:
         ok = is_clique(g, (1 << h) - 1)
         return ok, (None if ok else 0)
+    later = g.vertices_mask  # the vertices after position i: a shrinking suffix
     for i in range(h - k):
-        fwd = forward_neighbors(g, order, i)
+        later ^= 1 << order[i]
+        fwd = g.adj[order[i]] & later
         if fwd.bit_count() != k or not is_clique(g, fwd):
             return False, i + 1
     return True, None
@@ -204,10 +207,12 @@ def validate_embedding(host: SimpleGraph, pattern: SimpleGraph, emb: Embedding) 
         return False
     if any(not 0 <= v < host.n for v in emb):
         return False
-    for u in range(pattern.n):
-        for w in range(u + 1, pattern.n):
-            if pattern.has_edge(u, w) != host.has_edge(emb[u], emb[w]):
-                return False
+    # each pattern row, carried into the host, is the host row cut to the image
+    at = [1 << v for v in emb]
+    image = mask_of(emb)
+    for u, v in enumerate(emb):
+        if relabel_mask(pattern.adj[u], at) != host.adj[v] & image:
+            return False
     return True
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import ContractViolation
 from .graphs import SimpleGraph, bits, is_induced_path, mask_of, parse_graph6, write_graph6
-from .graphs import check_vertices, ints_from_json, ints_to_json
+from .graphs import check_vertices, ints_from_json, ints_to_json, relabel_mask
 from .ktrees import KTree, validate_ktree
 
 PathSeq = tuple[int, ...]
@@ -208,50 +208,64 @@ def verify_blurry(g: SimpleGraph, w: BlurryWitness) -> str | None:
     if sorted(w.target.order) != list(range(w.target.graph.n)):
         raise ContractViolation("target order must be a bijection on the target's vertices")
     h = len(w.zset)
-    if w.target.k != 2 or w.target.graph.n != h:
+    t = w.target
+    if t.k != 2 or t.graph.n != h:
         return "B1"
     pos = {v: i for i, v in enumerate(w.order)}
     y_adj = [0] * h
     for u, v in w.y_edges:
         if u not in pos or v not in pos:
             raise ContractViolation("spanning edge outside the induced set")
-        if not g.has_edge(u, v):
+        if not g.adj[u] >> v & 1:
             return "B1"
         y_adj[pos[u]] |= 1 << pos[v]
         y_adj[pos[v]] |= 1 << pos[u]
-    y_graph = SimpleGraph(h, tuple(y_adj))
-    ok, _ = validate_ktree(y_graph, 2, tuple(range(h)))
+    ok, _ = validate_ktree(SimpleGraph(h, tuple(y_adj)), 2, tuple(range(h)))
     if not ok:
         return "B1"
-    # isomorphic to the target respecting both orderings
-    t = w.target
+    # isomorphic to the target respecting both orderings: each target row,
+    # carried to order positions, is the 2-tree's row
+    t_at = [0] * h
+    for i, x in enumerate(t.order):
+        t_at[x] = 1 << i
+    for i, x in enumerate(t.order):
+        if relabel_mask(t.graph.adj[x], t_at) != y_adj[i]:
+            return "B1"
+    # the 2-tree is a subgraph of the host now, so a host edge it misses
+    # shows as a row with more host than tree neighbours in zset
+    if all((g.adj[u] & zmask).bit_count() == y_adj[i].bit_count() for i, u in enumerate(w.order)):
+        return None
+    at = [0] * g.n
+    for i, u in enumerate(w.order):
+        at[u] = 1 << i
+    host_rows = [relabel_mask(g.adj[u] & zmask, at) for u in w.order]
+    # each later host neighbour outside the 2-tree sees both forward
+    # neighbours of the earlier endpoint; the 2-tree check made them two,
+    # as an extra edge can only leave a position below h - 2
     for i in range(h):
-        for j in range(i + 1, h):
-            if y_graph.has_edge(i, j) != t.graph.has_edge(t.order[i], t.order[j]):
-                return "B1"
-    for i in range(h):
-        u = w.order[i]
-        for j in range(i + 1, h):
-            v = w.order[j]
-            if g.has_edge(u, v) and not y_graph.has_edge(i, j):
-                fwd = y_adj[i] >> (i + 1) << (i + 1)
-                if fwd.bit_count() != 2:
-                    return "B2"
-                for f in bits(fwd):
-                    if not g.has_edge(v, w.order[f]):
-                        return "B2"
+        fwd = y_adj[i] >> (i + 1) << (i + 1)
+        extra = (host_rows[i] & ~y_adj[i]) >> (i + 1) << (i + 1)
+        for j in bits(extra):
+            if fwd & ~host_rows[j]:
+                return "B2"
     return None
 
 
 def blurry_extra_edges(g: SimpleGraph, w: BlurryWitness) -> list[tuple[int, int]]:
-    """Host edges inside the induced set that the spanning 2-tree is missing."""
-    y_set = {frozenset(e) for e in w.y_edges}
+    """Host edges inside the induced set that the spanning 2-tree is missing,
+    each as (u, v) with u < v, in increasing order; zset is duplicate-free,
+    as verify_blurry requires."""
+    y_rows = dict.fromkeys(w.zset, 0)
+    for u, v in w.y_edges:
+        if u != v and u in y_rows and v in y_rows:
+            y_rows[u] |= 1 << v
+            y_rows[v] |= 1 << u
+    zmask = mask_of(w.zset)
     out = []
-    verts = sorted(w.zset)
-    for i, u in enumerate(verts):
-        for v in verts[i + 1 :]:
-            if g.has_edge(u, v) and frozenset((u, v)) not in y_set:
-                out.append((u, v))
+    for u in sorted(w.zset):
+        later = g.adj[u] & zmask & ~y_rows[u] & ~((2 << u) - 1)
+        if later:
+            out.extend((u, v) for v in bits(later))
     return out
 
 

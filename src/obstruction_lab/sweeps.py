@@ -360,14 +360,17 @@ def random_two_tree(rng: random.Random, h: int) -> KTree:
     """Random 2-tree grown by attaching each new vertex to a random edge."""
     if not 2 <= h <= MAX_VERTICES:
         raise ContractViolation(f"a random 2-tree has 2..{MAX_VERTICES} vertices, got {h}")
-    g = SimpleGraph.from_edges(2, [(0, 1)])
+    adj = [0] * h
+    adj[0], adj[1] = 0b10, 0b01
     edges = [(0, 1)]
     for v in range(2, h):
         u, w = edges[rng.randrange(len(edges))]
-        g = add_vertex(g, (1 << u) | (1 << w))
+        adj[u] |= 1 << v
+        adj[w] |= 1 << v
+        adj[v] = (1 << u) | (1 << w)
         edges.extend([(u, v), (w, v)])
     order = tuple(range(h - 1, -1, -1))
-    return KTree(g, 2, order)
+    return KTree(SimpleGraph(h, tuple(adj)), 2, order)
 
 
 def _plant_blurry_host(rng: random.Random, tree: KTree) -> SimpleGraph:

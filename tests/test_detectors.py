@@ -118,6 +118,29 @@ def test_clique_examples():
     assert has_clique(cycle_graph(5), 3) is None
 
 
+def least_clique(g, t):
+    """The lexicographically least K_t by exhaustion, or None: the reference
+    for has_clique's pruned search."""
+    for c in itertools.combinations(range(g.n), t):
+        if all(g.has_edge(u, v) for u, v in itertools.combinations(c, 2)):
+            return c
+    return None
+
+
+def test_has_clique_is_the_least_clique():
+    graphs = [g for n in range(1, 8) for g in all_graphs(n)] + list(random_graphs(300, 41, (8, 12)))
+    bad, sizes = [], []
+    for g in graphs:
+        for t in range(1, 6):
+            cert = has_clique(g, t)
+            if cert is not None:
+                sizes.append(t)
+            if (cert.vertices if cert else None) != least_clique(g, t):
+                bad.append((write_graph6(g), t))
+    assert bad == []
+    assert 5 in sizes
+
+
 def test_find_theta_examples():
     k23 = complete_bipartite(2, 3)
     cert = find_theta(k23)

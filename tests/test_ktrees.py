@@ -13,7 +13,9 @@ from obstruction_lab.graphs import (
     complete_graph,
     cycle_graph,
     empty_graph,
+    induced_subgraph,
     is_connected,
+    mask_of,
     path_graph,
 )
 from obstruction_lab.ktrees import (
@@ -21,6 +23,7 @@ from obstruction_lab.ktrees import (
     cone,
     contains_induced,
     embed_in_ktree,
+    forward_neighbors,
     gen_tdr,
     ktree_quotient,
     recognize_ktree,
@@ -28,7 +31,7 @@ from obstruction_lab.ktrees import (
     validate_ktree,
 )
 
-from conftest import all_graphs, diamond
+from conftest import all_graphs, diamond, random_graphs
 
 
 def brute_force_ktree_order(g: SimpleGraph, k: int):
@@ -122,6 +125,83 @@ def test_recognize_output_pinned():
     out = [recognize_ktree(g, k) for g in graphs for k in (1, 2, 3, 4)]
     assert sum(order is not None for order in out[-4 * len(trees) :]) >= len(trees)
     assert hashlib.sha256(repr(out).encode()).hexdigest() == RECOGNIZE_PIN
+
+
+def _pairwise_clique(g: SimpleGraph, vertices) -> bool:
+    return all(g.has_edge(u, v) for u, v in itertools.combinations(vertices, 2))
+
+
+def pairwise_validate_ktree(g: SimpleGraph, k: int, order):
+    """validate_ktree read off the definition: each forward neighbourhood
+    from forward_neighbors, its clique test pair by pair."""
+    if g.n < k:
+        return False, 0
+    if g.n == k:
+        ok = _pairwise_clique(g, range(g.n))
+        return ok, (None if ok else 0)
+    for i in range(g.n - k):
+        fwd = [v for v in range(g.n) if forward_neighbors(g, order, i) >> v & 1]
+        if len(fwd) != k or not _pairwise_clique(g, fwd):
+            return False, i + 1
+    return True, None
+
+
+def test_validate_ktree_matches_forward_neighbors():
+    rng = random.Random(33)
+    cases = []
+    for k in (1, 2, 3):
+        for _ in range(60):
+            g = random_ktree(rng, k, rng.randint(k, k + 8))
+            order = recognize_ktree(g, k)
+            swapped = list(order)
+            i, j = rng.randrange(g.n), rng.randrange(g.n)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            shuffled = tuple(rng.sample(order, g.n))
+            cases += [(g, k, order), (g, k, order[::-1]), (g, k, tuple(swapped)), (g, k, shuffled)]
+    for n in range(1, 7):
+        for g in all_graphs(n):
+            cases += [(g, k, tuple(rng.sample(range(n), n))) for k in (1, 2, 3)]
+    results = [validate_ktree(*case) for case in cases]
+    assert results == [pairwise_validate_ktree(*case) for case in cases]
+    assert {(True, None), (False, 0)} <= set(results)
+    assert len({bad for ok, bad in results if not ok}) > 5
+
+
+def pairwise_validate_embedding(host: SimpleGraph, pattern: SimpleGraph, emb) -> bool:
+    """validate_embedding read off the definition, pair by pair."""
+    if len(emb) != pattern.n or len(set(emb)) != pattern.n:
+        return False
+    if any(not 0 <= v < host.n for v in emb):
+        return False
+    return all(
+        pattern.has_edge(u, w) == host.has_edge(emb[u], emb[w])
+        for u, w in itertools.combinations(range(pattern.n), 2)
+    )
+
+
+def test_validate_embedding_matches_pairwise():
+    rng = random.Random(34)
+    cases = []
+    for host in random_graphs(300, 35, (1, 10)):
+        image = rng.sample(range(host.n), rng.randint(1, host.n))
+        pattern, emb = induced_subgraph(host, mask_of(image))
+        m = len(emb)
+        moved = list(emb)
+        moved[rng.randrange(m)] = rng.randrange(host.n + 1)  # may repeat or leave the host
+        toggled = list(pattern.adj)
+        if m >= 2:
+            toggled[0] ^= 2
+            toggled[1] ^= 1
+        cases += [
+            (host, pattern, emb),
+            (host, pattern, tuple(rng.sample(emb, m))),
+            (host, pattern, tuple(moved)),
+            (host, pattern, emb[:-1]),
+            (host, SimpleGraph(m, tuple(toggled)), emb),
+        ]
+    results = [validate_embedding(*case) for case in cases]
+    assert results == [pairwise_validate_embedding(*case) for case in cases]
+    assert results.count(True) > len(cases) // 5 and results.count(False) > len(cases) // 5
 
 
 def test_ktrees_are_connected_chordal_cliquefree():

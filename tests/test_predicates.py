@@ -1,7 +1,16 @@
+import json
+import os
+import random
+import subprocess
+import sys
+from itertools import combinations
+from pathlib import Path
+
 import pytest
 
+import obstruction_lab
 from obstruction_lab.errors import ContractViolation
-from obstruction_lab.graphs import SimpleGraph, complete_graph, cycle_graph, path_graph
+from obstruction_lab.graphs import SimpleGraph, check_vertices, complete_graph, cycle_graph, path_graph
 from obstruction_lab.ktrees import KTree, recognize_ktree
 from obstruction_lab.predicates import (
     Alignment,
@@ -20,8 +29,12 @@ from obstruction_lab.predicates import (
     witness_from_dict,
     witness_to_dict,
 )
+from obstruction_lab.sweeps import random_two_tree
 
 from conftest import diamond
+from test_ktrees import pairwise_validate_ktree
+
+SRC = str(Path(obstruction_lab.__file__).resolve().parents[1])
 
 
 def theta_with_pendant():
@@ -130,16 +143,41 @@ def test_blurry_witness_and_extra_edges():
     assert verify_blurry(dia, w3) == "B1"
 
 
-def test_blurry_b2_violation():
-    # path 0-1-2 plus 3 adjacent to 0 and 1: take the triangle 0,1,3 as the
-    # 2-tree and add vertex 2's stray edge into the set
+def test_blurry_missing_host_edge_gives_b1():
+    # the triangle 0,1,2 as the 2-tree, but 0-2 is not a host edge
     g = SimpleGraph.from_edges(5, [(0, 1), (0, 3), (1, 3), (1, 2), (0, 4), (2, 4)])
     tri = complete_graph(3)
     target = KTree(tri, 2, (2, 0, 1))
     w = BlurryWitness(
         zset=(0, 1, 2), y_edges=((0, 1), (1, 2), (0, 2)), order=(2, 0, 1), target=target
     )
-    assert verify_blurry(g, w) == "B1"  # 0-2 is not a host edge
+    assert verify_blurry(g, w) == "B1"
+
+
+def strip_b2_witness():
+    """The triangle strip on 0..4 as its own 2-tree copy, in a host with the
+    extra edge 0-4: vertex 4 misses 1, a forward neighbour of 0, so B2 fails."""
+    strip = SimpleGraph.from_edges(5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
+    order = (0, 1, 2, 3, 4)
+    w = BlurryWitness((0, 1, 2, 3, 4), tuple(strip.edges()), order, KTree(strip, 2, order))
+    return strip, SimpleGraph.from_edges(5, strip.edges() + [(0, 4)]), w
+
+
+def test_blurry_b2_violation():
+    strip, host, w = strip_b2_witness()
+    assert verify_blurry(strip, w) is None
+    assert verify_blurry(host, w) == "B2"
+
+
+def test_blurry_verdict_holds_under_python_O(tmp_path):
+    # the verifier's guards are checks, not asserts, so -O changes no verdict
+    _, host, w = strip_b2_witness()
+    path = tmp_path / "b2.json"
+    path.write_text(json.dumps(witness_to_dict(host, w)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-O", "-m", "obstruction_lab.cli", "verify", str(path)]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=120, env=env)
+    assert (done.returncode, done.stdout) == (1, "blurry: clause B2 violated\n"), done.stderr
 
 
 def test_strong_block_examples():
@@ -179,3 +217,123 @@ def test_witness_json_round_trip():
     w = BlurryWitness((0, 1, 2, 3), tuple(dia.edges()), order, KTree(dia, 2, order))
     g3, w3 = witness_from_dict(witness_to_dict(dia, w))
     assert w3 == w and verify_witness(g3, w3) is None
+
+
+# ---------------------------------------------------------------------------
+# the row-mask blurry kernels against their pairwise definitions
+
+
+def pairwise_verify_blurry(g, w):
+    """verify_blurry's clauses read pair by pair: the reference for the
+    row-mask verifier.  The range and bijection checks are shared."""
+    check_vertices(g, w.zset, 1, "zset")
+    check_vertices(g, w.order, 1, "order")
+    if len(set(w.zset)) != len(w.zset) or sorted(w.order) != sorted(w.zset):
+        raise ContractViolation("zset or order")
+    t = w.target
+    if sorted(t.order) != list(range(t.graph.n)):
+        raise ContractViolation("target order")
+    h = len(w.zset)
+    if t.k != 2 or t.graph.n != h:
+        return "B1"
+    pos = {v: i for i, v in enumerate(w.order)}
+    y_adj = [0] * h
+    for u, v in w.y_edges:
+        if u not in pos or v not in pos:
+            raise ContractViolation("spanning edge outside the induced set")
+        if not g.has_edge(u, v):
+            return "B1"
+        y_adj[pos[u]] |= 1 << pos[v]
+        y_adj[pos[v]] |= 1 << pos[u]
+    y_graph = SimpleGraph(h, tuple(y_adj))
+    if pairwise_validate_ktree(y_graph, 2, tuple(range(h))) != (True, None):
+        return "B1"
+    for i, j in combinations(range(h), 2):
+        if y_graph.has_edge(i, j) != t.graph.has_edge(t.order[i], t.order[j]):
+            return "B1"
+    for i, j in combinations(range(h), 2):
+        if g.has_edge(w.order[i], w.order[j]) and not y_graph.has_edge(i, j):
+            fwd = [f for f in range(i + 1, h) if y_graph.has_edge(i, f)]
+            if len(fwd) != 2 or not all(g.has_edge(w.order[j], w.order[f]) for f in fwd):
+                return "B2"
+    return None
+
+
+def pairwise_extra_edges(g, w):
+    y_set = {frozenset(e) for e in w.y_edges}
+    return [
+        (u, v)
+        for u, v in combinations(sorted(w.zset), 2)
+        if g.has_edge(u, v) and frozenset((u, v)) not in y_set
+    ]
+
+
+def _outcome(verify, g, w):
+    try:
+        return verify(g, w)
+    except ContractViolation:
+        return "ContractViolation"
+
+
+def _relabelled(t, perm):
+    """The same k-tree with vertex x renamed perm[x], its ordering carried along."""
+    adj = [0] * t.graph.n
+    for u, v in t.graph.edges():
+        adj[perm[u]] |= 1 << perm[v]
+        adj[perm[v]] |= 1 << perm[u]
+    return KTree(SimpleGraph(t.graph.n, tuple(adj)), t.k, tuple(perm[x] for x in t.order))
+
+
+def blurry_cases(seed, count):
+    """Seeded witnesses: a random 2-tree placed on random host vertices, the
+    host adding random edges inside and around the copy, then the witness
+    as it is and tampered (an edge dropped or added, a spanning edge cut
+    from the host, two order positions swapped, the target relabelled
+    consistently or not, an edge leaving the set, a repeated vertex)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        h = rng.randint(2, 8)
+        tree = random_two_tree(rng, h)
+        n = h + rng.randint(0, 3)
+        place = rng.sample(range(n), h)
+        y_edges = [(place[u], place[v]) for u, v in tree.graph.edges()]
+        noise = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < 0.08]
+        host = SimpleGraph.from_edges(n, {tuple(sorted(e)) for e in y_edges + noise})
+        zset = tuple(rng.sample(place, h))
+        order = tuple(place[x] for x in tree.order)
+        w = BlurryWitness(zset, tuple(y_edges), order, tree)
+        yield host, w
+        dropped = list(y_edges)
+        del dropped[rng.randrange(len(dropped))]
+        yield host, BlurryWitness(zset, tuple(dropped), order, tree)
+        cut = tuple(sorted(rng.choice(y_edges)))
+        yield SimpleGraph.from_edges(n, [e for e in host.edges() if e != cut]), w
+        u, v = rng.sample(place, 2) if h > 2 else (place[0], place[0])
+        yield host, BlurryWitness(zset, tuple(y_edges + [(u, v)]), order, tree)
+        i, j = rng.randrange(h), rng.randrange(h)
+        swapped = list(order)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        yield host, BlurryWitness(zset, tuple(y_edges), tuple(swapped), tree)
+        perm = rng.sample(range(h), h)
+        yield host, BlurryWitness(zset, tuple(y_edges), order, _relabelled(tree, perm))
+        moved = KTree(_relabelled(tree, perm).graph, 2, tree.order)
+        yield host, BlurryWitness(zset, tuple(y_edges), order, moved)
+        if n > h:
+            outside = next(x for x in range(n) if x not in place)
+            yield host, BlurryWitness(zset, tuple(y_edges + [(place[0], outside)]), order, tree)
+        yield host, BlurryWitness(zset[:-1] + zset[:1], tuple(y_edges), order, tree)
+
+
+def test_verify_blurry_matches_pairwise_clauses():
+    cases = list(blurry_cases(61, 400))
+    verdicts = [_outcome(verify_blurry, g, w) for g, w in cases]
+    assert verdicts == [_outcome(pairwise_verify_blurry, g, w) for g, w in cases]
+    assert set(verdicts) == {None, "B1", "B2", "ContractViolation"}
+    # some verified witnesses carry host edges beyond their 2-tree
+    assert any(v is None and pairwise_extra_edges(g, w) for v, (g, w) in zip(verdicts, cases))
+
+
+def test_blurry_extra_edges_matches_pairwise():
+    cases = [(g, w) for g, w in blurry_cases(62, 400) if len(set(w.zset)) == len(w.zset)]
+    assert [blurry_extra_edges(g, w) for g, w in cases] == [pairwise_extra_edges(g, w) for g, w in cases]
+    assert sum(bool(pairwise_extra_edges(g, w)) for g, w in cases) > len(cases) // 4

@@ -208,6 +208,13 @@ KERNEL_MUTANTS = {
         ),
         "kernel",
     ),
+    "c4_test_skips_clique_check": (
+        detectors, "class_e_through",
+        lambda g, v, kernel=detectors.class_e_through: kernel(g, v) and not any(
+            (g.adj[x] & g.adj[v]).bit_count() >= 2 for x in bits(g.vertices_mask & ~g.adj[v] & ~(1 << v))
+        ),
+        "kernel",
+    ),
     "anchored_on_vertex_0": (
         detectors, "class_e_through",
         lambda g, v, kernel=detectors.class_e_through: kernel(g, 0),
