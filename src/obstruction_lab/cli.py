@@ -158,7 +158,11 @@ def _cmd_embed(args) -> int:
 def _cmd_verify(args) -> int:
     """One `kind: …` line per object; a non-empty list, as `find --out`
     writes for several graphs, is checked element by element."""
-    doc = json.loads(_read_text(args.witness))
+    text = _read_text(args.witness)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ContractViolation("witness file nests JSON too deeply to decode") from None
     failed = [_verify_one(d) for d in (doc if isinstance(doc, list) and doc else [doc])]
     return EXIT_VIOLATION if any(failed) else EXIT_OK
 

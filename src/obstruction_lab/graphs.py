@@ -166,14 +166,10 @@ def induced_subgraph(g: SimpleGraph, subset: int) -> tuple[SimpleGraph, tuple[in
     if subset & ~g.vertices_mask:
         raise ContractViolation("subset has members outside the graph")
     keep = tuple(bits(subset))
-    pos = {v: i for i, v in enumerate(keep)}
-    adj = []
-    for v in keep:
-        row = 0
-        for u in bits(g.adj[v] & subset):
-            row |= 1 << pos[u]
-        adj.append(row)
-    return SimpleGraph(len(keep), tuple(adj)), keep
+    bit_of = [0] * g.n
+    for i, v in enumerate(keep):
+        bit_of[v] = 1 << i
+    return SimpleGraph(len(keep), tuple(relabel_mask(g.adj[v] & subset, bit_of) for v in keep)), keep
 
 
 def delete_vertex(g: SimpleGraph, v: int) -> SimpleGraph:
@@ -345,32 +341,15 @@ def parse_graph6(text: str) -> SimpleGraph:
     if len(data) - pos > nbytes:
         raise GraphFormatError(f"trailing bytes at offset {pos + nbytes}")
     adj = [0] * n
-    idx = 0
-    for k in range(nbytes):
-        val = data[pos + k] - 63
-        for shift in range(5, -1, -1):
-            if idx >= nbits:
-                if val >> shift & 1:
-                    raise GraphFormatError(f"nonzero padding bit at offset {pos + k}")
-                continue
-            if val >> shift & 1:
-                # bit idx corresponds to pair (i, j), column-major upper triangle
-                j = _col_of(idx)
-                i = idx - j * (j - 1) // 2
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            idx += 1
+    pairs = ((i, j) for j in range(1, n) for i in range(j))  # column-major upper triangle
+    stream = ((byte - 63) >> shift & 1 for byte in data[pos:] for shift in range(5, -1, -1))
+    for (i, j), bit in zip(pairs, stream):
+        if bit:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    if any(stream):  # what zip left of the stream is the last byte's padding
+        raise GraphFormatError(f"nonzero padding bit at offset {len(data) - 1}")
     return SimpleGraph(n, tuple(adj)).validate()
-
-
-def _col_of(idx: int) -> int:
-    # smallest j with j*(j+1)/2 > idx
-    j = int((2 * idx) ** 0.5)
-    while j * (j - 1) // 2 > idx:
-        j -= 1
-    while (j + 1) * j // 2 <= idx:
-        j += 1
-    return j
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .detectors import (
     iter_holes,
 )
 from .errors import ContractViolation
-from .graphs import SimpleGraph, bits, mask_of, write_graph6
+from .graphs import SimpleGraph, bits, delete_vertex, mask_of, write_graph6
 
 
 @dataclass(frozen=True)
@@ -101,26 +101,41 @@ def triangle_minor(g: SimpleGraph, z1: int, z2: int) -> tuple[SimpleGraph, int, 
         raise ContractViolation("need two distinct vertices")
     if not g.has_edge(z1, z2):
         raise ContractViolation("triangle minor requires an adjacent pair")
+    zid, gone = min(z1, z2), max(z1, z2)
     common = g.adj[z1] & g.adj[z2]
-    zid = min(z1, z2)
-    gone = max(z1, z2)
-    keep = [v for v in range(g.n) if v != gone]  # zid slot becomes z
-    pos = {v: i for i, v in enumerate(keep)}
-    adj = [0] * (g.n - 1)
-    z_new = pos[zid]
-    for v in keep:
-        if v == zid:
+    common = (common & ((1 << gone) - 1)) | (common >> (gone + 1)) << gone  # labels of g - gone
+    zbit = 1 << zid  # the zid slot becomes z: clear it everywhere, then mirror z's row
+    adj = [(row & ~zbit) | (common >> u & 1) << zid for u, row in enumerate(delete_vertex(g, gone).adj)]
+    adj[zid] = common
+    return SimpleGraph(g.n - 1, tuple(adj)), zid, tuple(v for v in range(g.n) if v != gone)
+
+
+def minors_through_z(g: SimpleGraph, pairs):
+    """(pair, minor) for each of `pairs` whose triangle minor has a hole
+    through z, in the order of `pairs`; every other minor has no obstruction.
+
+    Precondition: each pair is eligible, so z's neighbourhood, the common
+    neighbourhood, is stable; and g − {z1, z2} has none of the obstructions
+    the caller tests for (among C4, theta, prism and even wheel), as when g
+    has none of them.  Contracting z1z2 into z leaves minor − z =
+    g − {z1, z2}, so every such obstruction of the minor runs through z.
+    Every vertex of a C4, theta or prism and every rim vertex of a wheel lies
+    on a hole, and no wheel is centred at z, whose stable neighbourhood holds
+    no hole: with no hole through z the minor has none of them.  A pair with
+    at most one common neighbour (`z_may_lie_on_hole`) is skipped before its
+    minor is built.
+    """
+    for pair in pairs:
+        if not z_may_lie_on_hole(pair):
             continue
-        row = 0
-        for u in bits(g.adj[v]):
-            if u in (z1, z2):
-                continue
-            row |= 1 << pos[u]
-        adj[pos[v]] = row
-    for u in bits(common):
-        adj[z_new] |= 1 << pos[u]
-        adj[pos[u]] |= 1 << z_new
-    return SimpleGraph(g.n - 1, tuple(adj)), z_new, tuple(keep)
+        minor, z, _ = triangle_minor(g, pair.z1, pair.z2)
+        if hole_through(minor, z):
+            yield pair, minor
+
+
+def minor_record(g: SimpleGraph, pair: TrianglePair, minor: SimpleGraph, key: str, cert: dict) -> dict:
+    """The report entry of a minor check: host, pair, minor and `key`: cert."""
+    return {"graph6": write_graph6(g), "pair": [pair.z1, pair.z2], "minor_graph6": write_graph6(minor), key: cert}
 
 
 @dataclass
@@ -144,38 +159,19 @@ def check_thm31(g: SimpleGraph) -> Thm31Report:
     return Thm31Report(True, pairs_checked, violations)
 
 
-def thm31_minor_violations(g: SimpleGraph, mutate=None) -> tuple[int, list[dict]]:
+def thm31_minor_violations(g: SimpleGraph) -> tuple[int, list[dict]]:
     """Membership check of every eligible pair's minor, without re-checking
     that g itself is a member; returns (pairs checked, violation records).
 
-    Precondition: g is in E.  Then minor - z = g - {z1, z2} is in E too, so
-    with no hole through z the minor's only possible obstruction is an even
-    wheel centred at z with its rim in N(z) (`detectors.class_e_through`);
-    N(z) is the stable common neighbourhood, so that minor is a member.  Each
-    minor with a hole through z runs `in_class_e` once; when
-    `z_may_lie_on_hole` says there is none, the minor is not even built.  A
-    `mutate` hook can change the minor away from z, so its minors all run it.
+    Precondition: g is in E, so `minors_through_z` applies, and each minor it
+    yields runs `in_class_e` once, for its verdict and violation certificate.
     """
     pairs = eligible_pairs(g)
     violations = []
-    for pair in pairs:
-        if mutate is None and not z_may_lie_on_hole(pair):
-            continue
-        minor, z, _ = triangle_minor(g, pair.z1, pair.z2)
-        if mutate is not None:
-            minor = mutate(minor)
-        elif not hole_through(minor, z):
-            continue
+    for pair, minor in minors_through_z(g, pairs):
         verdict = in_class_e(minor)
         if not verdict.member:
-            violations.append(
-                {
-                    "graph6": write_graph6(g),
-                    "pair": [pair.z1, pair.z2],
-                    "minor_graph6": write_graph6(minor),
-                    "certificate": verdict.violation.to_dict(),
-                }
-            )
+            violations.append(minor_record(g, pair, minor, "certificate", verdict.violation.to_dict()))
     return len(pairs), violations
 
 

@@ -36,11 +36,12 @@ from .graphs import MAX_VERTICES, SimpleGraph, add_vertex, bits, induced_subgrap
 from .ktrees import KTree, embed_in_ktree, validate_embedding, validate_ktree
 from .minors import (
     eligible_pairs,
+    minor_record,
+    minors_through_z,
     thm31_minor_violations,
     thm32_instances,
     thm32_verdict,
     triangle_minor,
-    z_may_lie_on_hole,
 )
 from .predicates import BlurryWitness, verify_blurry
 
@@ -167,10 +168,24 @@ def corrupt_toggle_01(minor: SimpleGraph) -> SimpleGraph:
     return SimpleGraph(minor.n, tuple(adj))
 
 
-def process_thm31(g: SimpleGraph, mutate=None):
+def process_thm31(g: SimpleGraph):
     # the prune already established membership, so no check_thm31 precondition
-    instances, violations = thm31_minor_violations(g, mutate)
+    instances, violations = thm31_minor_violations(g)
     return instances, violations, []
+
+
+def process_thm31_mutated(g: SimpleGraph):
+    """Fault injection: every eligible pair's minor, corrupted by
+    `corrupt_toggle_01`, runs `in_class_e`, so a sweep that reports no
+    violation here has stopped reporting them."""
+    pairs = eligible_pairs(g)
+    violations = []
+    for pair in pairs:
+        minor = corrupt_toggle_01(triangle_minor(g, pair.z1, pair.z2)[0])
+        verdict = in_class_e(minor)
+        if not verdict.member:
+            violations.append(minor_record(g, pair, minor, "certificate", verdict.violation.to_dict()))
+    return len(pairs), violations, []
 
 
 def process_thm32(g: SimpleGraph):
@@ -221,31 +236,16 @@ def process_embed(g: SimpleGraph, k: int):
 
 def process_c4_necessity(g: SimpleGraph):
     # host must carry an induced C4; the prune already guarantees
-    # (theta, prism, even-wheel)-freeness
+    # (theta, prism, even-wheel)-freeness, so minors_through_z applies
     if find_hole(g, min_len=4, max_len=4) is None:
         return 0, [], []
+    pairs = eligible_pairs(g)
     findings = []
-    instances = 0
-    for pair in eligible_pairs(g):
-        instances += 1
-        # minor - z is an induced subgraph of the theta-free g, so a theta of
-        # the minor runs through z, and every theta vertex lies on a hole
-        if not z_may_lie_on_hole(pair):
-            continue
-        minor, z, _ = triangle_minor(g, pair.z1, pair.z2)
-        if not hole_through(minor, z):
-            continue
+    for pair, minor in minors_through_z(g, pairs):
         theta = find_theta(minor)
         if theta is not None:
-            findings.append(
-                {
-                    "graph6": write_graph6(g),
-                    "pair": [pair.z1, pair.z2],
-                    "minor_graph6": write_graph6(minor),
-                    "theta": theta.to_dict(),
-                }
-            )
-    return instances, [], findings
+            findings.append(minor_record(g, pair, minor, "theta", theta.to_dict()))
+    return len(pairs), [], findings
 
 
 PROCESSORS = {
@@ -310,11 +310,9 @@ def _run_levels(name: str, max_n: int, threads: int | None, stages, stop_when=No
 
 def sweep_thm31(max_n: int, threads: int | None = None, mutate: bool = False) -> SweepReport:
     """Every class member's eligible-pair minor stays in the class."""
-    name = "thm31_mutated" if mutate else "thm31"
-    prune, processor = PROCESSORS["thm31"]
     if mutate:
-        processor = partial(processor, mutate=corrupt_toggle_01)
-    return _run_levels(name, max_n, threads, (prune, processor))
+        return _run_levels("thm31_mutated", max_n, threads, (prune_class_e, process_thm31_mutated))
+    return _run_levels("thm31", max_n, threads, PROCESSORS["thm31"])
 
 
 def sweep_thm32(max_n: int, threads: int | None = None) -> SweepReport:

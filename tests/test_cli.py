@@ -377,6 +377,8 @@ MALFORMED_INPUTS = {
         "kind": "blurry", "graph6": K2, "zset": [0, 1], "y_edges": [[0, 1]], "order": [0, 1],
         "target_graph6": K2, "target_k": 2, "target_order": [0, 1, 1],
     }),
+    # nested past the JSON decoder's depth, so given as text
+    "json-nested-200000-deep": ("verify", "[" * 200000 + "\n"),
 }
 
 
@@ -384,11 +386,10 @@ MALFORMED_INPUTS = {
 def test_malformed_input_is_usage_error(case, tmp_path, capsys):
     command, doc = MALFORMED_INPUTS[case]
     p = tmp_path / "input"
+    p.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     if command == "verify":
-        p.write_text(json.dumps(doc))
         argv = ["verify", str(p)]
     else:
-        p.write_text(doc)
         host = tmp_path / "k3.g6"
         host.write_text(write_graph6(complete_graph(3)) + "\n")
         argv = ["grow", "--target", str(p), str(host)]

@@ -147,6 +147,17 @@ def test_delete_vertex_matches_induced_subgraph():
             assert direct == generic
 
 
+def test_induced_subgraph_matches_definition_n7():
+    # new vertex a is keep[a], the a-th member of the subset, and a, b are
+    # adjacent exactly when keep[a], keep[b] are
+    for n in range(1, 8):
+        for g in all_graphs(n):
+            for subset in range(1 << n):
+                keep = tuple(v for v in range(n) if subset >> v & 1)
+                rows = tuple(sum(1 << b for b, y in enumerate(keep) if g.has_edge(x, y)) for x in keep)
+                assert induced_subgraph(g, subset) == (SimpleGraph(len(keep), rows), keep)
+
+
 def test_bits_iteration():
     assert list(bits(0b10110)) == [1, 2, 4]
     assert mask_of([1, 2, 4]) == 0b10110

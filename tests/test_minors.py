@@ -51,6 +51,32 @@ def test_triangle_minor_contract():
         triangle_minor(cycle_graph(4), 1, 1)
 
 
+def _minor_by_definition(g, z1, z2):
+    """Delete max(z1, z2), keep the other vertices in order, and give the
+    vertex min(z1, z2) exactly the common neighbours of z1 and z2."""
+    keep = tuple(v for v in range(g.n) if v != max(z1, z2))
+    common = g.adj[z1] & g.adj[z2]
+
+    def adjacent(x, y):
+        if min(z1, z2) in (x, y):
+            return bool(common >> (x + y - min(z1, z2)) & 1)
+        return g.has_edge(x, y)
+
+    edges = [(a, b) for b in range(len(keep)) for a in range(b) if adjacent(keep[a], keep[b])]
+    return SimpleGraph.from_edges(len(keep), edges), keep.index(min(z1, z2)), keep
+
+
+def test_triangle_minor_matches_definition_n7():
+    pairs = 0
+    for n in range(1, 8):
+        for g in all_graphs(n):
+            for z1, z2 in g.edges():
+                for a, b in ((z1, z2), (z2, z1)):
+                    assert triangle_minor(g, a, b) == _minor_by_definition(g, a, b)
+                    pairs += 1
+    assert pairs == 24684
+
+
 def test_eligible_pairs_examples():
     assert len(eligible_pairs(complete_graph(3))) == 3
     assert len(eligible_pairs(complete_graph(4))) == 0

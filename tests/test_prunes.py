@@ -6,7 +6,9 @@ every parent in the class and every neighbour subset of the new vertex, and
 compares the prune's verdict on the child with the full predicate's.  The
 kernel `class_e_through` is gated the same way, with the new vertex moved to
 other positions, and on the triangle minors of every class member.  The thm31
-minor check must send every minor with a hole through z to `in_class_e`.
+minor check must send every minor with a hole through z to `in_class_e`, and
+the C4-necessity search must find the thetas that `find_theta` finds on every
+eligible pair's minor.
 """
 
 import functools
@@ -175,6 +177,36 @@ def _minor_disagreements(monkeypatch):
                 yield write_graph6(g), (pair.z1, pair.z2), "kernel"
 
 
+@functools.cache
+def _c4_hosts():
+    """Every theta-, prism- and even-wheel-free graph with n <= 8 that has an
+    induced C4: the hosts of the C4-necessity search, walked with its prune,
+    which the gates above tie to the full predicate."""
+    level, out = [SimpleGraph(0, ())], []
+    for _ in range(8):
+        level = [c for p in level for c in expand_children(p, prune_tpw_free)]
+        out += [g for g in level if find_hole(g, min_len=4, max_len=4) is not None]
+    return tuple(out)
+
+
+def _c4_disagreements():
+    """Yields each host on which `process_c4_necessity` differs from
+    find_theta run on the minor of every eligible pair."""
+    for g in _c4_hosts():
+        pairs = eligible_pairs(g)
+        findings = []
+        for pair in pairs:
+            minor = triangle_minor(g, pair.z1, pair.z2)[0]
+            theta = find_theta(minor)
+            if theta is not None:
+                findings.append({
+                    "graph6": write_graph6(g), "pair": [pair.z1, pair.z2],
+                    "minor_graph6": write_graph6(minor), "theta": theta.to_dict(),
+                })
+        if sweeps.process_c4_necessity(g) != (len(pairs), [], findings):
+            yield write_graph6(g)
+
+
 def test_kernel_matches_in_class_e_with_v_anywhere():
     assert list(_kernel_disagreements()) == []
 
@@ -189,54 +221,64 @@ def test_no_hole_through_v_means_no_theta():
     assert bad == []
 
 
+def test_c4_search_on_every_minor_n8():
+    assert sum(len(eligible_pairs(g)) for g in _c4_hosts()) == 14229
+    assert list(_c4_disagreements()) == []
+
+
 def test_kernel_on_every_minor_n8(monkeypatch):
     assert sum(len(eligible_pairs(g)) for g in _class_members()) == 9873
     assert list(_minor_disagreements(monkeypatch)) == []
 
 
-# each mutant, and the gate that must catch it
+# each mutant, and the gates that must each catch it
 KERNEL_MUTANTS = {
     "no_neighbourhood_even_hole": (
         detectors, "class_e_through",
         lambda g, v: not hole_through(g, v) or in_class_e(g).member,
-        "kernel",
+        ("kernel",),
     ),
     "neighbourhood_bound_7": (
         detectors, "class_e_through",
         lambda g, v: in_class_e(g).member if hole_through(g, v) else (
             g.adj[v].bit_count() < 7 or find_hole(induced_subgraph(g, g.adj[v])[0], parity="even") is None
         ),
-        "kernel",
+        ("kernel",),
     ),
     "c4_test_skips_clique_check": (
         detectors, "class_e_through",
         lambda g, v, kernel=detectors.class_e_through: kernel(g, v) and not any(
             (g.adj[x] & g.adj[v]).bit_count() >= 2 for x in bits(g.vertices_mask & ~g.adj[v] & ~(1 << v))
         ),
-        "kernel",
+        ("kernel",),
     ),
     "anchored_on_vertex_0": (
         detectors, "class_e_through",
         lambda g, v, kernel=detectors.class_e_through: kernel(g, 0),
-        "kernel",
+        ("kernel",),
     ),
     "shortcut_common_at_most_2": (
         minors, "z_may_lie_on_hole",
         lambda pair: pair.common.bit_count() >= 3,
-        "minors",
+        ("minors", "c4"),
     ),
-    "minor_filter_skips_all": (minors, "hole_through", lambda g, v: False, "minors"),
+    "minor_filter_skips_all": (minors, "hole_through", lambda g, v: False, ("minors", "c4")),
     "minor_filter_anchored_on_vertex_0": (
         minors, "hole_through",
         lambda g, v, through=detectors.hole_through: through(g, 0),
-        "minors",
+        ("minors",),
     ),
 }
 
 
 @pytest.mark.parametrize("name", KERNEL_MUTANTS)
 def test_kernel_gates_catch_mutants(name, monkeypatch):
-    module, attr, mutant, gate = KERNEL_MUTANTS[name]
+    module, attr, mutant, gates = KERNEL_MUTANTS[name]
     monkeypatch.setattr(module, attr, mutant)
-    gate = _kernel_disagreements() if gate == "kernel" else _minor_disagreements(monkeypatch)
-    assert next(gate, None) is not None
+    for gate in gates:
+        found = {
+            "kernel": _kernel_disagreements,
+            "minors": partial(_minor_disagreements, monkeypatch),
+            "c4": _c4_disagreements,
+        }[gate]()
+        assert next(found, None) is not None, gate

@@ -160,6 +160,11 @@ PAYLOAD_PINS = {
                     "f1b6ecdeabddbef3bad52ba4908de31ff49e4e018373032a91f15d3aa6d474cb"),
     "c4_necessity-n7": (lambda: sweep_c4_necessity(7, threads=1),
                         "53c5ca571779c539decab2c7dc63c8110538c6e20a7de78c7397690ef636a846"),
+    # pinned while the fault injection was still a hook inside the thm31 minor check
+    "thm31_mutated-n5": (lambda: sweep_thm31(5, threads=1, mutate=True),
+                         "9c3c39a1fa187ccaf0098880be7b6c7d2cc628c423bc4e9671b0201eecbb0b48"),
+    "thm31_mutated-n6": (lambda: sweep_thm31(6, threads=1, mutate=True),
+                         "f1a51e375c0436d073839d3bc876ffa6cb9c8893eebc44254c85d6e156e4a3b7"),
     # pinned while every blurry witness was still verified twice
     "obs51-300-seed3": (lambda: sweep_obs51(300, seed=3),
                         "638fa91dbf309ac1b6d110f954260ee9985236607b3dee1f8854302b6e091e0c"),
