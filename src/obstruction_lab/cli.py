@@ -53,6 +53,13 @@ def _check_writable(path: str | None) -> None:
         os.remove(path)
 
 
+def _write_json(path: str, doc) -> None:
+    """The one JSON writer for `--out` files: indented, newline-terminated."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
 def _read_graphs(path: str, fmt: str) -> Iterator[tuple[int, SimpleGraph]]:
     """(line number, graph) for each non-blank graph6 line, read and parsed
     one line at a time; a malformed line raises GraphFormatError naming its
@@ -132,9 +139,7 @@ def _cmd_find(args) -> int:
         if not found:
             print("nothing found; no witness file written", file=sys.stderr)
         else:
-            with open(args.out, "w") as fh:
-                json.dump(found[0] if len(found) == 1 else found, fh, indent=2)
-                fh.write("\n")
+            _write_json(args.out, found[0] if len(found) == 1 else found)
     return EXIT_OK
 
 
@@ -186,13 +191,22 @@ def _verify_one(doc) -> bool:
     return bad is not None
 
 
+_SWEEPS = {
+    "thm31": lambda args: sweeps.sweep_thm31(args.max_n, args.threads, args.mutate),
+    "thm32": lambda args: sweeps.sweep_thm32(args.max_n, args.threads),
+    "even-hole-subset": lambda args: sweeps.sweep_even_hole_subset_E(args.max_n, args.threads),
+    "embed": lambda args: sweeps.sweep_embed(args.max_n, args.k, args.threads),
+    "c4-necessity": lambda args: sweeps.sweep_c4_necessity(args.max_n, args.threads),
+    "obs51": lambda args: sweeps.sweep_obs51(args.trials, args.seed),
+}
+
+
 def _cmd_sweep(args) -> int:
     _check_writable(args.out)
-    _check_writable(args.out_archive)
-    report = sweeps.SWEEPS[args.suite](args)
+    report = _SWEEPS[args.suite](args)
     print(report.summary())
     if args.out:
-        report.write(args.out)
+        _write_json(args.out, report.to_dict())
     if args.suite == "c4-necessity" and not report.findings:
         print("no exemplar found", file=sys.stderr)
         return EXIT_VIOLATION
@@ -264,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("sweep", help="run a named theorem suite")
-    p.add_argument("suite", choices=sorted(sweeps.SWEEPS))
+    p.add_argument("suite", choices=sorted(_SWEEPS))
     p.add_argument("--max-n", type=int, default=8, dest="max_n")
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--trials", type=int, default=10000)
@@ -272,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--mutate", action="store_true", help="fault-injection self-test")
     p.add_argument("--out", help="write the JSON report here")
-    p.add_argument("--out-archive", help="archive c4-necessity exemplars here")
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("gen", help="generate cone | tdr | ktree-random | random-graph")

@@ -12,8 +12,17 @@ twin swap it skips, and for each leaf whose certificate ties the best, the
 map best_lab[i] -> lab[i].  Generation follows the canonical-construction-path
 rule: a child produced by adding one vertex v to a canonical parent is kept
 iff deleting the child's canonical-last vertex lands back in the parent's
-isomorphism class, with a per-parent certificate set deduplicating additions
-that differ only by an automorphism of the parent.
+isomorphism class, with a per-parent certificate set, `seen`, keeping one
+child of each class.
+
+`seen` is not redundant with the orbit filter below.  Two subsets in
+different Aut(parent) orbits give isomorphic children when the new vertex v
+is pseudo-similar to another child vertex w: the two lie in different
+automorphism orbits, yet deleting either leaves the parent.  Both children
+then pass the deletion test.  This first happens at n = 8, where `seen`
+rejects 5 children of the unpruned enumeration.  So a child can be accepted
+without its certificate only when no such w can exist, as when v has the
+unique maximum degree and every isomorphism fixes it.
 
 Two exact filters run on the neighbour subset before the child is built:
 
@@ -39,7 +48,7 @@ from functools import lru_cache
 from typing import Callable, Iterator
 
 from .errors import ContractViolation
-from .graphs import SimpleGraph, add_vertex, delete_vertex
+from .graphs import SimpleGraph, add_vertex, delete_vertex, relabel_mask
 
 ENUMERATION_CAP = 10
 
@@ -174,6 +183,7 @@ def expand_children(
     out = []
     seen: set[int] = set()
     parent_cert, _, gens = _canonical_cached(parent.n, parent.adj)
+    gen_bits = [[1 << image for image in perm] for perm in gens]
     done: set[int] = set()
     new_v = parent.n
     # v needs degree >= every child degree: above top, or equal to it when
@@ -185,10 +195,10 @@ def expand_children(
         d = subset.bit_count()
         if d < top or d == top and subset & top_mask:
             continue
-        if gens:
+        if gen_bits:
             if subset in done:
                 continue
-            _close_orbit(subset, gens, done)
+            _close_orbit(subset, gen_bits, done)
         child = add_vertex(parent, subset)
         if prune is not None and not prune(child):
             continue
@@ -207,17 +217,15 @@ def expand_children(
     return out
 
 
-def _close_orbit(subset: int, gens: tuple[Perm, ...], done: set[int]) -> None:
-    """Add the orbit of `subset` under the group `gens` generate to `done`."""
+def _close_orbit(subset: int, gen_bits: list[list[int]], done: set[int]) -> None:
+    """Add the orbit of `subset` to `done`, under the group generated by
+    permutations given as `relabel_mask` tables (bit_of[u] = 1 << image of u)."""
     done.add(subset)
     stack = [subset]
     while stack:
         s = stack.pop()
-        for perm in gens:
-            t = 0
-            for u, image in enumerate(perm):
-                if s >> u & 1:
-                    t |= 1 << image
+        for bit_of in gen_bits:
+            t = relabel_mask(s, bit_of)
             if t not in done:
                 done.add(t)
                 stack.append(t)

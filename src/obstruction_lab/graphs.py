@@ -185,24 +185,6 @@ def delete_vertex(g: SimpleGraph, v: int) -> SimpleGraph:
     return SimpleGraph(g.n - 1, tuple(adj))
 
 
-def is_anticomplete(g: SimpleGraph, xs: int, ys: int) -> bool:
-    if xs & ys:
-        raise ContractViolation("anticomplete check requires disjoint sets")
-    for v in bits(xs):
-        if g.adj[v] & ys:
-            return False
-    return True
-
-
-def is_complete_to(g: SimpleGraph, xs: int, ys: int) -> bool:
-    if xs & ys:
-        raise ContractViolation("complete check requires disjoint sets")
-    for v in bits(xs):
-        if g.adj[v] & ys != ys:
-            return False
-    return True
-
-
 def is_induced_path(g: SimpleGraph, seq: tuple[int, ...]) -> bool:
     """True iff consecutive vertices are adjacent and non-consecutive ones are not."""
     k = len(seq)

@@ -3,9 +3,9 @@
 Enumeration-backed sweeps walk the canonical generation tree level by level
 with a hereditary prune, so "all graphs up to n" is covered exactly once per
 isomorphism class while only the relevant hereditary class is materialized.
-Work is partitioned by parent graph; partial results merge associatively and
-violations are canonically sorted, so serial and parallel runs produce the
-same canonical report.
+Work is partitioned by parent graph and results merge in parent order, which
+`Pool.map` keeps, so serial and parallel runs collect the same entries in
+the same order; the report document sorts them.
 """
 
 from __future__ import annotations
@@ -75,32 +75,30 @@ class SweepReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def to_dict(self, include_wall: bool = True) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        """The report document, violations and findings each sorted by their
+        JSON, so it does not depend on the order the sweep found them in."""
+
+        def by_json(entries: list[dict]) -> list[dict]:
+            return sorted(entries, key=lambda e: json.dumps(e, sort_keys=True))
+
+        return {
             "schema": REPORT_SCHEMA,
             "sweep": self.name,
             "max_n": self.max_n,
             "graphs_examined": self.graphs_examined,
             "instances_checked": self.instances_checked,
-            "violations": self.violations,
-            "findings": self.findings,
+            "violations": by_json(self.violations),
+            "findings": by_json(self.findings),
             "details": self.details,
+            "wall_time_s": round(self.wall_time_s, 3),
         }
-        if include_wall:
-            out["wall_time_s"] = round(self.wall_time_s, 3)
-        return out
 
     def canonical_json(self) -> str:
-        """Deterministic payload: wall time stripped, entries sorted."""
-        out = self.to_dict(include_wall=False)
-        out["violations"] = sorted(out["violations"], key=lambda v: json.dumps(v, sort_keys=True))
-        out["findings"] = sorted(out["findings"], key=lambda v: json.dumps(v, sort_keys=True))
+        """Deterministic payload: the document without its wall time."""
+        out = self.to_dict()
+        del out["wall_time_s"]
         return json.dumps(out, sort_keys=True)
-
-    def write(self, path: str):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
 
     def summary(self) -> str:
         state = "ok" if self.ok else f"{len(self.violations)} violation(s)"
@@ -302,8 +300,6 @@ def _run_levels(name: str, max_n: int, threads: int | None, stages, stop_when=No
             report.graphs_examined += len(level)
             per_n[n] = len(level)
     report.details["graphs_per_n"] = per_n
-    report.violations.sort(key=lambda v: json.dumps(v, sort_keys=True))
-    report.findings.sort(key=lambda v: json.dumps(v, sort_keys=True))
     report.wall_time_s = time.perf_counter() - t0
     return report
 
@@ -337,17 +333,12 @@ def sweep_embed(max_n: int, k: int, threads: int | None = None) -> SweepReport:
     return report
 
 
-def sweep_c4_necessity(max_n: int, threads: int | None = None, archive_path: str | None = None) -> SweepReport:
+def sweep_c4_necessity(max_n: int, threads: int | None = None) -> SweepReport:
     """Search for a (theta, prism, even-wheel)-free host with an induced C4
     whose eligible-pair minor contains a theta; stops at the first vertex
-    count that yields exemplars."""
+    count that yields exemplars, which are the report's findings."""
     name = "c4_necessity"
-    report = _run_levels(name, max_n, threads, PROCESSORS[name], stop_when=lambda r: bool(r.findings))
-    if archive_path and report.findings:
-        with open(archive_path, "w") as fh:
-            json.dump({"schema": REPORT_SCHEMA, "exemplars": report.findings}, fh, indent=2)
-            fh.write("\n")
-    return report
+    return _run_levels(name, max_n, threads, PROCESSORS[name], stop_when=lambda r: bool(r.findings))
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +347,11 @@ def sweep_c4_necessity(max_n: int, threads: int | None = None, archive_path: str
 
 def random_two_tree(rng: random.Random, h: int) -> KTree:
     """Random 2-tree grown by attaching each new vertex to a random edge."""
+    return _two_tree(rng, h)[0]
+
+
+def _two_tree(rng: random.Random, h: int) -> tuple[KTree, list[tuple[int, int]]]:
+    """`random_two_tree` with the edge list it grows the tree from."""
     if not 2 <= h <= MAX_VERTICES:
         raise ContractViolation(f"a random 2-tree has 2..{MAX_VERTICES} vertices, got {h}")
     adj = [0] * h
@@ -368,7 +364,7 @@ def random_two_tree(rng: random.Random, h: int) -> KTree:
         adj[v] = (1 << u) | (1 << w)
         edges.extend([(u, v), (w, v)])
     order = tuple(range(h - 1, -1, -1))
-    return KTree(SimpleGraph(h, tuple(adj)), 2, order)
+    return KTree(SimpleGraph(h, tuple(adj)), 2, order), edges
 
 
 def _plant_blurry_host(rng: random.Random, tree: KTree) -> SimpleGraph:
@@ -398,11 +394,11 @@ def sweep_obs51(trials: int, seed: int) -> SweepReport:
     rng = random.Random(seed)
     for trial in range(trials):
         h = rng.randint(2, 9)
-        tree = random_two_tree(rng, h)
+        tree, edges = _two_tree(rng, h)
         host = _plant_blurry_host(rng, tree)
         witness = BlurryWitness(
             zset=tuple(range(h)),
-            y_edges=tuple(tree.graph.edges()),
+            y_edges=tuple(edges),
             order=tree.order,
             target=tree,
         )
@@ -424,12 +420,3 @@ def sweep_obs51(trials: int, seed: int) -> SweepReport:
     report.wall_time_s = time.perf_counter() - t0
     return report
 
-
-SWEEPS = {
-    "thm31": lambda args: sweep_thm31(args.max_n, args.threads, getattr(args, "mutate", False)),
-    "thm32": lambda args: sweep_thm32(args.max_n, args.threads),
-    "even-hole-subset": lambda args: sweep_even_hole_subset_E(args.max_n, args.threads),
-    "embed": lambda args: sweep_embed(args.max_n, args.k, args.threads),
-    "c4-necessity": lambda args: sweep_c4_necessity(args.max_n, args.threads, args.out_archive),
-    "obs51": lambda args: sweep_obs51(args.trials, args.seed),
-}

@@ -277,6 +277,14 @@ def test_sweep_cli(tmp_path, capsys):
     assert code == 1  # injected fault must surface as a violation exit
 
 
+def test_sweep_c4_necessity_without_exemplar_exits_1(tmp_path, capsys):
+    # the first exemplars are on 8 vertices; the report is still written
+    out_file = tmp_path / "r.json"
+    code, out, err = run_cli(capsys, "sweep", "c4-necessity", "--max-n", "7", "--threads", "1", "--out", str(out_file))
+    assert code == 1 and "[ok]" in out and err == "no exemplar found\n"
+    assert json.loads(out_file.read_text())["findings"] == []
+
+
 def test_sweep_bad_thread_env_is_usage_error(monkeypatch, capsys):
     monkeypatch.setenv("OBSTRUCTION_LAB_THREADS", "abc")
     code, _, err = run_cli(capsys, "sweep", "thm31", "--max-n", "3")
@@ -430,9 +438,6 @@ UNREADABLE_INPUTS = {
     "grow-target-not-utf8": ["grow", "--target", "{bad}", "{host}"],
     "sweep-out-directory": ["sweep", "thm31", "--max-n", "3", "--threads", "1", "--out", "{dir}"],
     "find-out-directory": ["find", "--structure", "clique", "--size", "2", "--out", "{dir}", "{host}"],
-    # no exemplar exists at n <= 3, so the archive itself is never written
-    "sweep-out-archive-directory": ["sweep", "c4-necessity", "--max-n", "3", "--threads", "1",
-                                    "--out-archive", "{dir}"],
 }
 
 

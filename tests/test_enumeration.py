@@ -52,8 +52,15 @@ def count_isomorphism_classes_brute(n: int) -> int:
 
 
 def test_counts_match_sequence():
-    for n in range(1, 8):
+    # n = 8 is the first level where expand_children's `seen` set rejects a
+    # child (see the enumeration docstring)
+    for n in range(1, 9):
         assert len(all_graphs(n)) == UNLABELED_COUNTS[n]
+
+
+@pytest.mark.stretch
+def test_counts_match_sequence_n9():
+    assert sum(1 for _ in enumerate_graphs(9)) == UNLABELED_COUNTS[9]
 
 
 def test_counts_match_labeled_brute_force():

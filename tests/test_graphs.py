@@ -12,8 +12,6 @@ from obstruction_lab.graphs import (
     delete_vertex,
     empty_graph,
     induced_subgraph,
-    is_anticomplete,
-    is_complete_to,
     is_induced_path,
     mask_of,
     parse_edgelist,
@@ -95,17 +93,6 @@ def test_induced_subgraph_examples():
         induced_subgraph(k3, 1 << 5)
 
 
-def test_anticomplete_examples():
-    p3 = path_graph(3)
-    assert is_anticomplete(p3, 1 << 0, 1 << 2)
-    assert not is_anticomplete(p3, 1 << 0, 1 << 1)
-    assert is_anticomplete(p3, 1 << 0, 0)  # vacuous
-    with pytest.raises(ContractViolation):
-        is_anticomplete(p3, 1, 1)
-    assert is_complete_to(complete_graph(3), 1, 0b110)
-    assert not is_complete_to(path_graph(3), 1, 0b110)
-
-
 def test_induced_path_examples():
     c4 = cycle_graph(4)
     assert is_induced_path(c4, (0, 1, 2))
@@ -123,9 +110,9 @@ def test_components_partition():
         for c in comps:
             assert not union & c
             union |= c
-        for i, a in enumerate(comps):
-            for b in comps[i + 1 :]:
-                assert is_anticomplete(g, a, b)
+        # no edge leaves a component
+        for c in comps:
+            assert all(not g.adj[v] & ~c for v in bits(c))
 
 
 def test_validate_rejects_bad_graphs():

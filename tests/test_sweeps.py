@@ -1,13 +1,14 @@
+import dataclasses
 import hashlib
 import json
 import random
 
 import pytest
 
-from obstruction_lab import sweeps
-from obstruction_lab.detectors import has_clique, in_class_e, validate_certificate
+from obstruction_lab import minors, sweeps
+from obstruction_lab.detectors import classify_attachment, has_clique, in_class_e, is_hole, validate_certificate
 from obstruction_lab.detectors import certificate_from_dict
-from obstruction_lab.graphs import SimpleGraph, parse_graph6, write_graph6
+from obstruction_lab.graphs import SimpleGraph, mask_of, parse_graph6, write_graph6
 from obstruction_lab.minors import triangle_minor
 from obstruction_lab.sweeps import (
     SweepReport,
@@ -21,6 +22,8 @@ from obstruction_lab.sweeps import (
     sweep_thm32,
 )
 from obstruction_lab.ktrees import validate_ktree
+
+from conftest import all_graphs
 
 
 def test_sweep_thm31_small_tiers():
@@ -83,11 +86,8 @@ def test_sweeps_deterministic_given_args():
     assert ra.canonical_json() == rb.canonical_json()
 
 
-def test_report_json_schema(tmp_path):
-    r = sweep_thm31(4, threads=1)
-    path = tmp_path / "report.json"
-    r.write(str(path))
-    doc = json.loads(path.read_text())
+def test_report_json_schema():
+    doc = sweep_thm31(4, threads=1).to_dict()
     assert doc["schema"] == "obstruction-lab/report-v1"
     assert doc["sweep"] == "thm31"
     assert "wall_time_s" in doc
@@ -236,3 +236,89 @@ def test_prune_rejecting_k1_examines_nothing():
     report = sweeps._run_levels("none", 4, 1, stages)
     assert report.details["graphs_per_n"] == {1: 0, 2: 0, 3: 0, 4: 0}
     assert report.graphs_examined == 0 and report.instances_checked == 0
+
+
+# ---------------------------------------------------------------------------
+# reporting paths that a correct program never takes, driven by a fault
+# injected at one module binding
+
+
+def test_thm31_reports_a_wrong_minor(monkeypatch):
+    # a triangle minor with its pair 0, 1 toggled: the minors that leave E are
+    # recorded with the certificate in_class_e found on them
+    def corrupted_minor(g, z1, z2):
+        minor, z, mapping = triangle_minor(g, z1, z2)
+        return corrupt_toggle_01(minor), z, mapping
+
+    monkeypatch.setattr(minors, "triangle_minor", corrupted_minor)
+    serial = sweep_thm31(7, threads=1)
+    assert len(serial.violations) == 20
+    for entry in serial.violations:
+        host = parse_graph6(entry["graph6"])
+        assert in_class_e(host).member
+        minor = parse_graph6(entry["minor_graph6"])
+        assert minor == corrupted_minor(host, *entry["pair"])[0]
+        assert validate_certificate(minor, certificate_from_dict(entry["certificate"]))
+    # the document sorts what the sweep collects in generation order
+    by_json = sorted(serial.violations, key=lambda e: json.dumps(e, sort_keys=True))
+    assert serial.to_dict()["violations"] == by_json != serial.violations
+    parallel = sweep_thm31(7, threads=2)
+    assert parallel.violations == serial.violations
+    assert parallel.canonical_json() == serial.canonical_json()
+
+
+def test_thm32_reports_a_violation_verdict(monkeypatch):
+    # every verdict turned into a violation: each record names a hole of the
+    # host, an adjacent pair outside it, and the pair's attachment classes
+    verdict = sweeps.thm32_verdict
+    monkeypatch.setattr(
+        sweeps, "thm32_verdict", lambda *instance: dataclasses.replace(verdict(*instance), status="violation")
+    )
+    report = sweep_thm32(7, threads=1)
+    assert report.instances_checked == len(report.violations) > 0
+    for entry in report.violations:
+        g = parse_graph6(entry["graph6"])
+        cycle, (z1, z2) = tuple(entry["cycle"]), entry["pair"]
+        assert is_hole(g, cycle) and g.has_edge(z1, z2)
+        cmask = mask_of(cycle)
+        assert entry["classes"] == [classify_attachment(g, g.adj[z] & cmask).value for z in (z1, z2)]
+
+
+def test_even_hole_subset_reports_a_non_member(monkeypatch):
+    # a prune that finds no even hole admits every graph; each one outside E
+    # is recorded with its certificate
+    monkeypatch.setattr(sweeps, "find_hole", lambda g, **kwargs: None)
+    report = sweep_even_hole_subset_E(5, threads=1)
+    outside = [write_graph6(g) for n in range(1, 6) for g in all_graphs(n) if not in_class_e(g).member]
+    assert report.graphs_examined == 52 and len(outside) == 7
+    assert [entry["graph6"] for entry in report.violations] == outside
+    for entry in report.violations:
+        g = parse_graph6(entry["graph6"])
+        assert validate_certificate(g, certificate_from_dict(entry["certificate"]))
+
+
+def test_embed_reports_a_refused_embedding(monkeypatch):
+    monkeypatch.setattr(sweeps, "validate_embedding", lambda host, g, emb: False)
+    report = sweep_embed(5, 2, threads=1)
+    assert report.instances_checked == len(report.violations) > 0
+    for entry in report.violations:
+        g, tree = parse_graph6(entry["graph6"]), parse_graph6(entry["ktree_graph6"])
+        assert tree.n >= g.n
+        assert (entry["ktree_ok"], entry["bad_index"], entry["embedding_ok"]) == (True, None, False)
+
+
+@pytest.mark.parametrize("fault", ["fallback", "bad_embedding"])
+def test_obs51_reports_a_fallback_or_a_bad_embedding(fault, monkeypatch):
+    if fault == "fallback":
+        extract = sweeps.extract_induced_from_blurry
+        monkeypatch.setattr(
+            sweeps,
+            "extract_induced_from_blurry",
+            lambda host, w: dataclasses.replace(extract(host, w), fallback_used=True),
+        )
+    else:
+        monkeypatch.setattr(sweeps, "validate_embedding", lambda host, g, emb: False)
+    report = sweep_obs51(40, seed=3)
+    hosts = [write_graph6(h) for h in _obs51_hosts(3, 40)]
+    assert report.violations == [{"trial": t, fault: True, "graph6": hosts[t]} for t in range(40)]
+    assert report.details["fallbacks"] == (40 if fault == "fallback" else 0)
