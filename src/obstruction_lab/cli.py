@@ -192,7 +192,8 @@ def _verify_one(doc) -> bool:
 
 
 _SWEEPS = {
-    "thm31": lambda args: sweeps.sweep_thm31(args.max_n, args.threads, args.mutate),
+    "thm31": lambda args: sweeps.sweep_thm31(args.max_n, args.threads),
+    "thm31-mutated": lambda args: sweeps.sweep_thm31(args.max_n, args.threads, mutate=True),
     "thm32": lambda args: sweeps.sweep_thm32(args.max_n, args.threads),
     "even-hole-subset": lambda args: sweeps.sweep_even_hole_subset_E(args.max_n, args.threads),
     "embed": lambda args: sweeps.sweep_embed(args.max_n, args.k, args.threads),
@@ -225,6 +226,8 @@ def _cmd_gen(args) -> int:
     if args.what == "ktree-random":
         sys.stdout.write(random_two_tree(rng, args.n).to_text())
         return EXIT_OK
+    if not 0 <= args.p <= 1:  # false for NaN too
+        raise ContractViolation(f"edge probability {args.p} outside [0, 1]")
     # a generator, so from_edges refuses an over-cap n before any pair is drawn
     edges = ((i, j) for i in range(args.n) for j in range(i + 1, args.n) if rng.random() < args.p)
     print(write_graph6(SimpleGraph.from_edges(args.n, edges)))
@@ -284,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--mutate", action="store_true", help="fault-injection self-test")
     p.add_argument("--out", help="write the JSON report here")
     p.set_defaults(fn=_cmd_sweep)
 

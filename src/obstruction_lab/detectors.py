@@ -205,28 +205,30 @@ def hole_through(g: SimpleGraph, v: int) -> bool:
     Exact: a hole through v leaves v's two hole-neighbours, which are
     non-adjacent, attached to one component of g - N[v]; conversely a shortest
     path through such a component between two non-adjacent attachments closes
-    a hole with v.  One BFS over g - N[v] and one clique test per component.
+    a hole with v.  One BFS over g - N[v], with a clique test per vertex and
+    per component (see _through).
     """
-    return _through(g, v, c4=False) is not None
+    return _through(g, v) is not None
 
 
-def _through(g: SimpleGraph, v: int, c4: bool) -> str | None:
-    """One pass over g - N[v]: "c4" when `c4` is set and some vertex there
-    has two non-adjacent neighbours in N(v), which close a C4 with v; else
-    "hole" when a hole runs through v (see hole_through); else None."""
+def _through(g: SimpleGraph, v: int) -> str | None:
+    """One pass over g - N[v], component by component: "c4" as soon as a
+    vertex there has two non-adjacent neighbours in N(v), which close a C4
+    with v; else "hole" at the first component with two non-adjacent
+    attachments (see hole_through); else None, when no hole runs through v.
+    A C4 through v in a later component than that one is not reported."""
     if not 0 <= v < g.n:
         raise ContractViolation("vertex out of range")
     adj = g.adj
     nv = adj[v]
     rest = g.vertices_mask & ~nv & ~(1 << v)
-    found = None
     while rest:
         comp = frontier = rest & -rest
         reach = 0
         while frontier:
             nxt = 0
             for u in bits(frontier):
-                if c4 and not is_clique(g, adj[u] & nv):
+                if not is_clique(g, adj[u] & nv):
                     return "c4"
                 nxt |= adj[u]
             reach |= nxt
@@ -234,10 +236,8 @@ def _through(g: SimpleGraph, v: int, c4: bool) -> str | None:
             comp |= frontier
         rest &= ~comp
         if not is_clique(g, reach & nv):
-            if not c4:
-                return "hole"
-            found = "hole"
-    return found
+            return "hole"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -439,15 +439,14 @@ def find_theta(g: SimpleGraph) -> Certificate | None:
             compat = [0] * count
             for i in range(count):
                 for j in range(i + 1, count):
-                    if not (closed[i] & interiors[j]) and not (interiors[i] & interiors[j]):
+                    if not (closed[i] & interiors[j]):
                         compat[i] |= 1 << j
-            for i in range(count):
-                row = compat[i]
-                for j in bits(row):
-                    both = row & compat[j]
-                    if both:
-                        k = next(bits(both))
-                        return Certificate(THETA, ends=(a, b), paths=(paths[i], paths[j], paths[k]))
+                        compat[j] |= 1 << i
+            # the least triple of pairwise compatible paths
+            triple = has_clique(SimpleGraph(count, tuple(compat)), 3)
+            if triple is not None:
+                i, j, k = triple.vertices
+                return Certificate(THETA, ends=(a, b), paths=(paths[i], paths[j], paths[k]))
     return None
 
 
@@ -693,9 +692,12 @@ def class_e_through(g: SimpleGraph, v: int) -> bool:
 
     A C4 of g runs through v too, so it is some x outside N[v] with two
     non-adjacent neighbours in N(v); the pass that looks for a hole through v
-    looks for that x as well, and in_class_e only runs on the rest.
+    looks for that x as well.  in_class_e runs when the pass finds a hole
+    through v without such an x: on a child with a hole but no C4 through v,
+    and on one whose first hole component comes before the component of x,
+    where in_class_e reports that C4 as its first hole.
     """
-    through = _through(g, v, c4=True)
+    through = _through(g, v)
     if through == "c4":
         return False
     if through == "hole":

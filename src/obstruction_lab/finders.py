@@ -186,8 +186,9 @@ def ramsey_split(g: SimpleGraph, c: int, s: int) -> RamseySplit:
 
 
 def anticomplete_family(g: SimpleGraph, sets: list[int], q: int) -> tuple[int, ...] | None:
-    """Indices of q pairwise anticomplete sets, via a stable set in the
-    conflict graph (set-set edge iff some cross edge); None if too few."""
+    """Indices of q pairwise anticomplete sets, or None: has_clique's least
+    K_q in the graph on the (disjoint) sets that joins two with no edge
+    between them, so the first such q-combination in lexicographic order."""
     if q < 1:
         raise ContractViolation("q must be >= 1")
     seen = 0
@@ -197,25 +198,14 @@ def anticomplete_family(g: SimpleGraph, sets: list[int], q: int) -> tuple[int, .
         seen |= m
     closed = [closed_neighborhood(g, m) for m in sets]
     count = len(sets)
-    conflict = [0] * count
+    compat = [0] * count
     for i in range(count):
         for j in range(i + 1, count):
-            if closed[i] & sets[j]:
-                conflict[i] |= 1 << j
-                conflict[j] |= 1 << i
-
-    def grow(chosen: list[int], start: int, banned: int) -> tuple[int, ...] | None:
-        if len(chosen) == q:
-            return tuple(chosen)
-        for i in range(start, count):
-            if banned >> i & 1:
-                continue
-            got = grow(chosen + [i], i + 1, banned | conflict[i])
-            if got is not None:
-                return got
-        return None
-
-    return grow([], 0, 0)
+            if not closed[i] & sets[j]:
+                compat[i] |= 1 << j
+                compat[j] |= 1 << i
+    got = has_clique(SimpleGraph(count, tuple(compat)), q)
+    return None if got is None else got.vertices
 
 
 # ---------------------------------------------------------------------------

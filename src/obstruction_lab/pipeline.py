@@ -49,14 +49,6 @@ class GrowTrace:
         return out
 
 
-def _first_edge(g: SimpleGraph) -> tuple[int, int] | None:
-    for u in range(g.n):
-        row = g.adj[u] >> (u + 1) << (u + 1)
-        if row:
-            return u, next(bits(row))
-    return None
-
-
 def _blurry_for_suffix(target: KTree, assigned: list[int]) -> BlurryWitness:
     """Witness for the quotient matching the currently grown suffix.
 
@@ -148,10 +140,11 @@ def _grow(g: SimpleGraph, target: KTree, budget: int, trace: GrowTrace) -> int:
     """The stages after the membership check, each recorded on the trace;
     stops at the first that fails and returns the budget left."""
     h = target.graph.n
-    seed = _first_edge(g)
-    if seed is None:
+    edges = g.edges()
+    if not edges:
         trace.stages.append({"stage": "seed", "ok": False})
         return budget
+    seed = edges[0]
     if h == 2:
         # no kaleidoscope demand: the witness is any edge (w parameter 0 case)
         trace.witness = _blurry_for_suffix(target, [seed[0], seed[1]])

@@ -16,6 +16,7 @@ from obstruction_lab.graphs import (
     write_graph6,
 )
 from obstruction_lab.ktrees import KTree
+from obstruction_lab.sweeps import sweep_thm31
 
 from conftest import diamond
 
@@ -273,8 +274,15 @@ def test_sweep_cli(tmp_path, capsys):
     assert code == 0 and "thm31" in out
     doc = json.loads(out_file.read_text())
     assert doc["violations"] == []
-    code, out, _ = run_cli(capsys, "sweep", "thm31", "--max-n", "5", "--mutate")
+    code, out, _ = run_cli(capsys, "sweep", "thm31-mutated", "--max-n", "5", "--out", str(out_file))
     assert code == 1  # injected fault must surface as a violation exit
+    doc = json.loads(out_file.read_text())
+    del doc["wall_time_s"]
+    assert json.dumps(doc, sort_keys=True) == sweep_thm31(5, threads=1, mutate=True).canonical_json()
+    # the self-test is a suite of its own, not a flag other suites ignore
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "thm32", "--max-n", "3", "--mutate"])
+    assert exc.value.code == 2
 
 
 def test_sweep_c4_necessity_without_exemplar_exits_1(tmp_path, capsys):
@@ -321,6 +329,11 @@ def test_usage_errors(capsys, tmp_path):
     assert run_cli(capsys, "find", "--structure", "hole", "--min-len", "3", str(two)) == (
         2, "", "error: holes have at least 4 vertices\n"
     )
+    # an edge probability outside [0, 1], NaN included, is refused
+    for p in ("-3", "7", "nan", "1.0000001"):
+        assert run_cli(capsys, "gen", "random-graph", "--n", "6", "--p", p) == (
+            2, "", f"error: edge probability {float(p)} outside [0, 1]\n"
+        )
     with pytest.raises(SystemExit) as exc:
         main(["definitely-not-a-command"])
     assert exc.value.code == 2

@@ -292,12 +292,25 @@ def test_even_hole_free_implies_member_small():
 
 
 def test_hole_through_matches_iter_holes():
+    # _through, the pass behind hole_through: "c4" only for a vertex on a C4,
+    # and always for one whose every hole is a C4
     for n in range(1, 8):
         for g in all_graphs(n):
-            on_hole = 0
+            on_c4 = on_longer = 0
             for cyc in iter_holes(g):
-                on_hole |= mask_of(cyc)
+                if len(cyc) == 4:
+                    on_c4 |= mask_of(cyc)
+                else:
+                    on_longer |= mask_of(cyc)
+            on_hole = on_c4 | on_longer
             assert [hole_through(g, v) for v in range(n)] == [bool(on_hole >> v & 1) for v in range(n)]
+            for v in range(n):
+                through = detectors._through(g, v)
+                assert (through is not None) == bool(on_hole >> v & 1)
+                if through == "c4":
+                    assert on_c4 >> v & 1
+                if on_c4 >> v & 1 and not on_longer >> v & 1:
+                    assert through == "c4"
     with pytest.raises(ContractViolation):
         hole_through(cycle_graph(4), 4)
 

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from obstruction_lab.detectors import find_theta
@@ -13,6 +16,7 @@ from obstruction_lab.finders import (
 )
 from obstruction_lab.graphs import (
     SimpleGraph,
+    bits,
     complete_graph,
     components,
     cycle_graph,
@@ -29,7 +33,7 @@ from obstruction_lab.predicates import (
     verify_strong_block,
 )
 
-from conftest import diamond
+from conftest import diamond, random_graphs
 
 
 def test_find_alignment_simple():
@@ -238,6 +242,36 @@ def test_anticomplete_family_random_sparse():
         if got is None:
             found_all = False  # would trigger host re-examination
     assert found_all
+
+
+def test_anticomplete_family_is_the_first_combination():
+    # reference: the first q-combination, in itertools order, of sets with no
+    # edge between any two of them
+    def reference(g, sets, q):
+        def anticomplete(a, b):
+            return not any(g.has_edge(u, v) for u in bits(a) for v in bits(b))
+
+        for combo in itertools.combinations(range(len(sets)), q):
+            if all(anticomplete(sets[i], sets[j]) for i, j in itertools.combinations(combo, 2)):
+                return combo
+        return None
+
+    rng = random.Random(23)
+    checked = found = 0
+    for g in random_graphs(150, 23, (0, 14)):
+        # each vertex joins one of `parts` sets or none; some sets stay empty
+        parts = rng.randint(0, 8)
+        sets = [0] * parts
+        for v in range(g.n):
+            slot = rng.randrange(parts + 1)
+            if slot < parts:
+                sets[slot] |= 1 << v
+        for q in range(1, parts + 2):
+            want = reference(g, sets, q)
+            assert anticomplete_family(g, sets, q) == want
+            checked += 1
+            found += want is not None
+    assert found > 100 and checked - found > 100
 
 
 def test_extract_identity_and_fallback():
