@@ -22,7 +22,7 @@ automorphism orbits, yet deleting either leaves the parent.  Both children
 then pass the deletion test.  This first happens at n = 8, where `seen`
 rejects 5 children of the unpruned enumeration.  So a child can be accepted
 without its certificate only when no such w can exist, as when v has the
-unique maximum degree and every isomorphism fixes it.
+unique maximum degree and every isomorphism fixes it: the skip below.
 
 Two exact filters run on the neighbour subset before the child is built:
 
@@ -34,8 +34,30 @@ Two exact filters run on the neighbour subset before the child is built:
   and the degree filter, the v-anchored prunes and the deletion test are
   invariant under it.  So only the smallest subset of each orbit under the
   automorphisms found is tried; the rest would be rejected with it or be
-  duplicates of it.  The accepted subset of each class is thus the same as
-  without the filter, even when the automorphisms found span a subgroup.
+  duplicates of it.  The automorphisms `_canonical` returns generate all of
+  Aut(parent) (the proof is in its docstring), so these are the Aut(parent)
+  orbits, which the skip below relies on.
+
+One exact skip runs after the prune.  A child whose new vertex v has the
+unique maximum degree is accepted without labelling it, without the deletion
+test and without `seen`:
+
+- The canonical-last vertex has maximum degree, and only v does, so v is
+  canonical-last and the deletion test passes.
+- A unique maximum is invariant under isomorphism, and the degree filter
+  gives every built child's new vertex the maximum degree.  So in any child
+  isomorphic to this one the new vertex is the unique maximum too, and the
+  isomorphism maps v to v.
+- Deleting v from both, it restricts to an isomorphism of the parents.
+  Parents are pairwise non-isomorphic, so it is an automorphism of this
+  parent that maps one subset onto the other.  The two subsets lie in one
+  Aut(parent) orbit, and only one subset per orbit is tried, so no
+  duplicate of the child can be built.
+
+Children without a unique maximum are never isomorphic to one with it, so
+`seen` stays exact on the children that are labelled.  The skip saves only
+last-level labellings: an inner-level child is labelled anyway when it is
+expanded as a parent.
 
 Hereditary pruning predicates are applied before the (more expensive)
 acceptance test, which is sound because a pruned class cannot have unpruned
@@ -95,7 +117,30 @@ Perm = tuple[int, ...]
 
 def _canonical(n: int, adj: tuple[int, ...]) -> tuple[int, Perm, tuple[Perm, ...]]:
     """Minimal certificate, a labeling achieving it (labeling[pos] = vertex),
-    and automorphisms generating a subgroup of Aut(g) (perm[u] = image of u)."""
+    and automorphisms generating Aut(g) (perm[u] = image of u).
+
+    Why they generate all of Aut(g).  Let T be the search tree without twin
+    pruning: a node is the refined colouring reached by individualizing a
+    sequence of vertices, and its children individualize each member of the
+    first non-singleton cell.  Refinement, the choice of that cell and
+    individualization commute with relabelling, so an automorphism s maps
+    the node of (u1, ..., uk) to the node of (s(u1), ..., s(uk)) and a leaf
+    labelling lab to s o lab, which has the same certificate.  Let H be the
+    group the returned permutations generate.
+
+    - Every node of T is mapped into the visited tree by some h in H.  By
+      induction on depth: if h maps node N to a visited node M, it maps the
+      child of N at x to the child of M at h(x).  If M branched on h(x),
+      that child is visited.  Otherwise h(x) was skipped as the twin of a
+      branched w, and the swap t = (h(x) w) was recorded.  t fixes M, since
+      h(x) and w have the same colour there, so t h maps the child to the
+      visited child at w.
+    - Let best be the first visited leaf with the least certificate, and s an
+      automorphism.  Some h in H maps the leaf s o best to a visited leaf
+      h s o best with the same least certificate.  It is best itself, or it
+      was visited after best and recorded the map best[i] -> h s best[i],
+      which is h s.  Either way h s is in H, so s is in H.
+    """
     if n <= 1:
         return 0, tuple(range(n)), ()
     best: list = [None, None]
@@ -189,7 +234,7 @@ def expand_children(
     # v needs degree >= every child degree: above top, or equal to it when
     # it avoids the parent's vertices of degree top
     degs = [row.bit_count() for row in parent.adj]
-    top = max(degs, default=0)
+    top = max(degs, default=-1)
     top_mask = sum(1 << u for u, d in enumerate(degs) if d == top)
     for subset in range(1 << parent.n):
         d = subset.bit_count()
@@ -201,6 +246,10 @@ def expand_children(
             _close_orbit(subset, gen_bits, done)
         child = add_vertex(parent, subset)
         if prune is not None and not prune(child):
+            continue
+        if d > top + (subset & top_mask != 0):
+            # v has the unique maximum degree (module docstring)
+            out.append(child)
             continue
         cert, labeling = canonical_form(child)
         if cert in seen:

@@ -97,7 +97,10 @@ def triangle_minor(g: SimpleGraph, z1: int, z2: int) -> tuple[SimpleGraph, int, 
     vertex, with the contracted vertex recorded under min(z1, z2); z takes the
     smallest freed index so certificates stay traceable across the minor.
     """
-    if z1 == z2 or not (0 <= z1 < g.n and 0 <= z2 < g.n):
+    for z in (z1, z2):
+        if not 0 <= z < g.n:
+            raise ContractViolation(f"vertex {z} outside 0..{g.n - 1}")
+    if z1 == z2:
         raise ContractViolation("need two distinct vertices")
     if not g.has_edge(z1, z2):
         raise ContractViolation("triangle minor requires an adjacent pair")

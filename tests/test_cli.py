@@ -329,6 +329,16 @@ def test_usage_errors(capsys, tmp_path):
     assert run_cli(capsys, "find", "--structure", "hole", "--min-len", "3", str(two)) == (
         2, "", "error: holes have at least 4 vertices\n"
     )
+    # a minor vertex outside the graph is named with the range; "distinct"
+    # is kept for z1 == z2
+    c5 = tmp_path / "c5.g6"
+    c5.write_text(write_graph6(cycle_graph(5)) + "\n")
+    for z1, z2, message in (
+        ("0", "9", "vertex 9 outside 0..4"),
+        ("-1", "1", "vertex -1 outside 0..4"),
+        ("2", "2", "need two distinct vertices"),
+    ):
+        assert run_cli(capsys, "minor", "--z1", z1, "--z2", z2, str(c5)) == (2, "", f"error: {message}\n")
     # an edge probability outside [0, 1], NaN included, is refused
     for p in ("-3", "7", "nan", "1.0000001"):
         assert run_cli(capsys, "gen", "random-graph", "--n", "6", "--p", p) == (

@@ -24,6 +24,7 @@ from obstruction_lab.graphs import (
     cycle_graph,
     delete_vertex,
     is_connected,
+    parse_graph6,
     path_graph,
     write_graph6,
 )
@@ -225,16 +226,22 @@ def _is_automorphism(g: SimpleGraph, perm) -> bool:
 
 
 def _group(n: int, gens) -> set:
-    """Every product of the generators (perm[u] = image of u)."""
+    """Every product of the generators (perm[u] = image of u).  A generator
+    already in the group built so far adds nothing and is not applied."""
     group = {tuple(range(n))}
-    stack = list(group)
-    while stack:
-        p = stack.pop()
-        for gen in gens:
-            q = tuple(gen[u] for u in p)
-            if q not in group:
-                group.add(q)
-                stack.append(q)
+    kept = []
+    for gen in gens:
+        if gen in group:
+            continue
+        kept.append(gen)
+        stack = list(group)
+        while stack:
+            p = stack.pop()
+            for k in kept:
+                q = tuple(map(k.__getitem__, p))
+                if q not in group:
+                    group.add(q)
+                    stack.append(q)
     return group
 
 
@@ -250,13 +257,37 @@ def test_canonical_generators_are_automorphisms():
                     assert _is_automorphism(h, gen)
 
 
+def _automorphisms(g: SimpleGraph):
+    """Every automorphism of g (perm[u] = image of u), by extending a map
+    vertex by vertex: u may go to an unused x of the same degree whose
+    adjacency to the images of 0..u-1 matches u's adjacency to them."""
+    degs = [row.bit_count() for row in g.adj]
+    image: list[int] = []
+
+    def extend(used: int):
+        u = len(image)
+        if u == g.n:
+            yield tuple(image)
+            return
+        want = sum(1 << image[w] for w in range(u) if g.adj[u] >> w & 1)
+        for x in range(g.n):
+            if not used >> x & 1 and degs[x] == degs[u] and g.adj[x] & used == want:
+                image.append(x)
+                yield from extend(used | 1 << x)
+                image.pop()
+
+    return extend(0)
+
+
 def test_canonical_generators_span_aut_for_small_graphs():
-    # not needed for exactness (a subgroup suffices), but it shows the
-    # generators are not vacuous: for n <= 6 they generate all of Aut(g)
-    for n in range(1, 7):
-        for g in all_graphs(n):
-            aut = sum(_is_automorphism(g, p) for p in itertools.permutations(range(n)))
-            assert len(_group(n, _canonical(g.n, g.adj)[2])) == aut
+    # the unique-maximum skip in expand_children is exact only if the
+    # generators span all of Aut(parent) (the proof is in _canonical)
+    graphs = [g for n in range(1, 8) for g in all_graphs(n)]
+    members = list(enumerate_graphs(8, prune=prune_class_e))
+    assert len(members) == 2523
+    for g in graphs + members:
+        aut = sum(1 for _ in _automorphisms(g))
+        assert len(_group(g.n, _canonical(g.n, g.adj)[2])) == aut
 
 
 def _reference_expand_children(parent, prune=None):
@@ -325,3 +356,42 @@ def test_expand_children_labels_one_survivor_per_orbit(monkeypatch):
             ]
             assert built == minima
             assert closed == (minima if gens else [])
+
+
+def _unique_maximum(g: SimpleGraph) -> bool:
+    """Whether the new vertex g.n - 1 has degree above every other vertex."""
+    degs = [row.bit_count() for row in g.adj]
+    return all(d < degs[-1] for d in degs[:-1])
+
+
+@pytest.mark.parametrize("name", ["none", "class_e"])
+def test_expand_children_labels_exactly_the_children_without_unique_maximum(name, monkeypatch):
+    prune = SWEEP_PRUNES[name]
+    parents = [SimpleGraph(0, ())] + [g for n in range(1, 7) for g in enumerate_graphs(n, prune=prune)]
+    built, labelled = [], []
+    monkeypatch.setattr(enumeration, "add_vertex", lambda g, s: built.append(add_vertex(g, s)) or built[-1])
+    monkeypatch.setattr(enumeration, "canonical_form", lambda g: labelled.append(g) or canonical_form(g))
+    skipped = 0
+    for parent in parents:
+        built.clear()
+        labelled.clear()
+        expand_children(parent, prune)
+        passed = [c for c in built if prune is None or prune(c)]
+        assert labelled == [c for c in passed if not _unique_maximum(c)]
+        skipped += len(passed) - len(labelled)
+    assert skipped  # the gate is not vacuous
+
+
+def test_pseudo_similar_children_are_kept_once():
+    # two subsets in different Aut(parent) orbits give isomorphic children,
+    # and neither new vertex has the unique maximum degree: only `seen`
+    # keeps the second out
+    parent = parse_graph6("FCOe_")
+    subsets = (0b10110, 0b100101)
+    children = [add_vertex(parent, s) for s in subsets]
+    assert [write_graph6(c) for c in children] == ["GCOebO", "GCOedG"]
+    cert = canonical_cert(children[0])
+    assert canonical_cert(children[1]) == cert
+    assert subsets[1] not in {_permute_mask(subsets[0], p) for p in _automorphisms(parent)}
+    assert not any(_unique_maximum(c) for c in children)
+    assert sum(canonical_cert(c) == cert for c in expand_children(parent, prune_class_e)) == 1
