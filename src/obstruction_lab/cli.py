@@ -224,7 +224,7 @@ def _cmd_gen(args) -> int:
         return EXIT_OK
     rng = random.Random(args.seed)
     if args.what == "ktree-random":
-        sys.stdout.write(random_two_tree(rng, args.n).to_text())
+        sys.stdout.write(random_two_tree(rng, args.n)[0].to_text())
         return EXIT_OK
     if not 0 <= args.p <= 1:  # false for NaN too
         raise ContractViolation(f"edge probability {args.p} outside [0, 1]")

@@ -433,21 +433,28 @@ def find_theta(g: SimpleGraph) -> Certificate | None:
             paths = induced_ab_paths(g, a, b, allowed)
             if len(paths) < 3:
                 continue
-            interiors = [mask_of(p[1:-1]) for p in paths]
-            closed = [closed_neighborhood(g, im) for im in interiors]
-            count = len(paths)
-            compat = [0] * count
-            for i in range(count):
-                for j in range(i + 1, count):
-                    if not (closed[i] & interiors[j]):
-                        compat[i] |= 1 << j
-                        compat[j] |= 1 << i
-            # the least triple of pairwise compatible paths
-            triple = has_clique(SimpleGraph(count, tuple(compat)), 3)
+            triple = anticomplete_sets(g, [mask_of(p[1:-1]) for p in paths], 3)
             if triple is not None:
-                i, j, k = triple.vertices
+                i, j, k = triple
                 return Certificate(THETA, ends=(a, b), paths=(paths[i], paths[j], paths[k]))
     return None
+
+
+def anticomplete_sets(g: SimpleGraph, sets: list[int], q: int) -> tuple[int, ...] | None:
+    """Indices of q of `sets` that are pairwise disjoint and anticomplete, or
+    None: has_clique's least K_q in the graph on the sets that joins two sets
+    when neither meets the other's closed neighbourhood, so the first such
+    q-combination in lexicographic order.  The sets may overlap."""
+    closed = [closed_neighborhood(g, m) for m in sets]
+    count = len(sets)
+    compat = [0] * count
+    for i in range(count):
+        for j in range(i + 1, count):
+            if not closed[i] & sets[j]:
+                compat[i] |= 1 << j
+                compat[j] |= 1 << i
+    got = has_clique(SimpleGraph(count, tuple(compat)), q)
+    return None if got is None else got.vertices
 
 
 def _has_stable_triple(g: SimpleGraph, mask: int) -> bool:

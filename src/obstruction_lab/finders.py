@@ -10,12 +10,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .detectors import WheelClass, classify_attachment, has_clique
+from .detectors import WheelClass, anticomplete_sets, classify_attachment, has_clique
 from .errors import ContractViolation, HypothesisMiss
 from .graphs import (
     SimpleGraph,
     bits,
-    closed_neighborhood,
     complement_graph,
     is_induced_path,
     mask_of,
@@ -186,9 +185,9 @@ def ramsey_split(g: SimpleGraph, c: int, s: int) -> RamseySplit:
 
 
 def anticomplete_family(g: SimpleGraph, sets: list[int], q: int) -> tuple[int, ...] | None:
-    """Indices of q pairwise anticomplete sets, or None: has_clique's least
-    K_q in the graph on the (disjoint) sets that joins two with no edge
-    between them, so the first such q-combination in lexicographic order."""
+    """Indices of q pairwise anticomplete sets among pairwise disjoint `sets`,
+    or None: `anticomplete_sets`, the first such q-combination in
+    lexicographic order."""
     if q < 1:
         raise ContractViolation("q must be >= 1")
     seen = 0
@@ -196,16 +195,7 @@ def anticomplete_family(g: SimpleGraph, sets: list[int], q: int) -> tuple[int, .
         if m & seen:
             raise ContractViolation("sets must be pairwise disjoint")
         seen |= m
-    closed = [closed_neighborhood(g, m) for m in sets]
-    count = len(sets)
-    compat = [0] * count
-    for i in range(count):
-        for j in range(i + 1, count):
-            if not closed[i] & sets[j]:
-                compat[i] |= 1 << j
-                compat[j] |= 1 << i
-    got = has_clique(SimpleGraph(count, tuple(compat)), q)
-    return None if got is None else got.vertices
+    return anticomplete_sets(g, sets, q)
 
 
 # ---------------------------------------------------------------------------

@@ -21,44 +21,22 @@ from .detectors import (
     iter_holes,
 )
 from .errors import ContractViolation
-from .graphs import SimpleGraph, bits, delete_vertex, mask_of, write_graph6
+from .graphs import SimpleGraph, delete_vertex, mask_of, write_graph6
 
 
 @dataclass(frozen=True)
 class TrianglePair:
-    """Adjacent pair with its common neighborhood and the eligibility verdict.
-
-    Eligible means the common neighborhood is a stable set whose members all
-    have degree at most three in the host (vacuously true when empty).
-    """
+    """An eligible adjacent pair z1 < z2 with its common neighborhood."""
 
     z1: int
     z2: int
     common: int
-    eligible: bool
-
-
-def triangle_pairs(g: SimpleGraph) -> list[TrianglePair]:
-    out = []
-    for z1 in range(g.n):
-        for z2 in bits(g.adj[z1] >> (z1 + 1) << (z1 + 1)):
-            common = g.adj[z1] & g.adj[z2]
-            out.append(TrianglePair(z1, z2, common, _eligible(g, common)))
-    return out
-
-
-def _eligible(g: SimpleGraph, common: int) -> bool:
-    for v in bits(common):
-        if g.adj[v] & common:
-            return False
-        if g.degree(v) > 3:
-            return False
-    return True
 
 
 def eligible_pairs(g: SimpleGraph) -> list[TrianglePair]:
-    """Adjacent pairs meeting the stable-degree-three hypothesis: the eligible
-    entries of `triangle_pairs`, in its order, built only for those pairs."""
+    """The adjacent pairs z1 < z2, in `g.edges()` order, whose common
+    neighborhood is a stable set whose members all have degree at most three
+    in g (vacuously true when it is empty): the thm31 hypothesis."""
     adj = g.adj
     low_degree = mask_of(v for v, row in enumerate(adj) if row.bit_count() <= 3)
     out = []
@@ -76,7 +54,7 @@ def eligible_pairs(g: SimpleGraph) -> list[TrianglePair]:
                     break
                 rest &= rest - 1
             else:
-                out.append(TrianglePair(z1, z2, common, True))
+                out.append(TrianglePair(z1, z2, common))
     return out
 
 

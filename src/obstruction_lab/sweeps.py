@@ -345,13 +345,9 @@ def sweep_c4_necessity(max_n: int, threads: int | None = None) -> SweepReport:
 # randomized blurry-copy suite
 
 
-def random_two_tree(rng: random.Random, h: int) -> KTree:
-    """Random 2-tree grown by attaching each new vertex to a random edge."""
-    return _two_tree(rng, h)[0]
-
-
-def _two_tree(rng: random.Random, h: int) -> tuple[KTree, list[tuple[int, int]]]:
-    """`random_two_tree` with the edge list it grows the tree from."""
+def random_two_tree(rng: random.Random, h: int) -> tuple[KTree, list[tuple[int, int]]]:
+    """Random 2-tree grown by attaching each new vertex to a random edge, with
+    the edge list it grows the tree from."""
     if not 2 <= h <= MAX_VERTICES:
         raise ContractViolation(f"a random 2-tree has 2..{MAX_VERTICES} vertices, got {h}")
     adj = [0] * h
@@ -394,7 +390,7 @@ def sweep_obs51(trials: int, seed: int) -> SweepReport:
     rng = random.Random(seed)
     for trial in range(trials):
         h = rng.randint(2, 9)
-        tree, edges = _two_tree(rng, h)
+        tree, edges = random_two_tree(rng, h)
         host = _plant_blurry_host(rng, tree)
         witness = BlurryWitness(
             zset=tuple(range(h)),

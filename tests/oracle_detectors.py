@@ -1,7 +1,8 @@
 """Naive subset-enumeration oracles, kept independent of the anchored
 detectors on purpose: each one enumerates vertex subsets and tests the
 defining shape directly from first principles (degree profiles, components,
-exact edge accounting)."""
+exact edge accounting).  `oracle_eligible_pairs` likewise tests the thm31
+hypothesis on each vertex pair straight from its definition."""
 
 from itertools import combinations
 
@@ -161,3 +162,18 @@ def oracle_has_even_wheel(g: SimpleGraph) -> bool:
             if k >= 4 and k % 2 == 0:
                 return True
     return False
+
+
+def oracle_eligible_pairs(g: SimpleGraph) -> list[tuple[int, int, int]]:
+    """(z1, z2, common mask) for each adjacent pair z1 < z2, in lexicographic
+    order, whose common neighbours are pairwise non-adjacent and each have
+    degree at most three."""
+    out = []
+    for z1, z2 in combinations(range(g.n), 2):
+        if not g.has_edge(z1, z2):
+            continue
+        common = [w for w in range(g.n) if g.has_edge(w, z1) and g.has_edge(w, z2)]
+        stable = not any(g.has_edge(u, w) for u, w in combinations(common, 2))
+        if stable and all(g.degree(w) <= 3 for w in common):
+            out.append((z1, z2, mask_of(common)))
+    return out

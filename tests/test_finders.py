@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from obstruction_lab.detectors import find_theta
+from obstruction_lab.detectors import anticomplete_sets, find_theta
 from obstruction_lab.errors import ContractViolation, HypothesisMiss
 from obstruction_lab.finders import (
     anticomplete_family,
@@ -244,18 +244,20 @@ def test_anticomplete_family_random_sparse():
     assert found_all
 
 
+def _first_anticomplete(g, sets, q):
+    """The first q-combination, in itertools order, of sets that are pairwise
+    disjoint with no edge between any two of them."""
+
+    def anticomplete(a, b):
+        return not a & b and not any(g.has_edge(u, v) for u in bits(a) for v in bits(b))
+
+    for combo in itertools.combinations(range(len(sets)), q):
+        if all(anticomplete(sets[i], sets[j]) for i, j in itertools.combinations(combo, 2)):
+            return combo
+    return None
+
+
 def test_anticomplete_family_is_the_first_combination():
-    # reference: the first q-combination, in itertools order, of sets with no
-    # edge between any two of them
-    def reference(g, sets, q):
-        def anticomplete(a, b):
-            return not any(g.has_edge(u, v) for u in bits(a) for v in bits(b))
-
-        for combo in itertools.combinations(range(len(sets)), q):
-            if all(anticomplete(sets[i], sets[j]) for i, j in itertools.combinations(combo, 2)):
-                return combo
-        return None
-
     rng = random.Random(23)
     checked = found = 0
     for g in random_graphs(150, 23, (0, 14)):
@@ -267,11 +269,36 @@ def test_anticomplete_family_is_the_first_combination():
             if slot < parts:
                 sets[slot] |= 1 << v
         for q in range(1, parts + 2):
-            want = reference(g, sets, q)
+            want = _first_anticomplete(g, sets, q)
             assert anticomplete_family(g, sets, q) == want
             checked += 1
             found += want is not None
     assert found > 100 and checked - found > 100
+
+
+def test_anticomplete_sets_on_overlapping_sets():
+    # find_theta passes path interiors, which may share vertices: two sets
+    # that overlap are never both taken, even with no edge between them
+    rng = random.Random(29)
+    checked = found = overlap_only = 0
+    for g in random_graphs(150, 29, (0, 14)):
+        sets = [sum(1 << v for v in range(g.n) if rng.random() < 0.2) for _ in range(rng.randint(0, 8))]
+        for a, b in itertools.combinations(sets, 2):
+            overlap_only += bool(a & b) and not any(g.has_edge(u, v) for u in bits(a) for v in bits(b))
+        for q in range(1, len(sets) + 2):
+            want = _first_anticomplete(g, sets, q)
+            assert anticomplete_sets(g, sets, q) == want
+            checked += 1
+            found += want is not None
+    assert found > 100 and checked - found > 100 and overlap_only > 20
+
+
+def test_anticomplete_family_refuses_bad_arguments():
+    g = path_graph(4)
+    with pytest.raises(ContractViolation):
+        anticomplete_family(g, [0b0001, 0b1000], 0)
+    with pytest.raises(ContractViolation):
+        anticomplete_family(g, [0b0011, 0b0110], 1)
 
 
 def test_extract_identity_and_fallback():

@@ -19,10 +19,10 @@ from obstruction_lab.minors import (
     check_thm32,
     eligible_pairs,
     triangle_minor,
-    triangle_pairs,
 )
 
 from conftest import all_graphs, diamond
+from oracle_detectors import oracle_eligible_pairs
 
 
 def test_triangle_minor_diamond():
@@ -84,11 +84,11 @@ def test_eligible_pairs_examples():
     assert len(c5_pairs) == 5 and all(p.common == 0 for p in c5_pairs)
 
 
-def test_eligible_pairs_match_triangle_pairs():
-    # the inline eligibility test picks the same pairs, in the same order
+def test_eligible_pairs_match_definition():
+    # the same pairs as the definition, in the same order
     for n in range(1, 8):
         for g in all_graphs(n):
-            assert eligible_pairs(g) == [p for p in triangle_pairs(g) if p.eligible]
+            assert [(p.z1, p.z2, p.common) for p in eligible_pairs(g)] == oracle_eligible_pairs(g)
 
 
 @given(st.integers(0, 10_000))
@@ -98,7 +98,7 @@ def test_minor_size_and_outside_degrees(seed):
     n = rng.randint(2, 9)
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.45]
     g = SimpleGraph.from_edges(n, edges)
-    adjacent = [(p.z1, p.z2) for p in triangle_pairs(g)]
+    adjacent = g.edges()
     if not adjacent:
         return
     z1, z2 = adjacent[rng.randrange(len(adjacent))]

@@ -293,7 +293,7 @@ def blurry_cases(seed, count):
     rng = random.Random(seed)
     for _ in range(count):
         h = rng.randint(2, 8)
-        tree = random_two_tree(rng, h)
+        tree = random_two_tree(rng, h)[0]
         n = h + rng.randint(0, 3)
         place = rng.sample(range(n), h)
         y_edges = [(place[u], place[v]) for u, v in tree.graph.edges()]

@@ -3,15 +3,19 @@ against the full predicates they replace.
 
 A prune only sees children of parents that passed it, so each gate walks
 every parent in the class and every neighbour subset of the new vertex, and
-compares the prune's verdict on the child with the full predicate's.  The
-kernel `class_e_through` is gated the same way, with the new vertex moved to
-other positions, and on the triangle minors of every class member.  The thm31
+compares the prune's verdict on the child with the full predicate's.  Above
+that, a count audit compares the members per level of the pruned tree and of
+the full predicate over every graph with n <= 8, and seeded growth walks
+compare the two on children up to n = 40.  The kernel `class_e_through` is
+gated the same way, with the new vertex moved to other positions, and on the
+triangle minors of every class member.  The thm31
 minor check must send every minor with a hole through z to `in_class_e`, and
 the C4-necessity search must find the thetas that `find_theta` finds on every
 eligible pair's minor.
 """
 
 import functools
+import itertools
 import random
 from functools import partial
 
@@ -27,6 +31,7 @@ from obstruction_lab.detectors import (
     has_clique,
     hole_through,
     in_class_e,
+    iter_holes,
 )
 from obstruction_lab.enumeration import expand_children
 from obstruction_lab.graphs import (
@@ -35,6 +40,7 @@ from obstruction_lab.graphs import (
     bits,
     cycle_graph,
     induced_subgraph,
+    mask_of,
     write_graph6,
 )
 from obstruction_lab.minors import eligible_pairs, triangle_minor
@@ -92,6 +98,98 @@ def test_anchored_prune_matches_full_predicate_n8_sample(name):
     parents = _members(full, 7)
     candidates = [(rng.choice(parents), rng.randrange(1 << 7)) for _ in range(1000)]
     assert _disagreements(prune, full, candidates) == []
+
+
+# members of each class on n = 1..8 vertices; the pruned generation tree and
+# the full predicate run over every graph must both give them
+CLASS_COUNTS = {
+    "class_e": (1, 2, 4, 10, 28, 100, 438, 2523),
+    "tpw_free": (1, 2, 4, 11, 32, 131, 689, 5142),
+    "even_hole_free": (1, 2, 4, 10, 28, 99, 434, 2486),
+}
+
+
+def _pruned_counts(prune, max_n):
+    level, counts = [SimpleGraph(0, ())], []
+    for _ in range(max_n):
+        level = [c for p in level for c in expand_children(p, prune)]
+        counts.append(len(level))
+    return tuple(counts)
+
+
+@pytest.mark.parametrize("name", CLASS_COUNTS)
+def test_count_audit_n8(name):
+    prune, full = PRUNES[name]
+    assert tuple(sum(map(full, all_graphs(n))) for n in range(1, 9)) == CLASS_COUNTS[name]
+    assert _pruned_counts(prune, 8) == CLASS_COUNTS[name]
+
+
+def test_count_audit_catches_a_loose_prune():
+    # accepting every new vertex of degree 6 without a hole through it lets
+    # the 6-wheel in at n = 7
+    loose = KERNEL_MUTANTS["neighbourhood_bound_7"][2]
+    assert _pruned_counts(lambda g: loose(g, g.n - 1), 7) == (1, 2, 4, 10, 28, 100, 439)
+
+
+def _draw_neighbours(rng, g):
+    """The new vertex's neighbours: a few random vertices; two consecutive
+    vertices of a hole (an ear on it), maybe with one triangle vertex, which
+    can close a prism; part of a vertex's neighbourhood or of a hole, which
+    closes C4s and thetas; or, when g has an even hole, every vertex, so that
+    no hole runs through the new vertex and only the even wheel centred at it
+    rejects it."""
+    if g.n == 0:
+        return 0
+    holes = list(itertools.islice(iter_holes(g), 8))
+    r = rng.random()
+    if r < 0.3 or not holes:
+        return sum(1 << u for u in rng.sample(range(g.n), rng.randint(1, min(3, g.n))))
+    hole = rng.choice(holes)
+    if r < 0.55:
+        i = rng.randrange(len(hole))
+        corners = [u for u, w in g.edges() if g.adj[u] & g.adj[w]]
+        return 1 << hole[i - 1] | 1 << hole[i] | rng.choice([0] + [1 << u for u in corners])
+    if r < 0.7:
+        return sum(1 << u for u in bits(g.adj[rng.randrange(g.n)]) if rng.random() < 0.6)
+    if r < 0.9:
+        return sum(1 << u for u in hole if rng.random() < 0.6)
+    return g.vertices_mask if find_hole(g, parity="even") is not None else 1
+
+
+def _growth_walk(seed, prune, full, max_n=40, max_steps=400):
+    """A seeded walk that adds one vertex at a time and keeps the graph while
+    `full` holds, so every step is a child of a parent in the class.  Returns
+    the children where `prune` and `full` disagree, the rejected children and
+    the size reached."""
+    rng = random.Random(seed)
+    g, disagreements, rejected = SimpleGraph(0, ()), [], []
+    for _ in range(max_steps):
+        if g.n == max_n:
+            break
+        child = add_vertex(g, _draw_neighbours(rng, g))
+        member = full(child)
+        if prune(child) != member:
+            disagreements.append(write_graph6(child))
+        if member:
+            g = child
+        else:
+            rejected.append(child)
+    return disagreements, rejected, g.n
+
+
+# 8 walks per class to n = 40 take about 3.5 s in all on 2 cores
+@pytest.mark.parametrize("name", CLASS_COUNTS)
+def test_growth_walks_n40(name):
+    prune, full = PRUNES[name]
+    rejected = []
+    for seed in range(8):
+        bad, out, n = _growth_walk(seed, prune, full)
+        assert (bad, n) == ([], 40), seed
+        rejected += out
+    assert len(rejected) > 100
+    if name == "class_e":
+        kinds = {in_class_e(g).violation.kind for g in rejected}
+        assert kinds == {detectors.HOLE, detectors.THETA, detectors.PRISM, detectors.EVEN_WHEEL}
 
 
 def test_even_wheel_centred_at_the_new_vertex():

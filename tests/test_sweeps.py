@@ -104,7 +104,7 @@ def _obs51_hosts(seed, count):
     """The hosts sweep_obs51 plants, drawn from its seeded stream as it draws them."""
     rng = random.Random(seed)
     for _ in range(count):
-        tree = random_two_tree(rng, rng.randint(2, 9))
+        tree = random_two_tree(rng, rng.randint(2, 9))[0]
         yield sweeps._plant_blurry_host(rng, tree)
 
 
@@ -132,8 +132,9 @@ def test_obs51_records_a_refused_witness(monkeypatch):
 def test_random_two_tree_always_valid():
     rng = random.Random(5)
     for _ in range(50):
-        t = random_two_tree(rng, rng.randint(2, 10))
+        t, edges = random_two_tree(rng, rng.randint(2, 10))
         assert validate_ktree(t.graph, 2, t.order) == (True, None)
+        assert sorted(edges) == t.graph.edges()
 
 
 def test_sweep_c4_necessity_empty_below_8():
