@@ -9,55 +9,51 @@ counts) would; refinement stops as soon as the colouring is discrete, and
 individualizing u gives it its cell's colour and moves the rest of the cell
 and every later cell up one.  The search also yields automorphisms: each
 twin swap it skips, and for each leaf whose certificate ties the best, the
-map best_lab[i] -> lab[i].  Generation follows the canonical-construction-path
-rule: a child produced by adding one vertex v to a canonical parent is kept
-iff deleting the child's canonical-last vertex lands back in the parent's
-isomorphism class, with a per-parent certificate set, `seen`, keeping one
-child of each class.
+map best_lab[i] -> lab[i].  Generation follows McKay's canonical-
+construction-path rule (B. D. McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 26, 1998): a child produced by adding one vertex v to a
+canonical parent is kept iff v lies in the Aut(child) orbit of the child's
+canonical-last vertex.  The labelling call that finds that vertex also
+returns generators of all of Aut(child), so the orbit is exact.  Parents are
+pairwise non-isomorphic, and the rule keeps exactly one child per
+isomorphism class of the next level:
 
-`seen` is not redundant with the orbit filter below.  Two subsets in
-different Aut(parent) orbits give isomorphic children when the new vertex v
-is pseudo-similar to another child vertex w: the two lie in different
-automorphism orbits, yet deleting either leaves the parent.  Both children
-then pass the deletion test.  This first happens at n = 8, where `seen`
-rejects 5 children of the unpruned enumeration.  So a child can be accepted
-without its certificate only when no such w can exist, as when v has the
-unique maximum degree and every isomorphism fixes it: the skip below.
+- An isomorphism phi: G -> H carries canonical-last to canonical-last up to
+  an automorphism: both canonical labellings give the same graph, so
+  lab_H[i] -> phi(lab_G[i]) is an automorphism of H.
+- At most one.  Take two accepted isomorphic children.  By the above, and
+  since each new vertex is in its child's orbit of canonical-last, some
+  isomorphism maps v1 to v2.  It restricts to an isomorphism of the parents,
+  which are then the same graph, and to an automorphism of it mapping one
+  neighbour subset onto the other.  The two subsets lie in one Aut(parent)
+  orbit, and only one subset per orbit is tried.
+- At least one.  Take a class G with canonical-last vertex m.  G - m is
+  isomorphic to some parent P (the prunes are hereditary), so G is an
+  augmentation of P by a subset, and an isomorphism maps m to the new
+  vertex v.  The orbit-minimum subset of that augmentation is tried: it
+  passes the degree filter, because m has maximum degree, and the prunes,
+  which are hereditary and isomorphism-invariant.  Its child is isomorphic
+  to G by a map sending m to v, so v is in the orbit of canonical-last.
 
 Two exact filters run on the neighbour subset before the child is built:
 
 - Degree.  The initial colours rank degrees, and neither refinement nor
   individualization reorders cells, so the canonical-last vertex has maximum
-  degree.  If v does not, deleting that vertex drops more edges than
-  deleting v, so the result cannot be the parent: the subset is skipped.
+  degree, and so does every vertex of its orbit.  A subset that leaves v
+  below the maximum degree is skipped: v could not lie in that orbit.
 - Orbits.  A parent automorphism extends to a child isomorphism fixing v,
-  and the degree filter, the v-anchored prunes and the deletion test are
+  and the degree filter, the v-anchored prunes and the orbit rule are
   invariant under it.  So only the smallest subset of each orbit under the
   automorphisms found is tried; the rest would be rejected with it or be
   duplicates of it.  The automorphisms `_canonical` returns generate all of
   Aut(parent) (the proof is in its docstring), so these are the Aut(parent)
-  orbits, which the skip below relies on.
+  orbits the at-most-one argument relies on.
 
 One exact skip runs after the prune.  A child whose new vertex v has the
-unique maximum degree is accepted without labelling it, without the deletion
-test and without `seen`:
-
-- The canonical-last vertex has maximum degree, and only v does, so v is
-  canonical-last and the deletion test passes.
-- A unique maximum is invariant under isomorphism, and the degree filter
-  gives every built child's new vertex the maximum degree.  So in any child
-  isomorphic to this one the new vertex is the unique maximum too, and the
-  isomorphism maps v to v.
-- Deleting v from both, it restricts to an isomorphism of the parents.
-  Parents are pairwise non-isomorphic, so it is an automorphism of this
-  parent that maps one subset onto the other.  The two subsets lie in one
-  Aut(parent) orbit, and only one subset per orbit is tried, so no
-  duplicate of the child can be built.
-
-Children without a unique maximum are never isomorphic to one with it, so
-`seen` stays exact on the children that are labelled.  The skip saves only
-last-level labellings: an inner-level child is labelled anyway when it is
-expanded as a parent.
+unique maximum degree is accepted without labelling it: the canonical-last
+vertex has maximum degree, and only v does, so v is canonical-last and the
+orbit rule accepts it.  The skip saves only last-level labellings: an
+inner-level child is labelled anyway when it is expanded as a parent.
 
 Hereditary pruning predicates are applied before the (more expensive)
 acceptance test, which is sound because a pruned class cannot have unpruned
@@ -70,7 +66,7 @@ from functools import lru_cache
 from typing import Callable, Iterator
 
 from .errors import ContractViolation
-from .graphs import SimpleGraph, add_vertex, delete_vertex, relabel_mask
+from .graphs import SimpleGraph, add_vertex, relabel_mask
 
 ENUMERATION_CAP = 10
 
@@ -212,9 +208,10 @@ def canonical_cert(g: SimpleGraph) -> int:
     return _canonical_cached(g.n, g.adj)[0]
 
 
-def canonical_form(g: SimpleGraph) -> tuple[int, Perm]:
-    """Certificate plus a labeling achieving it (labeling[i] = original vertex)."""
-    return _canonical_cached(g.n, g.adj)[:2]
+def canonical_form(g: SimpleGraph) -> tuple[int, Perm, tuple[Perm, ...]]:
+    """Certificate, a labeling achieving it (labeling[i] = original vertex)
+    and automorphisms generating Aut(g) (perm[u] = image of u)."""
+    return _canonical_cached(g.n, g.adj)
 
 
 def are_isomorphic(g: SimpleGraph, h: SimpleGraph) -> bool:
@@ -226,8 +223,7 @@ def expand_children(
 ) -> list[SimpleGraph]:
     """Accepted one-vertex extensions of a canonical parent, in subset order."""
     out = []
-    seen: set[int] = set()
-    parent_cert, _, gens = _canonical_cached(parent.n, parent.adj)
+    gens = _canonical_cached(parent.n, parent.adj)[2]
     gen_bits = [[1 << image for image in perm] for perm in gens]
     done: set[int] = set()
     new_v = parent.n
@@ -251,18 +247,13 @@ def expand_children(
             # v has the unique maximum degree (module docstring)
             out.append(child)
             continue
-        cert, labeling = canonical_form(child)
-        if cert in seen:
-            continue
-        canon_last = labeling[child.n - 1]
-        if canon_last == new_v:
-            deleted_cert = parent_cert
-        else:
-            deleted_cert = canonical_cert(delete_vertex(child, canon_last))
-        if deleted_cert != parent_cert:
-            continue
-        seen.add(cert)
-        out.append(child)
+        # the orbit rule (module docstring); a vertex's orbit is the orbit
+        # of its singleton mask
+        _, labeling, child_gens = canonical_form(child)
+        orbit: set[int] = set()
+        _close_orbit(1 << labeling[-1], [[1 << image for image in perm] for perm in child_gens], orbit)
+        if 1 << new_v in orbit:
+            out.append(child)
     return out
 
 

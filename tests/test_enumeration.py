@@ -54,8 +54,9 @@ def count_isomorphism_classes_brute(n: int) -> int:
 
 
 def test_counts_match_sequence():
-    # n = 8 is the first level where expand_children's `seen` set rejects a
-    # child (see the enumeration docstring)
+    # n = 8 is the first level with pseudo-similar children: isomorphic
+    # children from subsets in different Aut(parent) orbits, of which the
+    # orbit rule keeps one (test_pseudo_similar_children_are_kept_once)
     for n in range(1, 9):
         assert len(all_graphs(n)) == UNLABELED_COUNTS[n]
 
@@ -288,8 +289,8 @@ def _automorphisms(g: SimpleGraph):
 
 
 def test_canonical_generators_span_aut_for_small_graphs():
-    # the unique-maximum skip in expand_children is exact only if the
-    # generators span all of Aut(parent) (the proof is in _canonical)
+    # the orbit filter and the orbit rule in expand_children are exact only
+    # if the generators span all of Aut (the proof is in _canonical)
     graphs = [g for n in range(1, 8) for g in all_graphs(n)]
     members = list(enumerate_graphs(8, prune=prune_class_e))
     assert len(members) == 2523
@@ -298,24 +299,49 @@ def test_canonical_generators_span_aut_for_small_graphs():
         assert len(_group(g.n, _canonical(g.n, g.adj)[2])) == aut
 
 
-def _reference_expand_children(parent, prune=None):
-    """expand_children without the degree and orbit filters."""
-    out = []
-    seen = set()
-    parent_cert = canonical_cert(parent)
+def _labelled_children(parent, prune=None):
+    """Every one-vertex extension that passes the prune, in subset order,
+    with its certificate, labelling and automorphism generators."""
     for subset in range(1 << parent.n):
         child = add_vertex(parent, subset)
-        if prune is not None and not prune(child):
-            continue
-        cert, labeling = canonical_form(child)
-        if cert in seen:
-            continue
-        canon_last = labeling[-1]
-        if canon_last != parent.n and canonical_cert(delete_vertex(child, canon_last)) != parent_cert:
-            continue
-        seen.add(cert)
-        out.append(child)
+        if prune is None or prune(child):
+            yield child, canonical_form(child)
+
+
+def _vertex_orbit(u: int, gens) -> set:
+    orbit, stack = {u}, [u]
+    while stack:
+        x = stack.pop()
+        for perm in gens:
+            if perm[x] not in orbit:
+                orbit.add(perm[x])
+                stack.append(perm[x])
+    return orbit
+
+
+def _reference_expand_children(parent, labelled):
+    """expand_children without the degree and orbit filters and without the
+    unique-maximum skip: the orbit rule on every subset.  Subsets in one
+    Aut(parent) orbit give isomorphic children that all pass the rule, so
+    `seen` keeps the first of them."""
+    out = []
+    seen = set()
+    for child, (cert, labeling, gens) in labelled:
+        if cert not in seen and parent.n in _vertex_orbit(labeling[-1], gens):
+            seen.add(cert)
+            out.append(child)
     return out
+
+
+def _deletion_rule_certs(parent, labelled) -> set:
+    """Certificates of the children the earlier acceptance rule kept: those
+    whose canonical-last vertex deletes back to the parent's class."""
+    parent_cert = canonical_cert(parent)
+    return {
+        cert
+        for child, (cert, labeling, _) in labelled
+        if canonical_cert(delete_vertex(child, labeling[-1])) == parent_cert
+    }
 
 
 SWEEP_PRUNES = {
@@ -336,7 +362,12 @@ def test_filters_keep_expand_children_unchanged(name):
     for n in range(1, 8):
         parents += enumerate_graphs(n, prune=prune)
     for parent in parents:
-        assert expand_children(parent, prune) == _reference_expand_children(parent, prune)
+        children = expand_children(parent, prune)
+        labelled = list(_labelled_children(parent, prune))
+        assert children == _reference_expand_children(parent, labelled)
+        # the deletion rule keeps the same classes, but may keep another
+        # member of a class, so only the certificate sets are compared
+        assert {canonical_cert(c) for c in children} == _deletion_rule_certs(parent, labelled)
 
 
 def _survives_degree_filter(parent: SimpleGraph, subset: int) -> bool:
@@ -346,11 +377,21 @@ def _survives_degree_filter(parent: SimpleGraph, subset: int) -> bool:
 
 def test_expand_children_labels_one_survivor_per_orbit(monkeypatch):
     # only the smallest degree-filter survivor of each Aut(parent) orbit is
-    # built, and the orbit closure runs on exactly those subsets
+    # built, and the subset orbit closure runs on exactly those subsets; the
+    # orbit rule's closures, on a child's canonical-last vertex, carry tables
+    # of the child's n + 1 vertices
     built, closed = [], []
     monkeypatch.setattr(enumeration, "add_vertex", lambda g, s: built.append(s) or add_vertex(g, s))
     close = enumeration._close_orbit
-    monkeypatch.setattr(enumeration, "_close_orbit", lambda s, gens, done: closed.append(s) or close(s, gens, done))
+
+    def spy(s, gens, done):
+        if gens and len(gens[0]) == n:
+            closed.append(s)
+        else:
+            assert not s & (s - 1) and not done
+        close(s, gens, done)
+
+    monkeypatch.setattr(enumeration, "_close_orbit", spy)
     for n in range(0, 7):
         for parent in all_graphs(n) if n else [SimpleGraph(0, ())]:
             built.clear()
@@ -392,8 +433,9 @@ def test_expand_children_labels_exactly_the_children_without_unique_maximum(name
 
 def test_pseudo_similar_children_are_kept_once():
     # two subsets in different Aut(parent) orbits give isomorphic children,
-    # and neither new vertex has the unique maximum degree: only `seen`
-    # keeps the second out
+    # and neither new vertex has the unique maximum degree: the orbit rule
+    # keeps the first, where v = 7 is in the orbit of the canonical-last
+    # vertex, and rejects the second, where it is not
     parent = parse_graph6("FCOe_")
     subsets = (0b10110, 0b100101)
     children = [add_vertex(parent, s) for s in subsets]
@@ -402,4 +444,7 @@ def test_pseudo_similar_children_are_kept_once():
     assert canonical_cert(children[1]) == cert
     assert subsets[1] not in {_permute_mask(subsets[0], p) for p in _automorphisms(parent)}
     assert not any(_unique_maximum(c) for c in children)
-    assert sum(canonical_cert(c) == cert for c in expand_children(parent, prune_class_e)) == 1
+    last = canonical_form(children[1])[1][-1]
+    assert last == 6 and 7 not in {p[last] for p in _automorphisms(children[1])}
+    kept = [write_graph6(c) for c in expand_children(parent, prune_class_e) if canonical_cert(c) == cert]
+    assert kept == ["GCOebO"]

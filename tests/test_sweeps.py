@@ -161,6 +161,9 @@ PAYLOAD_PINS = {
                     "f1b6ecdeabddbef3bad52ba4908de31ff49e4e018373032a91f15d3aa6d474cb"),
     "c4_necessity-n7": (lambda: sweep_c4_necessity(7, threads=1),
                         "53c5ca571779c539decab2c7dc63c8110538c6e20a7de78c7397690ef636a846"),
+    # n = 8 is the first level with findings, so this pins their content
+    "c4_necessity-n8": (lambda: sweep_c4_necessity(8, threads=1),
+                        "8c93da99f386faff25f53be5bc20e0ca70fff1d9fcdbeca81df51a583b704c77"),
     # pinned while the fault injection was still a hook inside the thm31 minor check
     "thm31_mutated-n5": (lambda: sweep_thm31(5, threads=1, mutate=True),
                          "9c3c39a1fa187ccaf0098880be7b6c7d2cc628c423bc4e9671b0201eecbb0b48"),
