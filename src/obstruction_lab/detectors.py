@@ -15,18 +15,23 @@ order is the ascending one above.  find_theta only tries ends whose
 neighbourhood holds three pairwise non-adjacent vertices: the three paths
 leave an end through interiors that are disjoint and anticomplete, so their
 first vertices are pairwise non-adjacent.
+
+Given an `anchor` vertex, find_theta, find_prism and find_even_wheel look
+only for a configuration containing it, on the holes through it (see
+"obstructions through one vertex"); the hereditary prunes call only these.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations
-from typing import Generator, Iterator
+from typing import Generator, Iterable, Iterator
 
 from .errors import ContractViolation
 from .graphs import SimpleGraph, bits, closed_neighborhood, is_induced_path, mask_of, write_graph6
-from .graphs import check_vertices, induced_subgraph, ints_from_json, ints_to_json
+from .graphs import check_vertices, ints_from_json, ints_to_json
 
 HOLE = "hole"
 THETA = "theta"
@@ -414,13 +419,17 @@ def induced_ab_paths(g: SimpleGraph, a: int, b: int, allowed: int) -> list[tuple
     return out
 
 
-def find_theta(g: SimpleGraph) -> Certificate | None:
+def find_theta(g: SimpleGraph, anchor: int | None = None) -> Certificate | None:
     """Two non-adjacent ends joined by three internally disjoint induced paths
     of length >= 2 whose interiors are pairwise anticomplete.
 
     An end needs three pairwise non-adjacent neighbours, its neighbours on
     the three paths; other vertices are skipped as ends before any search.
+    With an anchor, the first theta containing it, found as a hole through
+    the anchor plus one ear (see "obstructions through one vertex").
     """
+    if anchor is not None:
+        return _first_on_holes(_theta_on, g, anchor)
     n, adj = g.n, g.adj
     ends = [_has_stable_triple(g, adj[v]) for v in range(n)]
     for a in range(n):
@@ -522,13 +531,17 @@ def _bfs_distances(g: SimpleGraph, start: int) -> list[int]:
     return dist
 
 
-def find_prism(g: SimpleGraph) -> Certificate | None:
+def find_prism(g: SimpleGraph, anchor: int | None = None) -> Certificate | None:
     """Two disjoint triangles joined by three disjoint paths, with only the
     triangle edges running between different paths.
 
     Triangle pairs are tried closest first so that on prism-bearing hosts the
     certificate surfaces before any expensive failing pair is exhausted.
+    With an anchor, the first prism containing it, found as a hole through
+    the anchor plus one ear (see "obstructions through one vertex").
     """
+    if anchor is not None:
+        return _first_on_holes(_prism_on, g, anchor)
     tris = _triangles(g)
     if len(tris) < 2:
         return None
@@ -621,13 +634,18 @@ def validate_prism(g: SimpleGraph, cert: Certificate) -> bool:
 # even wheels
 
 
-def find_even_wheel(g: SimpleGraph) -> Certificate | None:
+def find_even_wheel(g: SimpleGraph, anchor: int | None = None) -> Certificate | None:
     """Hole C plus outside vertex with an even number (hence >= 4) of
-    neighbors on C; holes are scanned shortest first (iterative deepening)."""
-    return _even_wheel_on(g, iter_holes(g))
+    neighbors on C; holes are scanned shortest first (iterative deepening).
+    With an anchor, the first even wheel containing it: on the rim, a hole
+    through the anchor; else centred at it (`wheel_centred_at`)."""
+    if anchor is None:
+        return _even_wheel_on(g, iter_holes(g))
+    rim = _even_wheel_on(g, _holes_through(g, anchor))
+    return rim if rim is not None else wheel_centred_at(g, anchor)
 
 
-def _even_wheel_on(g: SimpleGraph, holes: Iterator[tuple[int, ...]]) -> Certificate | None:
+def _even_wheel_on(g: SimpleGraph, holes: Iterable[tuple[int, ...]]) -> Certificate | None:
     """The first even wheel whose rim is one of `holes`, centre lowest first."""
     for cyc in holes:
         cmask = mask_of(cyc)
@@ -649,6 +667,195 @@ def validate_even_wheel(g: SimpleGraph, cert: Certificate) -> bool:
         return False
     k = (g.adj[v] & cmask).bit_count()
     return k >= 4 and k % 2 == 0
+
+
+# ---------------------------------------------------------------------------
+# obstructions through one vertex
+#
+# With an anchor v, find_theta, find_prism and find_even_wheel return a
+# certificate containing v, or None.  They share one list of the holes through
+# v: v's two neighbours a < b on such a hole are non-adjacent, and the rest of
+# the hole is an induced a-b path with its interior outside N[v], so each hole
+# through v comes once as (v, a, ..., b).
+#
+# Let H be a hole through v, x a vertex outside H, A(x) = N(x) & H, and call x
+# free when A(x) is empty.
+# - Even wheel containing v: v is on the rim, which is a hole H through v
+#   with some x outside it where |A(x)| is even and >= 4; or v is the centre,
+#   and some hole of g - v meets N(v) in an even number >= 4 of vertices.
+# - Theta containing v: for some H, an induced path Q = x1 ... xk (k >= 1)
+#   outside H whose inner vertices are free, with A(x1) = {a} and
+#   A(xk) = {b} for distinct non-adjacent a, b (for k = 1, A(x1) = {a, b}).
+#   Forward: two of the theta's paths, one containing v, form such an H and
+#   the third path is Q.  Backward: H and Q form a theta with ends a and b,
+#   since the two arcs of H from a to b have length >= 2.
+# - Prism containing v: the same ear, with x1 != xk and A(x1), A(xk) two
+#   disjoint edges of H.  Forward: the two prism paths through v form H,
+#   the third is Q.  Backward: cutting H at the two edges gives the other
+#   two prism paths, with the triangles {a1, a2, x1} and {b1, b2, xk}.
+# Such a Q exists exactly when x1 and xk are adjacent, or both have a
+# neighbour in one component of the free vertices; a shortest x1-xk path
+# through that component is then induced.  So a hole costs one attachment
+# pass, plus the components of its free vertices, and the induced-path search
+# runs only to build a Q known to exist.
+#
+# The hole lists are memoized on the graph's (n, adj).  The holes of g - v are
+# keyed on g - v kept on n vertices with v's row and bit cleared, which every
+# child of one parent in the generation tree shares.
+
+_HOLE_MEMO = 8  # graphs per memo; a sweep reuses an entry only while on one child or one parent
+
+
+def _holes_through(g: SimpleGraph, v: int) -> tuple[tuple[int, ...], ...]:
+    """Every hole through v, once each, as (v, a, ..., b) with a < b."""
+    if not 0 <= v < g.n:
+        raise ContractViolation("vertex out of range")
+    return _holes_through_memo(g.n, g.adj, v)
+
+
+@lru_cache(maxsize=_HOLE_MEMO)
+def _holes_through_memo(n: int, adj: tuple[int, ...], v: int) -> tuple[tuple[int, ...], ...]:
+    g = SimpleGraph(n, adj)
+    nv = adj[v]
+    outside = g.vertices_mask & ~nv & ~(1 << v)
+    return tuple(
+        (v,) + path
+        for a in bits(nv)
+        for b in bits(nv & ~adj[a] & ~((2 << a) - 1))
+        for path in _iter_induced_ab_paths(g, a, b, outside)
+    )
+
+
+def _without(g: SimpleGraph, v: int) -> tuple[int, ...]:
+    """The rows of g - v kept on n vertices: v's row and bit cleared."""
+    keep = ~(1 << v)
+    return tuple(0 if u == v else row & keep for u, row in enumerate(g.adj))
+
+
+@lru_cache(maxsize=_HOLE_MEMO)
+def _parent_holes(n: int, adj: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(mask, cycle) for every hole of the graph (n, adj)."""
+    return tuple((mask_of(cycle), cycle) for cycle in iter_holes(SimpleGraph(n, adj)))
+
+
+def wheel_centred_at(g: SimpleGraph, v: int) -> Certificate | None:
+    """An even wheel centred at v: a hole of g - v meeting N(v) in an even
+    number >= 4 of vertices, with the holes of g - v read from their memo."""
+    if not 0 <= v < g.n:
+        raise ContractViolation("vertex out of range")
+    nv = g.adj[v]
+    if nv.bit_count() < 4:
+        return None
+    for mask, cycle in _parent_holes(g.n, _without(g, v)):
+        k = (nv & mask).bit_count()
+        if k >= 4 and k % 2 == 0:
+            return Certificate(EVEN_WHEEL, cycle=cycle, center=v)
+    return None
+
+
+def _first_on_holes(search, g: SimpleGraph, v: int) -> Certificate | None:
+    for cycle in _holes_through(g, v):
+        cert = search(g, cycle)
+        if cert is not None:
+            return cert
+    return None
+
+
+def _attachments(g: SimpleGraph, hmask: int) -> tuple[dict[int, int], int]:
+    """A(x) for each x outside the hole with A(x) non-empty, ascending, and
+    the mask of the free vertices."""
+    att, free = {}, 0
+    for x in bits(g.vertices_mask & ~hmask):
+        a = g.adj[x] & hmask
+        if a:
+            att[x] = a
+        else:
+            free |= 1 << x
+    return att, free
+
+
+def _theta_ends(g: SimpleGraph, s: int, t: int) -> bool:
+    """Whether single-vertex attachments s and t are distinct and non-adjacent."""
+    return s != t and not g.adj[s.bit_length() - 1] & t
+
+
+def _prism_ends(g: SimpleGraph, s: int, t: int) -> bool:
+    """Whether edge attachments s and t are disjoint."""
+    return not s & t
+
+
+def _theta_on(g: SimpleGraph, cycle: tuple[int, ...]) -> Certificate | None:
+    """A theta made of the hole and one ear, or None."""
+    att, free = _attachments(g, mask_of(cycle))
+    for x, a in att.items():
+        low = a & -a
+        if a.bit_count() == 2 and _theta_ends(g, low, a ^ low):
+            return _theta_cert(cycle, low, a ^ low, (x,))
+    singles = {x: a for x, a in att.items() if a.bit_count() == 1}
+    ear = _ear(g, free, singles, _theta_ends)
+    if ear is None:
+        return None
+    return _theta_cert(cycle, singles[ear[0]], singles[ear[-1]], ear)
+
+
+def _theta_cert(cycle: tuple[int, ...], s: int, t: int, ear: tuple[int, ...]) -> Certificate:
+    """The theta whose ends are the vertices of s and t: the two arcs of the
+    hole between them, and the ear."""
+    a, b = s.bit_length() - 1, t.bit_length() - 1
+    m = len(cycle)
+    i, j = cycle.index(a), cycle.index(b)
+    forward = tuple(cycle[(i + step) % m] for step in range((j - i) % m + 1))
+    backward = tuple(cycle[(i - step) % m] for step in range((i - j) % m + 1))
+    return Certificate(THETA, ends=(a, b), paths=(forward, backward, (a,) + ear + (b,)))
+
+
+def _prism_on(g: SimpleGraph, cycle: tuple[int, ...]) -> Certificate | None:
+    """A prism made of the hole and one ear, or None."""
+    att, free = _attachments(g, mask_of(cycle))
+    edges = {x: a for x, a in att.items() if a.bit_count() == 2 and is_clique(g, a)}
+    ear = _ear(g, free, edges, _prism_ends)
+    if ear is None:
+        return None
+    x1, xk = ear[0], ear[-1]
+    # rotate the hole to run from one end of A(x1) round to the other
+    m = len(cycle)
+    i = next(i for i in range(m) if edges[x1] >> cycle[i] & 1 and edges[x1] >> cycle[i - 1] & 1)
+    r = cycle[i:] + cycle[:i]
+    p = next(p for p in range(m) if edges[xk] >> r[p] & 1)
+    triangles = ((r[0], r[-1], x1), (r[p], r[p + 1], xk))
+    return Certificate(PRISM, triangles=triangles, paths=(r[: p + 1], r[:p:-1], ear))
+
+
+def _ear(g: SimpleGraph, free: int, ends: dict[int, int], fits) -> tuple[int, ...] | None:
+    """The first pair x1 < xk of `ends` whose attachments fit and which an
+    induced path with free inner vertices joins, as that path; or None."""
+    if len(ends) < 2:
+        return None
+    adj = g.adj
+    touch = dict.fromkeys(ends, 0)  # the components of g[free] each end meets
+    rest = free
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            nxt = 0
+            for u in bits(frontier):
+                nxt |= adj[u]
+            frontier = nxt & rest & ~comp
+            comp |= frontier
+        rest &= ~comp
+        for x in ends:
+            if adj[x] & comp:
+                touch[x] |= comp
+    xs = list(ends)
+    for i, x1 in enumerate(xs):
+        for xk in xs[i + 1 :]:
+            if not fits(g, ends[x1], ends[xk]):
+                continue
+            if adj[x1] >> xk & 1:
+                return (x1, xk)
+            if touch[x1] & touch[xk]:
+                return next(_iter_induced_ab_paths(g, x1, xk, free))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -689,30 +896,35 @@ def in_class_e(g: SimpleGraph) -> Verdict:
 def class_e_through(g: SimpleGraph, v: int) -> bool:
     """Class-E membership of g, exact whenever g - v is in E.
 
-    Then every obstruction of g contains v.  Every vertex of a C4, theta or
-    prism, and every rim vertex of a wheel, lies on a hole.  So when no hole
-    runs through v, the only possible obstruction is an even wheel centred at
-    v.  Its rim lies in N(v), since a rim vertex outside N(v) would sit on a
-    hole through v (the rim arc between two consecutive neighbours of v, closed
-    by v), and it is then an even hole of g[N(v)]; conversely, an even hole of
-    g[N(v)] is the rim of an even wheel centred at v.
+    Then every obstruction of g contains v, and only the searches anchored on
+    v run (see "obstructions through one vertex").  Every vertex of a C4,
+    theta or prism, and every rim vertex of a wheel, lies on a hole.  So when
+    no hole runs through v, the only possible obstruction is an even wheel
+    centred at v.  Its rim lies in N(v), since a rim vertex outside N(v) would
+    sit on a hole through v (the rim arc between two consecutive neighbours
+    of v, closed by v); so it is an even hole of the C4-free g - v, with at
+    least 6 vertices, and a v with fewer than six neighbours is accepted
+    before the holes of g - v are read.
 
     A C4 of g runs through v too, so it is some x outside N[v] with two
     non-adjacent neighbours in N(v); the pass that looks for a hole through v
-    looks for that x as well.  in_class_e runs when the pass finds a hole
-    through v without such an x: on a child with a hole but no C4 through v,
-    and on one whose first hole component comes before the component of x,
-    where in_class_e reports that C4 as its first hole.
+    looks for that x as well, and stops at the first component that closes a
+    hole.  When it finds a hole without such an x, a C4 through v is a hole
+    of length 4 among the holes through v; with none, the anchored theta,
+    prism and even-wheel searches decide.
     """
     through = _through(g, v)
     if through == "c4":
         return False
-    if through == "hole":
-        return in_class_e(g).member
-    # g[N(v)] lies in the C4-free g - v, so its even holes have >= 6 vertices
-    if g.adj[v].bit_count() < 6:
-        return True
-    return find_hole(induced_subgraph(g, g.adj[v])[0], parity="even") is None
+    if through is None:
+        return g.adj[v].bit_count() < 6 or wheel_centred_at(g, v) is None
+    if any(len(cycle) == 4 for cycle in _holes_through(g, v)):
+        return False
+    return (
+        find_theta(g, anchor=v) is None
+        and find_prism(g, anchor=v) is None
+        and find_even_wheel(g, anchor=v) is None
+    )
 
 
 def in_class_et(g: SimpleGraph, t: int) -> Verdict:

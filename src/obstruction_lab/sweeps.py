@@ -28,6 +28,7 @@ from .detectors import (
     has_clique,
     hole_through,
     in_class_e,
+    wheel_centred_at,
 )
 from .enumeration import ENUMERATION_CAP, expand_children
 from .errors import ContractViolation
@@ -114,10 +115,13 @@ class SweepReport:
 #
 # Each prune is anchored on the child's new vertex v = g.n - 1: its parent
 # g - v already passed the same prune, so only an obstruction through v can
-# reject g.  When no hole runs through v, that obstruction can only be an even
-# wheel centred at v whose rim is an even hole of g[N(v)]; the argument is in
-# `detectors.class_e_through`, which only the class-E prune calls.  So an anchored
-# prune is valid only on a child whose parent passed the same prune.
+# reject g, and the prune runs only the searches anchored on v.  A theta or a
+# prism through v is a hole through v plus one ear, and an even wheel through
+# v has a hole through v as its rim or v as its centre (the argument is in
+# `detectors`, "obstructions through one vertex").  When no hole runs through
+# v, only the even wheel centred at v is left, whose rim is a hole of g - v;
+# every child of one parent reads the parent's holes from one memo.  So an
+# anchored prune is valid only on a child whose parent passed the same prune.
 
 
 def _neighbourhood(g: SimpleGraph, v: int) -> SimpleGraph:
@@ -126,7 +130,7 @@ def _neighbourhood(g: SimpleGraph, v: int) -> SimpleGraph:
 
 def prune_class_e(g: SimpleGraph) -> bool:
     """Class-E membership; valid only inside the generation tree, where g
-    minus its last vertex is in E."""
+    minus its last vertex is in E (see `detectors.class_e_through`)."""
     return class_e_through(g, g.n - 1)
 
 
@@ -141,8 +145,12 @@ def prune_tpw_free(g: SimpleGraph) -> bool:
     the generation tree, where g minus its last vertex has it."""
     v = g.n - 1
     if hole_through(g, v):
-        return find_theta(g) is None and find_prism(g) is None and find_even_wheel(g) is None
-    return find_hole(_neighbourhood(g, v), parity="even") is None
+        return (
+            find_theta(g, anchor=v) is None
+            and find_prism(g, anchor=v) is None
+            and find_even_wheel(g, anchor=v) is None
+        )
+    return wheel_centred_at(g, v) is None
 
 
 def _prune_chordal(g: SimpleGraph, k: int) -> bool:

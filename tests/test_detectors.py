@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from obstruction_lab import detectors
 from obstruction_lab.detectors import (
     BICLIQUE,
+    EVEN_WHEEL,
     PRISM,
     THETA,
     Certificate,
@@ -42,6 +43,7 @@ from obstruction_lab.graphs import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    delete_vertex,
     empty_graph,
     mask_of,
     path_graph,
@@ -50,6 +52,9 @@ from obstruction_lab.graphs import (
 
 from conftest import all_graphs, diamond, random_graphs
 from oracle_detectors import (
+    _is_cycle_subset,
+    _subset_is_prism,
+    _subset_is_theta,
     oracle_has_even_wheel,
     oracle_has_hole,
     oracle_has_prism,
@@ -581,3 +586,118 @@ def test_theta_gate_catches_end_filter_mutants(name, monkeypatch):
     monkeypatch.setattr(detectors, "_has_stable_triple", END_FILTER_MUTANTS[name])
     assert find_theta(complete_bipartite(2, 3)) is None
     assert next(_theta_disagreements(), None) is not None
+
+
+# ---------------------------------------------------------------------------
+# the searches anchored on one vertex
+
+ANCHORED = {THETA: find_theta, PRISM: find_prism, EVEN_WHEEL: find_even_wheel}
+
+
+def _configuration_vertices(g: SimpleGraph) -> dict[str, int]:
+    """Per kind, the mask of the vertices that lie in some theta, prism or
+    even wheel of g, from the subset predicates of the oracles."""
+    out = dict.fromkeys(ANCHORED, 0)
+    for mask in range(1 << g.n):
+        if _subset_is_theta(g, mask):
+            out[THETA] |= mask
+        if _subset_is_prism(g, mask):
+            out[PRISM] |= mask
+        if _is_cycle_subset(g, mask):
+            for c in bits(g.vertices_mask & ~mask):
+                k = (g.adj[c] & mask).bit_count()
+                if k >= 4 and k % 2 == 0:
+                    out[EVEN_WHEEL] |= mask | 1 << c
+    return out
+
+
+def _certificate_vertices(cert: Certificate) -> set[int]:
+    return set(cert.cycle).union(*cert.paths, *cert.triangles) | ({cert.center} - {-1})
+
+
+def _anchored_mismatches():
+    """(graph6, v, kind, what) for each graph with n <= 7, vertex v and kind
+    where the anchored search answers otherwise than the subset predicates,
+    or returns a certificate that is invalid or misses v."""
+    for n in range(1, 8):
+        for g in all_graphs(n):
+            covered = _configuration_vertices(g)
+            for v in range(n):
+                for kind, finder in ANCHORED.items():
+                    cert = finder(g, anchor=v)
+                    if (cert is not None) != bool(covered[kind] >> v & 1):
+                        yield write_graph6(g), v, kind, "answer"
+                    elif cert is not None and not (
+                        validate_certificate(g, cert) and v in _certificate_vertices(cert)
+                    ):
+                        yield write_graph6(g), v, kind, "certificate"
+
+
+def test_anchored_searches_match_subsets_n7():
+    assert list(_anchored_mismatches()) == []
+
+
+def test_anchored_searches_match_whole_graph_n8_to_10():
+    # where g - v is free of the kind, every configuration of g contains v
+    mismatches, found = [], set()
+    for g in random_graphs(50, 23, (8, 10)):
+        for v in range(g.n):
+            minus = delete_vertex(g, v)
+            for kind, finder in ANCHORED.items():
+                if finder(minus) is not None:
+                    continue
+                whole = finder(g) is not None
+                if (finder(g, anchor=v) is not None) != whole:
+                    mismatches.append((write_graph6(g), v, kind))
+                if whole:
+                    found.add(kind)
+    assert mismatches == []
+    assert found == set(ANCHORED)
+
+
+def test_anchored_search_rejects_a_vertex_out_of_range():
+    for finder in ANCHORED.values():
+        with pytest.raises(ContractViolation):
+            finder(cycle_graph(4), anchor=4)
+    with pytest.raises(ContractViolation):
+        detectors.wheel_centred_at(complete_graph(5), -1)
+
+
+def _centre_with_two():
+    """wheel_centred_at taking any hole of g - v with >= 2 neighbours of v."""
+
+    def centred(g, v):
+        for mask, cycle in detectors._parent_holes(g.n, detectors._without(g, v)):
+            if (g.adj[v] & mask).bit_count() >= 2:
+                return Certificate(EVEN_WHEEL, cycle=cycle, center=v)
+        return None
+
+    return centred
+
+
+def _memo_keyed_on_n():
+    """The g - v hole memo keyed on n alone, so it reads a stale parent's holes."""
+    holes, compute = {}, detectors._parent_holes.__wrapped__
+
+    def parent_holes(n, adj):
+        if n not in holes:
+            holes[n] = compute(n, adj)
+        return holes[n]
+
+    return parent_holes
+
+
+# each entry builds a fresh mutant for the detectors attribute it replaces
+ANCHOR_MUTANTS = {
+    "theta_ends_may_be_adjacent": ("_theta_ends", lambda: lambda g, s, t: s != t),
+    "prism_edges_may_share_a_vertex": ("_prism_ends", lambda: lambda g, s, t: s != t),
+    "centre_with_two_rim_neighbours": ("wheel_centred_at", _centre_with_two),
+    "parent_memo_keyed_on_n": ("_parent_holes", _memo_keyed_on_n),
+}
+
+
+@pytest.mark.parametrize("name", ANCHOR_MUTANTS)
+def test_anchored_gate_catches_mutants(name, monkeypatch):
+    attr, build = ANCHOR_MUTANTS[name]
+    monkeypatch.setattr(detectors, attr, build())
+    assert next(_anchored_mismatches(), None) is not None

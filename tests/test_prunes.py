@@ -3,12 +3,14 @@ against the full predicates they replace.
 
 A prune only sees children of parents that passed it, so each gate walks
 every parent in the class and every neighbour subset of the new vertex, and
-compares the prune's verdict on the child with the full predicate's.  Above
-that, a count audit compares the members per level of the pruned tree and of
-the full predicate over every graph with n <= 8, and seeded growth walks
-compare the two on children up to n = 40.  The kernel `class_e_through` is
-gated the same way, with the new vertex moved to other positions, and on the
-triangle minors of every class member.  The thm31
+compares the prune's verdict on the child with the full predicate's; seeded
+samples take children of n = 7 and n = 8 members.  Above that, a count audit
+compares the members per level of the pruned tree and of the full predicate
+over every graph with n <= 8, and seeded growth walks compare the two on
+children up to n = 40.  A spy checks that the class-E and (theta, prism,
+even-wheel)-free prunes never fall back to a whole-graph search.  The kernel
+`class_e_through` is gated the same way, with the new vertex moved to other
+positions, and on the triangle minors of every class member.  The thm31
 minor check must send every minor with a hole through z to `in_class_e`, and
 the C4-necessity search must find the thetas that `find_theta` finds on every
 eligible pair's minor.
@@ -33,13 +35,12 @@ from obstruction_lab.detectors import (
     in_class_e,
     iter_holes,
 )
-from obstruction_lab.enumeration import expand_children
+from obstruction_lab.enumeration import enumerate_graphs, expand_children
 from obstruction_lab.graphs import (
     SimpleGraph,
     add_vertex,
     bits,
     cycle_graph,
-    induced_subgraph,
     mask_of,
     write_graph6,
 )
@@ -84,11 +85,16 @@ def _disagreements(prune, full, candidates):
     return [write_graph6(g) for g in children if prune(g) != full(g)]
 
 
-@pytest.mark.parametrize("name", PRUNES)
-def test_anchored_prune_matches_full_predicate_n7(name):
+def _n7_disagreements(name):
+    """Every parent with n <= 6 in the class times every neighbour subset."""
     prune, full = PRUNES[name]
     candidates = [(p, s) for n in range(7) for p in _members(full, n) for s in range(1 << n)]
-    assert _disagreements(prune, full, candidates) == []
+    return _disagreements(prune, full, candidates)
+
+
+@pytest.mark.parametrize("name", PRUNES)
+def test_anchored_prune_matches_full_predicate_n7(name):
+    assert _n7_disagreements(name) == []
 
 
 @pytest.mark.parametrize("name", PRUNES)
@@ -97,6 +103,20 @@ def test_anchored_prune_matches_full_predicate_n8_sample(name):
     rng = random.Random(2024)
     parents = _members(full, 7)
     candidates = [(rng.choice(parents), rng.randrange(1 << 7)) for _ in range(1000)]
+    assert _disagreements(prune, full, candidates) == []
+
+
+@pytest.mark.parametrize("name", ("class_e", "tpw_free"))
+def test_anchored_prune_matches_full_predicate_n9_sample(name):
+    # the parents are the pruned tree's level 8, which the count audit ties
+    # to the full predicate; each drawn parent is checked against it again
+    prune, full = PRUNES[name]
+    rng = random.Random(2025)
+    level = [SimpleGraph(0, ())]
+    for _ in range(8):
+        level = [c for p in level for c in expand_children(p, prune)]
+    candidates = [(rng.choice(level), rng.randrange(1 << 8)) for _ in range(1000)]
+    assert all(full(parent) for parent, _ in candidates)
     assert _disagreements(prune, full, candidates) == []
 
 
@@ -202,6 +222,28 @@ def test_even_wheel_centred_at_the_new_vertex():
     w4 = add_vertex(cycle_graph(4), 0b1111)
     assert not prune_tpw_free(w4)
     assert prune_tpw_free(cycle_graph(4))
+
+
+def test_prunes_search_only_through_the_new_vertex(monkeypatch):
+    # a prune that fell back to a whole-graph search would keep every count
+    # and pin, and lose what anchoring gains
+    whole, anchored = [], []
+
+    def spy(name, finder):
+        def traced(g, anchor=None):
+            (whole if anchor is None else anchored).append(name)
+            return finder(g, anchor=anchor)
+
+        return traced
+
+    for module in (detectors, sweeps):
+        for name in ("find_theta", "find_prism", "find_even_wheel"):
+            monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+        monkeypatch.setattr(module, "in_class_e", lambda g: whole.append("in_class_e") or in_class_e(g))
+    for name in ("class_e", "tpw_free"):
+        assert sum(1 for _ in enumerate_graphs(7, PRUNES[name][0])) == CLASS_COUNTS[name][6]
+    assert whole == []
+    assert set(anchored) == {"find_theta", "find_prism", "find_even_wheel"}
 
 
 def test_prunes_are_named_module_functions():
@@ -339,10 +381,12 @@ KERNEL_MUTANTS = {
     "neighbourhood_bound_7": (
         detectors, "class_e_through",
         lambda g, v: in_class_e(g).member if hole_through(g, v) else (
-            g.adj[v].bit_count() < 7 or find_hole(induced_subgraph(g, g.adj[v])[0], parity="even") is None
+            g.adj[v].bit_count() < 7 or detectors.wheel_centred_at(g, v) is None
         ),
         ("kernel",),
     ),
+    "class_e_skips_v_as_centre": (detectors, "wheel_centred_at", lambda g, v: None, ("kernel",)),
+    "tpw_free_skips_v_as_centre": (sweeps, "wheel_centred_at", lambda g, v: None, ("tpw_free",)),
     "c4_test_skips_clique_check": (
         detectors, "class_e_through",
         lambda g, v, kernel=detectors.class_e_through: kernel(g, v) and not any(
@@ -378,5 +422,6 @@ def test_kernel_gates_catch_mutants(name, monkeypatch):
             "kernel": _kernel_disagreements,
             "minors": partial(_minor_disagreements, monkeypatch),
             "c4": _c4_disagreements,
+            "tpw_free": lambda: iter(_n7_disagreements("tpw_free")),
         }[gate]()
         assert next(found, None) is not None, gate
