@@ -31,7 +31,7 @@ from typing import Generator, Iterable, Iterator
 
 from .errors import ContractViolation
 from .graphs import SimpleGraph, bits, closed_neighborhood, is_induced_path, mask_of, write_graph6
-from .graphs import check_vertices, ints_from_json, ints_to_json
+from .graphs import check_vertices, components, ints_from_json, ints_to_json
 
 HOLE = "hole"
 THETA = "theta"
@@ -227,6 +227,7 @@ def _through(g: SimpleGraph, v: int) -> str | None:
     adj = g.adj
     nv = adj[v]
     rest = g.vertices_mask & ~nv & ~(1 << v)
+    # walked inline, not by graphs.components, so that it can exit mid-component
     while rest:
         comp = frontier = rest & -rest
         reach = 0
@@ -641,7 +642,7 @@ def find_even_wheel(g: SimpleGraph, anchor: int | None = None) -> Certificate | 
     through the anchor; else centred at it (`wheel_centred_at`)."""
     if anchor is None:
         return _even_wheel_on(g, iter_holes(g))
-    rim = _even_wheel_on(g, _holes_through(g, anchor))
+    rim = _even_wheel_on(g, holes_through(g, anchor))
     return rim if rim is not None else wheel_centred_at(g, anchor)
 
 
@@ -674,9 +675,10 @@ def validate_even_wheel(g: SimpleGraph, cert: Certificate) -> bool:
 #
 # With an anchor v, find_theta, find_prism and find_even_wheel return a
 # certificate containing v, or None.  They share one list of the holes through
-# v: v's two neighbours a < b on such a hole are non-adjacent, and the rest of
-# the hole is an induced a-b path with its interior outside N[v], so each hole
-# through v comes once as (v, a, ..., b).
+# v, `holes_through`: v's two neighbours a < b on such a hole are non-adjacent,
+# and the rest of the hole is an induced a-b path with its interior outside
+# N[v], so each hole through v comes once as (v, a, ..., b).  An even hole
+# containing v is one of these of even length.
 #
 # Let H be a hole through v, x a vertex outside H, A(x) = N(x) & H, and call x
 # free when A(x) is empty.
@@ -706,7 +708,7 @@ def validate_even_wheel(g: SimpleGraph, cert: Certificate) -> bool:
 _HOLE_MEMO = 8  # graphs per memo; a sweep reuses an entry only while on one child or one parent
 
 
-def _holes_through(g: SimpleGraph, v: int) -> tuple[tuple[int, ...], ...]:
+def holes_through(g: SimpleGraph, v: int) -> tuple[tuple[int, ...], ...]:
     """Every hole through v, once each, as (v, a, ..., b) with a < b."""
     if not 0 <= v < g.n:
         raise ContractViolation("vertex out of range")
@@ -754,7 +756,7 @@ def wheel_centred_at(g: SimpleGraph, v: int) -> Certificate | None:
 
 
 def _first_on_holes(search, g: SimpleGraph, v: int) -> Certificate | None:
-    for cycle in _holes_through(g, v):
+    for cycle in holes_through(g, v):
         cert = search(g, cycle)
         if cert is not None:
             return cert
@@ -833,16 +835,7 @@ def _ear(g: SimpleGraph, free: int, ends: dict[int, int], fits) -> tuple[int, ..
         return None
     adj = g.adj
     touch = dict.fromkeys(ends, 0)  # the components of g[free] each end meets
-    rest = free
-    while rest:
-        comp = frontier = rest & -rest
-        while frontier:
-            nxt = 0
-            for u in bits(frontier):
-                nxt |= adj[u]
-            frontier = nxt & rest & ~comp
-            comp |= frontier
-        rest &= ~comp
+    for comp in components(g, free):
         for x in ends:
             if adj[x] & comp:
                 touch[x] |= comp
@@ -918,7 +911,7 @@ def class_e_through(g: SimpleGraph, v: int) -> bool:
         return False
     if through is None:
         return g.adj[v].bit_count() < 6 or wheel_centred_at(g, v) is None
-    if any(len(cycle) == 4 for cycle in _holes_through(g, v)):
+    if any(len(cycle) == 4 for cycle in holes_through(g, v)):
         return False
     return (
         find_theta(g, anchor=v) is None

@@ -208,22 +208,20 @@ def closed_neighborhood(g: SimpleGraph, mask: int) -> int:
     return out
 
 
-def components(g: SimpleGraph) -> list[int]:
-    """Connected components as vertex-set masks, ordered by smallest member."""
-    seen = 0
+def components(g: SimpleGraph, within: int | None = None) -> list[int]:
+    """Connected components of g[within] (all of g by default) as vertex-set
+    masks, ordered by smallest member."""
+    rest = g.vertices_mask if within is None else within
     out = []
-    for v in range(g.n):
-        if seen >> v & 1:
-            continue
-        comp = 1 << v
-        frontier = g.adj[v] & ~comp
+    while rest:
+        comp = frontier = rest & -rest
         while frontier:
-            comp |= frontier
             nxt = 0
             for u in bits(frontier):
                 nxt |= g.adj[u]
-            frontier = nxt & ~comp
-        seen |= comp
+            frontier = nxt & rest & ~comp
+            comp |= frontier
+        rest &= ~comp
         out.append(comp)
     return out
 

@@ -27,6 +27,7 @@ from .detectors import (
     find_theta,
     has_clique,
     hole_through,
+    holes_through,
     in_class_e,
     wheel_centred_at,
 )
@@ -113,19 +114,10 @@ class SweepReport:
 # ---------------------------------------------------------------------------
 # hereditary prunes (must be module-level for multiprocessing)
 #
-# Each prune is anchored on the child's new vertex v = g.n - 1: its parent
-# g - v already passed the same prune, so only an obstruction through v can
-# reject g, and the prune runs only the searches anchored on v.  A theta or a
-# prism through v is a hole through v plus one ear, and an even wheel through
-# v has a hole through v as its rim or v as its centre (the argument is in
-# `detectors`, "obstructions through one vertex").  When no hole runs through
-# v, only the even wheel centred at v is left, whose rim is a hole of g - v;
-# every child of one parent reads the parent's holes from one memo.  So an
-# anchored prune is valid only on a child whose parent passed the same prune.
-
-
-def _neighbourhood(g: SimpleGraph, v: int) -> SimpleGraph:
-    return induced_subgraph(g, g.adj[v])[0]
+# Each prune is anchored on the child's new vertex v = g.n - 1 and is valid
+# only on a child whose parent g - v passed the same prune: then every
+# obstruction of g contains v, and the prune runs only the searches anchored
+# on v (see `detectors`, "obstructions through one vertex").
 
 
 def prune_class_e(g: SimpleGraph) -> bool:
@@ -136,8 +128,8 @@ def prune_class_e(g: SimpleGraph) -> bool:
 
 def prune_even_hole_free(g: SimpleGraph) -> bool:
     """Even-hole-freeness; valid only inside the generation tree, where g minus
-    its last vertex is even-hole-free."""
-    return not hole_through(g, g.n - 1) or find_hole(g, parity="even") is None
+    its last vertex is even-hole-free, so an even hole is one through it."""
+    return all(len(cycle) % 2 for cycle in holes_through(g, g.n - 1))
 
 
 def prune_tpw_free(g: SimpleGraph) -> bool:
@@ -157,7 +149,7 @@ def _prune_chordal(g: SimpleGraph, k: int) -> bool:
     """Chordal and K_{k+2}-free; valid only inside the generation tree, where g
     minus its last vertex is.  A new K_{k+2} is v plus a K_{k+1} in N(v)."""
     v = g.n - 1
-    return not hole_through(g, v) and has_clique(_neighbourhood(g, v), k + 1) is None
+    return not hole_through(g, v) and has_clique(induced_subgraph(g, g.adj[v])[0], k + 1) is None
 
 
 # ---------------------------------------------------------------------------

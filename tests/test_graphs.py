@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +23,7 @@ from obstruction_lab.graphs import (
     write_graph6,
 )
 
-from conftest import all_graphs
+from conftest import all_graphs, random_graphs
 
 
 def test_graph6_frozen_examples():
@@ -113,6 +115,20 @@ def test_components_partition():
         # no edge leaves a component
         for c in comps:
             assert all(not g.adj[v] & ~c for v in bits(c))
+
+
+def test_components_within_matches_induced_subgraph():
+    # components of g[within] are those of the relabelled induced subgraph,
+    # mapped back; the map is increasing, so the order by smallest member holds
+    rng = random.Random(24)
+    for g in random_graphs(300, seed=24, sizes=(0, 14)):
+        whole = components(g)
+        assert components(g, g.vertices_mask) == whole
+        lows = [c & -c for c in whole]
+        assert lows == sorted(lows)
+        for within in (0, rng.getrandbits(g.n), rng.getrandbits(g.n) & rng.getrandbits(g.n)):
+            sub, keep = induced_subgraph(g, within)
+            assert components(g, within) == [mask_of(keep[i] for i in bits(c)) for c in components(sub)]
 
 
 def test_validate_rejects_bad_graphs():

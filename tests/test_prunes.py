@@ -7,13 +7,13 @@ compares the prune's verdict on the child with the full predicate's; seeded
 samples take children of n = 7 and n = 8 members.  Above that, a count audit
 compares the members per level of the pruned tree and of the full predicate
 over every graph with n <= 8, and seeded growth walks compare the two on
-children up to n = 40.  A spy checks that the class-E and (theta, prism,
-even-wheel)-free prunes never fall back to a whole-graph search.  The kernel
-`class_e_through` is gated the same way, with the new vertex moved to other
-positions, and on the triangle minors of every class member.  The thm31
-minor check must send every minor with a hole through z to `in_class_e`, and
-the C4-necessity search must find the thetas that `find_theta` finds on every
-eligible pair's minor.
+children up to n = 40.  A spy checks that the class-E, (theta, prism,
+even-wheel)-free and even-hole-free prunes never fall back to a whole-graph
+search.  The kernel `class_e_through` is gated the same way, with the new
+vertex moved to other positions, and on the triangle minors of every class
+member.  The thm31 minor check must send every minor with a hole through z
+to `in_class_e`, and the C4-necessity search must find the thetas that
+`find_theta` finds on every eligible pair's minor.
 """
 
 import functools
@@ -106,7 +106,7 @@ def test_anchored_prune_matches_full_predicate_n8_sample(name):
     assert _disagreements(prune, full, candidates) == []
 
 
-@pytest.mark.parametrize("name", ("class_e", "tpw_free"))
+@pytest.mark.parametrize("name", ("class_e", "tpw_free", "even_hole_free"))
 def test_anchored_prune_matches_full_predicate_n9_sample(name):
     # the parents are the pruned tree's level 8, which the count audit ties
     # to the full predicate; each drawn parent is checked against it again
@@ -244,6 +244,13 @@ def test_prunes_search_only_through_the_new_vertex(monkeypatch):
         assert sum(1 for _ in enumerate_graphs(7, PRUNES[name][0])) == CLASS_COUNTS[name][6]
     assert whole == []
     assert set(anchored) == {"find_theta", "find_prism", "find_even_wheel"}
+    # the two prunes above read the holes of g - v through iter_holes; the
+    # even-hole prune reads only the holes through v
+    for module, name in ((detectors, "find_hole"), (sweeps, "find_hole"), (detectors, "iter_holes")):
+        finder = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, n=name, f=finder, **k: whole.append(n) or f(*a, **k))
+    assert sum(1 for _ in enumerate_graphs(7, prune_even_hole_free)) == CLASS_COUNTS["even_hole_free"][6]
+    assert whole == []
 
 
 def test_prunes_are_named_module_functions():
@@ -387,6 +394,16 @@ KERNEL_MUTANTS = {
     ),
     "class_e_skips_v_as_centre": (detectors, "wheel_centred_at", lambda g, v: None, ("kernel",)),
     "tpw_free_skips_v_as_centre": (sweeps, "wheel_centred_at", lambda g, v: None, ("tpw_free",)),
+    "even_hole_prune_reads_odd_as_even": (
+        sweeps, "holes_through",
+        lambda g, v, holes=detectors.holes_through: tuple(c[:-1] if len(c) % 2 else c for c in holes(g, v)),
+        ("even_hole_free",),
+    ),
+    "even_hole_prune_counts_only_c4": (
+        sweeps, "holes_through",
+        lambda g, v, holes=detectors.holes_through: tuple(c for c in holes(g, v) if len(c) == 4),
+        ("even_hole_free",),
+    ),
     "c4_test_skips_clique_check": (
         detectors, "class_e_through",
         lambda g, v, kernel=detectors.class_e_through: kernel(g, v) and not any(
@@ -423,5 +440,6 @@ def test_kernel_gates_catch_mutants(name, monkeypatch):
             "minors": partial(_minor_disagreements, monkeypatch),
             "c4": _c4_disagreements,
             "tpw_free": lambda: iter(_n7_disagreements("tpw_free")),
+            "even_hole_free": lambda: iter(_n7_disagreements("even_hole_free")),
         }[gate]()
         assert next(found, None) is not None, gate

@@ -289,9 +289,9 @@ def test_thm32_reports_a_violation_verdict(monkeypatch):
 
 
 def test_even_hole_subset_reports_a_non_member(monkeypatch):
-    # a prune that finds no even hole admits every graph; each one outside E
-    # is recorded with its certificate
-    monkeypatch.setattr(sweeps, "find_hole", lambda g, **kwargs: None)
+    # a prune that sees no hole through the new vertex admits every graph;
+    # each one outside E is recorded with its certificate
+    monkeypatch.setattr(sweeps, "holes_through", lambda g, v: ())
     report = sweep_even_hole_subset_E(5, threads=1)
     outside = [write_graph6(g) for n in range(1, 6) for g in all_graphs(n) if not in_class_e(g).member]
     assert report.graphs_examined == 52 and len(outside) == 7
