@@ -7,8 +7,8 @@ a fixed ascending order, so certificates are deterministic: holes come
 shortest length first, then smallest anchor vertex, then lexicographically
 smallest vertex sequence (with the orientation fixed by second < last).
 
-The two path kernels, the hole search of one length and the induced a-b path
-search, are depth-first loops over an explicit stack.  Each entry holds a
+The two path kernels, the hole search over a window of lengths and the
+induced a-b path search, are depth-first loops over an explicit stack.  Each entry holds a
 path, its vertex mask, the neighbourhoods the next vertex must avoid and the
 candidates not yet tried; the lowest candidate bit is peeled first, so the
 order is the ascending one above.  find_theta only tries ends whose
@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Generator, Iterable, Iterator
 
 from .errors import ContractViolation
@@ -114,8 +114,10 @@ def iter_holes(
 
     Canonical form: the cycle starts at its smallest vertex and runs toward
     the smaller of that vertex's two cycle-neighbors.  The search is lazy and
-    length-major: one explicit-stack DFS per length and live anchor, so the
-    first short hole comes out before any longer one is looked for.  The
+    length-major: it runs the hole kernel on a window of one length at a time,
+    one explicit-stack DFS per live anchor, so the first short hole comes out
+    before any longer one is looked for.  all_holes and the whole-graph
+    find_even_wheel run the same kernel over windows of several lengths.  The
     arguments are checked here, before any search; a bad one raises
     ContractViolation.
 
@@ -142,19 +144,32 @@ def _live_anchor_holes(
     for length in range(min_len, top + 1):
         if not live:
             return
-        live = yield from _holes_of_length(g, length, live, length % 2 not in parities)
+        live = yield from _holes_in_window(g, length, length, live, length % 2 not in parities)
 
 
-def _holes_of_length(
-    g: SimpleGraph, length: int, live: int, probe: bool = False
+def all_holes(g: SimpleGraph) -> list[tuple[int, ...]]:
+    """Every hole, in iter_holes order, from one DFS per anchor over the
+    lengths 4..n; within one length that DFS yields them in iter_holes order,
+    so a stable sort by length is the whole reordering."""
+    holes = list(_holes_in_window(g, 4, g.n, g.vertices_mask)) if g.n >= 4 else []
+    holes.sort(key=len)
+    return holes
+
+
+def _holes_in_window(
+    g: SimpleGraph, lo: int, hi: int, live: int, probe: bool = False
 ) -> Generator[tuple[int, ...], None, int]:
-    """Yields the holes of this length anchored at a live vertex, and returns
-    the mask of the anchors whose search built a path of length - 1 vertices.
-    A probe yields nothing and leaves each anchor at its first such path."""
+    """Yields the holes of lengths lo..hi (4 <= lo <= hi <= n) anchored at a
+    live vertex, and returns the mask of the anchors whose search was cut at
+    a path of hi - 1 vertices; any other anchor is the smallest vertex of no
+    longer hole.  One DFS per anchor: a path of lo - 1 to hi - 1 vertices
+    closes holes, so per anchor and per length the holes come in
+    lexicographic order.  A probe yields nothing and leaves each anchor at its
+    first path of hi - 1 vertices."""
     n, adj = g.n, g.adj
-    closing = length - 1
+    opening, closing = lo - 1, hi - 1
     reached = 0
-    for anchor in bits(live & ((1 << (n - length + 1)) - 1)):
+    for anchor in bits(live & ((1 << (n - lo + 1)) - 1)):
         above = ((1 << n) - 1) & ~((1 << (anchor + 1)) - 1)
         a_adj = adj[anchor]
         first = a_adj & above
@@ -173,14 +188,17 @@ def _holes_of_length(
             w = low.bit_length() - 1
             path += (w,)
             pmask |= low
-            if len(path) < closing:
+            depth = len(path)
+            if depth < closing:
                 nxt = adj[w] & inner & ~forbidden & ~pmask
                 if nxt:
                     stack.append((path, pmask, forbidden | adj[w], nxt))
-                continue
-            reached |= 1 << anchor
-            if probe:
-                break
+                if depth < opening or probe:
+                    continue
+            else:
+                reached |= 1 << anchor
+                if probe:
+                    break
             # the closing vertex exceeds path[1], fixing the orientation
             closers = adj[w] & a_adj & above & ~forbidden & ~pmask
             closers = closers >> (path[1] + 1) << (path[1] + 1)
@@ -637,25 +655,61 @@ def validate_prism(g: SimpleGraph, cert: Certificate) -> bool:
 
 def find_even_wheel(g: SimpleGraph, anchor: int | None = None) -> Certificate | None:
     """Hole C plus outside vertex with an even number (hence >= 4) of
-    neighbors on C; holes are scanned shortest first (iterative deepening).
+    neighbors on C: the first rim in iter_holes order, centre lowest first.
     With an anchor, the first even wheel containing it: on the rim, a hole
-    through the anchor; else centred at it (`wheel_centred_at`)."""
+    through the anchor; else centred at it (`wheel_centred_at`).
+
+    Without one, the holes come in the length windows [4, 8], [9, 16],
+    [17, 32], ..., one DFS per live anchor each, and the search stops at the
+    first window holding a wheel.  There it keeps the shortest rim that has
+    a centre, the first found of its length: within a length, the holes come
+    in iter_holes order.  No earlier window held a wheel, so this is the
+    certificate of the length-major scan, which runs one DFS per length and
+    so rebuilds the first L - 1 vertices of a hole of length L once for
+    every shorter length."""
     if anchor is None:
-        return _even_wheel_on(g, iter_holes(g))
+        return _first_even_wheel(g)
     rim = _even_wheel_on(g, holes_through(g, anchor))
     return rim if rim is not None else wheel_centred_at(g, anchor)
+
+
+def _first_even_wheel(g: SimpleGraph) -> Certificate | None:
+    live, lo, hi = g.vertices_mask, 4, 8
+    while live and lo <= g.n:
+        kernel = _holes_in_window(g, lo, min(hi, g.n), live)
+        best = None
+        while True:
+            try:
+                cycle = next(kernel)
+            except StopIteration as done:
+                live = done.value
+                break
+            if best is None or len(cycle) < len(best.cycle):
+                centre = _wheel_centre(g, mask_of(cycle))
+                if centre >= 0:
+                    best = Certificate(EVEN_WHEEL, cycle=cycle, center=centre)
+        if best is not None:
+            return best
+        lo, hi = hi + 1, 2 * hi
+    return None
+
+
+def _wheel_centre(g: SimpleGraph, cmask: int) -> int:
+    """The lowest vertex with an even number >= 4 of neighbours on the hole
+    `cmask`, or -1; a vertex of the hole has only two there."""
+    for v, row in enumerate(g.adj):
+        k = (row & cmask).bit_count()
+        if k >= 4 and k % 2 == 0:
+            return v
+    return -1
 
 
 def _even_wheel_on(g: SimpleGraph, holes: Iterable[tuple[int, ...]]) -> Certificate | None:
     """The first even wheel whose rim is one of `holes`, centre lowest first."""
     for cyc in holes:
-        cmask = mask_of(cyc)
-        for v in range(g.n):
-            if cmask >> v & 1:
-                continue
-            k = (g.adj[v] & cmask).bit_count()
-            if k >= 4 and k % 2 == 0:
-                return Certificate(EVEN_WHEEL, cycle=cyc, center=v)
+        centre = _wheel_centre(g, mask_of(cyc))
+        if centre >= 0:
+            return Certificate(EVEN_WHEEL, cycle=cyc, center=centre)
     return None
 
 
@@ -737,7 +791,7 @@ def _without(g: SimpleGraph, v: int) -> tuple[int, ...]:
 @lru_cache(maxsize=_HOLE_MEMO)
 def _parent_holes(n: int, adj: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """(mask, cycle) for every hole of the graph (n, adj)."""
-    return tuple((mask_of(cycle), cycle) for cycle in iter_holes(SimpleGraph(n, adj)))
+    return tuple((mask_of(cycle), cycle) for cycle in all_holes(SimpleGraph(n, adj)))
 
 
 def wheel_centred_at(g: SimpleGraph, v: int) -> Certificate | None:
@@ -865,11 +919,11 @@ def in_class_e(g: SimpleGraph) -> Verdict:
     """Membership in the (C4, theta, prism, even wheel)-free class; the first
     violation is reported in the fixed order C4, theta, prism, even wheel.
 
-    One hole pass: the first hole is the C4 test, and the wheel scan goes on
-    from it.  A graph with no hole is a member, as every vertex of a theta or
-    a prism, and every rim vertex of a wheel, lies on a hole."""
-    holes = iter_holes(g)
-    first = next(holes, None)
+    The first hole is the C4 test, and a graph with no hole is a member, as
+    every vertex of a theta or a prism, and every rim vertex of a wheel, lies
+    on a hole.  The whole-graph find_even_wheel, over its length windows,
+    is the last step."""
+    first = next(iter_holes(g), None)
     if first is None:
         return Verdict(True)
     if len(first) == 4:
@@ -880,7 +934,7 @@ def in_class_e(g: SimpleGraph) -> Verdict:
     prism = find_prism(g)
     if prism is not None:
         return Verdict(False, prism)
-    wheel = _even_wheel_on(g, chain((first,), holes))
+    wheel = find_even_wheel(g)
     if wheel is not None:
         return Verdict(False, wheel)
     return Verdict(True)

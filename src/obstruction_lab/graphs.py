@@ -8,6 +8,7 @@ construction and safe to share across workers.
 
 from __future__ import annotations
 
+from base64 import b64decode, b64encode
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator
@@ -268,26 +269,31 @@ def check_vertices(g: SimpleGraph, value, depth: int, field: str) -> None:
 # graph6 (bit-exact per the public format description)
 
 
+# The body is the upper triangle column by column, each column j as the
+# bits of rows 0..j-1, packed six to a byte plus 63.  Both directions work on
+# the triangle as one bit string: each column is a `format` of the row's low
+# bits, reversed, and the six-bit groups go through the base64 alphabet.
+_GRAPH6_BYTES = bytes(range(63, 127))
+_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_GRAPH6 = bytes.maketrans(_B64, _GRAPH6_BYTES)
+_FROM_GRAPH6 = bytes.maketrans(_GRAPH6_BYTES, _B64)
+
+
 def write_graph6(g: SimpleGraph) -> str:
-    if g.n > MAX_VERTICES:
+    n = g.n
+    if n > MAX_VERTICES:
         raise ContractViolation("graph too large for this implementation")
-    if g.n <= 62:
-        head = [g.n + 63]
+    if n <= 62:
+        head = chr(n + 63)
     else:
-        head = [126, (g.n >> 12) + 63, ((g.n >> 6) & 63) + 63, (g.n & 63) + 63]
-    stream = []
-    for j in range(1, g.n):
-        for i in range(j):
-            stream.append(g.adj[i] >> j & 1)
-    while len(stream) % 6:
-        stream.append(0)
-    body = []
-    for k in range(0, len(stream), 6):
-        val = 0
-        for b in stream[k : k + 6]:
-            val = val << 1 | b
-        body.append(val + 63)
-    return bytes(head + body).decode("ascii")
+        head = "~" + chr((n >> 12) + 63) + chr(((n >> 6) & 63) + 63) + chr((n & 63) + 63)
+    stream = "".join(format(g.adj[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n))
+    if not stream:
+        return head
+    chars = (len(stream) + 5) // 6
+    nbytes = (chars + 3) // 4 * 3  # whole base64 quanta
+    raw = (int(stream, 2) << (8 * nbytes - len(stream))).to_bytes(nbytes, "big")
+    return head + b64encode(raw)[:chars].translate(_TO_GRAPH6).decode("ascii")
 
 
 def parse_graph6(text: str) -> SimpleGraph:
@@ -299,9 +305,9 @@ def parse_graph6(text: str) -> SimpleGraph:
         raise GraphFormatError(f"invalid graph6 byte at offset {exc.start}") from None
     if not data:
         raise GraphFormatError("empty graph6 line")
-    for off, byte in enumerate(data):
-        if not 63 <= byte <= 126:
-            raise GraphFormatError(f"invalid graph6 byte at offset {off}")
+    bad = data.translate(None, _GRAPH6_BYTES)
+    if bad:
+        raise GraphFormatError(f"invalid graph6 byte at offset {data.index(bad[:1])}")
     if data[0] == 126:
         if len(data) >= 2 and data[1] == 126:
             raise GraphFormatError("graph6 extended (>258047 vertices) header at offset 1 not supported")
@@ -320,15 +326,21 @@ def parse_graph6(text: str) -> SimpleGraph:
         raise GraphFormatError(f"truncated graph6 body at offset {len(data)}")
     if len(data) - pos > nbytes:
         raise GraphFormatError(f"trailing bytes at offset {pos + nbytes}")
-    adj = [0] * n
-    pairs = ((i, j) for j in range(1, n) for i in range(j))  # column-major upper triangle
-    stream = ((byte - 63) >> shift & 1 for byte in data[pos:] for shift in range(5, -1, -1))
-    for (i, j), bit in zip(pairs, stream):
-        if bit:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-    if any(stream):  # what zip left of the stream is the last byte's padding
+    body = data[pos:].translate(_FROM_GRAPH6)
+    raw = b64decode(body + b"A" * (-nbytes % 4))
+    stream = format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b")
+    if "1" in stream[nbits:]:  # the last byte's padding, or the zero bits added above
         raise GraphFormatError(f"nonzero padding bit at offset {len(data) - 1}")
+    adj = [0] * n
+    start = 0
+    for j in range(1, n):
+        column = int(stream[start : start + j][::-1], 2)
+        start += j
+        adj[j] = column
+        while column:
+            low = column & -column
+            adj[low.bit_length() - 1] |= 1 << j
+            column ^= low
     return SimpleGraph(n, tuple(adj)).validate()
 
 

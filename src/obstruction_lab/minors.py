@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 
 from .detectors import (
     WheelClass,
+    all_holes,
     classify_attachment,
     hole_through,
     in_class_e,
     is_hole,
-    iter_holes,
 )
 from .errors import ContractViolation
 from .graphs import SimpleGraph, delete_vertex, mask_of, write_graph6
@@ -197,7 +197,7 @@ def thm32_verdict(g: SimpleGraph, cycle: tuple[int, ...], z1: int, z2: int) -> T
 
 def thm32_instances(g: SimpleGraph):
     """All (hole, adjacent outside pair) instances meeting the hypothesis."""
-    for cycle in iter_holes(g):
+    for cycle in all_holes(g):
         cmask = mask_of(cycle)
         outside = [v for v in range(g.n) if not cmask >> v & 1 and g.adj[v] & cmask]
         for i, z1 in enumerate(outside):

@@ -15,6 +15,7 @@ from obstruction_lab.detectors import (
     THETA,
     Certificate,
     WheelClass,
+    all_holes,
     certificate_from_dict,
     classify_against_hole,
     clique_number,
@@ -457,19 +458,19 @@ def test_iter_holes_window_matches_filtered_default():
     assert next(_window_mismatches(), None) is None
 
 
-_KERNEL = detectors._holes_of_length
+_KERNEL = detectors._holes_in_window
 
 
 def _lengths_searched(monkeypatch) -> list[int]:
-    """Spies on the per-length hole kernel; the list collects each length it
-    is called for, probes included."""
+    """Spies on the hole kernel; the list collects each length of every
+    window it is called for, probes included."""
     lengths = []
 
-    def spy(g, length, live, probe=False):
-        lengths.append(length)
-        return (yield from _KERNEL(g, length, live, probe))
+    def spy(g, lo, hi, live, probe=False):
+        lengths.extend(range(lo, hi + 1))
+        return (yield from _KERNEL(g, lo, hi, live, probe))
 
-    monkeypatch.setattr(detectors, "_holes_of_length", spy)
+    monkeypatch.setattr(detectors, "_holes_in_window", spy)
     return lengths
 
 
@@ -491,27 +492,27 @@ def test_find_hole_searches_no_length_below_min_len(monkeypatch):
         assert lengths and min(lengths) == k
 
 
-def _closed_only(g, length, live, probe=False):
-    """An anchor stays live only if it closed a hole of this length."""
+def _closed_only(g, lo, hi, live, probe=False):
+    """An anchor stays live only if it closed a hole in the window."""
     closed = 0
-    for cyc in _KERNEL(g, length, live, probe):
+    for cyc in _KERNEL(g, lo, hi, live, probe):
         closed |= 1 << cyc[0]
         yield cyc
     return closed
 
 
-def _inverted(g, length, live, probe=False):
-    """The live anchors that built no path of length - 1 vertices."""
-    return live & ~(yield from _KERNEL(g, length, live, probe))
+def _inverted(g, lo, hi, live, probe=False):
+    """The live anchors that built no path of hi - 1 vertices."""
+    return live & ~(yield from _KERNEL(g, lo, hi, live, probe))
 
 
-def _one_length_early(g, length, live, probe=False):
-    """Keeps an anchor only if it reaches length + 1 vertices, the prefix of a
-    hole of length + 2, so an anchor of a hole of length + 1 is lost."""
-    reached = yield from _KERNEL(g, length, live, probe)
-    if length + 2 > g.n:
+def _one_length_early(g, lo, hi, live, probe=False):
+    """Keeps an anchor only if it reaches hi + 1 vertices, the prefix of a
+    hole of length hi + 2, so an anchor of a hole of length hi + 1 is lost."""
+    reached = yield from _KERNEL(g, lo, hi, live, probe)
+    if hi + 2 > g.n:
         return 0
-    return (yield from _KERNEL(g, length + 2, reached, True))
+    return (yield from _KERNEL(g, hi + 2, hi + 2, reached, True))
 
 
 # each must fail the pin or the window test
@@ -524,8 +525,96 @@ DEAD_ANCHOR_MUTANTS = {
 
 @pytest.mark.parametrize("name", DEAD_ANCHOR_MUTANTS)
 def test_pin_or_window_catches_dead_anchor_mutants(name, monkeypatch):
-    monkeypatch.setattr(detectors, "_holes_of_length", DEAD_ANCHOR_MUTANTS[name])
+    monkeypatch.setattr(detectors, "_holes_in_window", DEAD_ANCHOR_MUTANTS[name])
     assert _detector_digest() != DETECTOR_PIN or next(_window_mismatches(), None) is not None
+
+
+def _long_wheel(k: int) -> SimpleGraph:
+    """C_k with a centre k on the rim vertices 0..3: its one even wheel, for
+    k >= 9, lies past the first length window."""
+    return SimpleGraph.from_edges(k + 1, [(i, (i + 1) % k) for i in range(k)] + [(k, i) for i in range(4)])
+
+
+def _wheel_gate_graphs():
+    return itertools.chain(
+        (g for n in range(1, 8) for g in all_graphs(n)),
+        random_graphs(500, 25, (8, 22)),
+        (_long_wheel(k) for k in range(9, 21)),
+    )
+
+
+def _wheel_window_mismatches():
+    """(graph6, what) for each gate graph where a search over one or more
+    length windows differs from the length-major scan of iter_holes: the
+    whole-graph find_even_wheel, or all_holes."""
+    for g in _wheel_gate_graphs():
+        holes = list(iter_holes(g))
+        if find_even_wheel(g) != detectors._even_wheel_on(g, holes):
+            yield write_graph6(g), "find_even_wheel"
+        if all_holes(g) != holes:
+            yield write_graph6(g), "all_holes"
+
+
+def test_window_searches_match_length_major_scan():
+    assert next(_wheel_window_mismatches(), None) is None
+
+
+# kernel stand-ins that differ from it only on a window of several lengths,
+# so iter_holes, the reference of the gate above, keeps its answer
+
+
+def _first_rim_found(g, lo, hi, live, probe=False):
+    """The window ends at the first hole with an even-wheel centre in
+    anchor-major order, which need not be the shortest."""
+    if lo == hi:
+        return (yield from _KERNEL(g, lo, hi, live, probe))
+    for cyc in _KERNEL(g, lo, hi, live, probe):
+        yield cyc
+        if detectors._wheel_centre(g, mask_of(cyc)) >= 0:
+            break
+    return live
+
+
+def _top_length_skipped(g, lo, hi, live, probe=False):
+    """The window yields no hole of its top length hi, but still returns
+    the anchors cut at hi - 1 vertices."""
+    if lo < hi:
+        live = yield from _KERNEL(g, lo, hi - 1, live, probe)
+        lo, probe = hi, True
+    return (yield from _KERNEL(g, lo, hi, live, probe))
+
+
+def _cut_anchor_dropped(g, lo, hi, live, probe=False):
+    """The window drops the lowest anchor cut at hi - 1 vertices from the
+    live mask it returns."""
+    cut = yield from _KERNEL(g, lo, hi, live, probe)
+    return cut if lo == hi else cut & (cut - 1)
+
+
+WINDOW_MUTANTS = {
+    "first_rim_found": _first_rim_found,
+    "top_length_skipped": _top_length_skipped,
+    "cut_anchor_dropped": _cut_anchor_dropped,
+}
+
+
+@pytest.mark.parametrize("name", WINDOW_MUTANTS)
+def test_window_gate_catches_mutants(name, monkeypatch):
+    monkeypatch.setattr(detectors, "_holes_in_window", WINDOW_MUTANTS[name])
+    assert next(_wheel_window_mismatches(), None) is not None
+
+
+def test_find_even_wheel_stops_at_the_first_window():
+    # a 16-bead necklace and a disjoint C8 on 48..55 whose centre 56 sees
+    # rim positions 0, 1, 4, 5; listing the 65,555 holes takes seconds
+    rim = tuple(range(48, 56))
+    edges = list(_necklace(16).edges())
+    edges += [(rim[i], rim[i - 1]) for i in range(8)] + [(56, rim[i]) for i in (0, 1, 4, 5)]
+    g = SimpleGraph.from_edges(57, edges)
+    start = time.perf_counter()
+    cert = find_even_wheel(g)
+    assert time.perf_counter() - start < 0.1
+    assert cert == Certificate(EVEN_WHEEL, cycle=rim, center=56)
 
 
 @pytest.mark.parametrize("parity", ["even ", "EVEN", "", None, 0])

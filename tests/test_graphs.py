@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from obstruction_lab.errors import ContractViolation, GraphFormatError
 from obstruction_lab.graphs import (
+    MAX_VERTICES,
     SimpleGraph,
     bits,
     complete_graph,
@@ -58,6 +59,115 @@ def test_graph6_errors_name_offsets():
         parse_graph6("A_" + "X")
     with pytest.raises(GraphFormatError):
         parse_graph6("\x1f")
+
+
+# the per-bit codec graphs.py used before its string-and-base64 one: the
+# reference the fast codec must match byte for byte and error for error
+
+
+def reference_write_graph6(g: SimpleGraph) -> str:
+    if g.n > MAX_VERTICES:
+        raise ContractViolation("graph too large for this implementation")
+    if g.n <= 62:
+        head = [g.n + 63]
+    else:
+        head = [126, (g.n >> 12) + 63, ((g.n >> 6) & 63) + 63, (g.n & 63) + 63]
+    stream = []
+    for j in range(1, g.n):
+        for i in range(j):
+            stream.append(g.adj[i] >> j & 1)
+    while len(stream) % 6:
+        stream.append(0)
+    body = []
+    for k in range(0, len(stream), 6):
+        val = 0
+        for b in stream[k : k + 6]:
+            val = val << 1 | b
+        body.append(val + 63)
+    return bytes(head + body).decode("ascii")
+
+
+def reference_parse_graph6(text: str) -> SimpleGraph:
+    if not isinstance(text, str):
+        raise GraphFormatError(f"graph6 input must be text, got {type(text).__name__}")
+    try:
+        data = text.strip().encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise GraphFormatError(f"invalid graph6 byte at offset {exc.start}") from None
+    if not data:
+        raise GraphFormatError("empty graph6 line")
+    for off, byte in enumerate(data):
+        if not 63 <= byte <= 126:
+            raise GraphFormatError(f"invalid graph6 byte at offset {off}")
+    if data[0] == 126:
+        if len(data) >= 2 and data[1] == 126:
+            raise GraphFormatError("graph6 extended (>258047 vertices) header at offset 1 not supported")
+        if len(data) < 4:
+            raise GraphFormatError(f"truncated graph6 header at offset {len(data)}")
+        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
+        pos = 4
+    else:
+        n = data[0] - 63
+        pos = 1
+    if n > MAX_VERTICES:
+        raise GraphFormatError(f"vertex count {n} exceeds cap {MAX_VERTICES} (header at offset 0)")
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    if len(data) - pos < nbytes:
+        raise GraphFormatError(f"truncated graph6 body at offset {len(data)}")
+    if len(data) - pos > nbytes:
+        raise GraphFormatError(f"trailing bytes at offset {pos + nbytes}")
+    adj = [0] * n
+    pairs = ((i, j) for j in range(1, n) for i in range(j))  # column-major upper triangle
+    stream = ((byte - 63) >> shift & 1 for byte in data[pos:] for shift in range(5, -1, -1))
+    for (i, j), bit in zip(pairs, stream):
+        if bit:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    if any(stream):  # what zip left of the stream is the last byte's padding
+        raise GraphFormatError(f"nonzero padding bit at offset {len(data) - 1}")
+    return SimpleGraph(n, tuple(adj)).validate()
+
+
+def _outcome(parse, line):
+    try:
+        return parse(line)
+    except GraphFormatError as exc:
+        return str(exc)
+
+
+def _codec_graphs():
+    """Every graph with n <= 7, seeded graphs up to the vertex cap (n > 62
+    takes the four-byte header), and the largest empty and complete graphs."""
+    yield from (g for n in range(1, 8) for g in all_graphs(n))
+    yield from random_graphs(100, 6, (0, MAX_VERTICES))
+    yield from (empty_graph(0), empty_graph(MAX_VERTICES), complete_graph(MAX_VERTICES))
+
+
+def _malformed(line: str):
+    """Lines one defect away from a valid line, at offsets in the header, the
+    middle and the end: a byte outside the alphabet, a truncated header or
+    body, an extra byte, and each padding bit of the last byte set."""
+    offsets = sorted({*range(min(len(line), 5)), len(line) // 2, len(line) - 2, len(line) - 1} - {-1})
+    for off in offsets:
+        for bad in ("\x1f", "\x7f", "\xe9"):
+            yield line[:off] + bad + line[off + 1 :]
+        yield line[:off]
+    yield line + "?"
+    n = reference_parse_graph6(line).n
+    for bit in range(-n * (n - 1) // 2 % 6):
+        yield line[:-1] + chr((ord(line[-1]) - 63 | 1 << bit) + 63)
+
+
+def test_graph6_codec_matches_reference():
+    for g in _codec_graphs():
+        line = reference_write_graph6(g)
+        assert write_graph6(g) == line
+        assert parse_graph6(line) == g
+        for bad in _malformed(line):
+            assert _outcome(parse_graph6, bad) == _outcome(reference_parse_graph6, bad), bad
+    for line in ("", " ", "~", "~~", "~~???", "~?", "~??", "~?A@", "A?x"):
+        assert _outcome(parse_graph6, line) == _outcome(reference_parse_graph6, line)
 
 
 @given(st.integers(2, 16), st.data())
