@@ -31,29 +31,59 @@ isomorphism class of the next level:
   isomorphic to some parent P (the prunes are hereditary), so G is an
   augmentation of P by a subset, and an isomorphism maps m to the new
   vertex v.  The orbit-minimum subset of that augmentation is tried: it
-  passes the degree filter, because m has maximum degree, and the prunes,
-  which are hereditary and isomorphism-invariant.  Its child is isomorphic
-  to G by a map sending m to v, so v is in the orbit of canonical-last.
+  passes the degree filter, because m has maximum degree, the C4 filter,
+  because G is in a class without induced C4 whenever the filter runs, and
+  the prunes, which are hereditary and isomorphism-invariant.  Its child
+  is isomorphic to G by a map sending m to v, so v is in the orbit of
+  canonical-last.
 
-Two exact filters run on the neighbour subset before the child is built:
+Three exact filters run on the neighbour subset before the child is built:
 
 - Degree.  The initial colours rank degrees, and neither refinement nor
   individualization reorders cells, so the canonical-last vertex has maximum
   degree, and so does every vertex of its orbit.  A subset that leaves v
   below the maximum degree is skipped: v could not lie in that orbit.
+- C4, under a prune that declares `forbids_c4` (its class has no induced
+  C4: class E, even-hole-free and chordal do; the tpw-free class does not).
+  If a parent vertex x outside the subset has two non-adjacent neighbours
+  a, b inside it, then v-a-x-b is an induced C4 of the child (x is not
+  adjacent to v), which the prune would reject, so the subset is dropped
+  unbuilt.  The test reads only the parent and the subset, and a parent
+  automorphism carries x, a, b to a vertex and a pair in the same relation,
+  so it drops whole Aut(parent) orbits; it can run before the orbit closure,
+  since every later member of a dropped orbit is dropped by the same test.
 - Orbits.  A parent automorphism extends to a child isomorphism fixing v,
-  and the degree filter, the v-anchored prunes and the orbit rule are
-  invariant under it.  So only the smallest subset of each orbit under the
-  automorphisms found is tried; the rest would be rejected with it or be
-  duplicates of it.  The automorphisms `_canonical` returns generate all of
-  Aut(parent) (the proof is in its docstring), so these are the Aut(parent)
-  orbits the at-most-one argument relies on.
+  and the degree and C4 filters, the v-anchored prunes and the orbit rule
+  are invariant under it.  So only the smallest subset of each orbit under
+  the automorphisms found is tried; the rest would be rejected with it or
+  be duplicates of it.  The automorphisms `_canonical` returns generate all
+  of Aut(parent) (the proof is in its docstring), so these are the
+  Aut(parent) orbits the at-most-one argument relies on.  The closure maps
+  a subset through each generator by two table lookups, one per half of
+  the vertex range (`_relabel_tables`); each entry is the union of the
+  images of its bits, so the image is the one a bit-by-bit relabelling
+  gives, and the closure reaches the same orbit.
 
-One exact skip runs after the prune.  A child whose new vertex v has the
-unique maximum degree is accepted without labelling it: the canonical-last
-vertex has maximum degree, and only v does, so v is canonical-last and the
-orbit rule accepts it.  The skip saves only last-level labellings: an
-inner-level child is labelled anyway when it is expanded as a parent.
+Two exact skips run after the prune, and decide most children without
+labelling them:
+
+- Unique maximum.  A child whose new vertex v has the unique maximum degree
+  is accepted: the canonical-last vertex has maximum degree, and only v
+  does, so v is canonical-last and the orbit rule accepts it.
+- Refinement pre-test.  The child's degree colouring is refined once to its
+  first equitable colouring R, which is where the labelling search starts.
+  Every leaf of that search comes from R by individualization and
+  refinement, which never reorder cells, so canonical-last lies in R's last
+  cell.  R is isomorphism-invariant (refinement commutes with relabelling),
+  so every automorphism maps each cell of R onto itself, and the orbit of
+  canonical-last lies inside that last cell.  So v outside the last cell is
+  outside the orbit, and the child is rejected; v alone in it is
+  canonical-last, and the child is accepted.  Only the rest are labelled.
+  The unique-maximum skip is the case where v is alone in the last cell
+  before refinement.
+
+The skips save only last-level labellings: an inner-level child is labelled
+anyway when it is expanded as a parent.
 
 Hereditary pruning predicates are applied before the (more expensive)
 acceptance test, which is sound because a pruned class cannot have unpruned
@@ -66,7 +96,7 @@ from functools import lru_cache
 from typing import Callable, Iterator
 
 from .errors import ContractViolation
-from .graphs import SimpleGraph, add_vertex, relabel_mask
+from .graphs import SimpleGraph, add_vertex
 
 ENUMERATION_CAP = 10
 
@@ -192,10 +222,15 @@ def _canonical(n: int, adj: tuple[int, ...]) -> tuple[int, Perm, tuple[Perm, ...
             child[u] = target
             descend(child, k + 1)
 
+    descend(*_degree_colours(adj))
+    return best[0], tuple(best[1]), tuple(gens)
+
+
+def _degree_colours(adj: tuple[int, ...]) -> tuple[list[int], int]:
+    """The dense colouring that ranks vertices by degree, and its colour count."""
     degs = [row.bit_count() for row in adj]
     rank = {d: i for i, d in enumerate(sorted(set(degs)))}
-    descend([rank[d] for d in degs], len(rank))
-    return best[0], tuple(best[1]), tuple(gens)
+    return [rank[d] for d in degs], len(rank)
 
 
 @lru_cache(maxsize=1 << 21)
@@ -221,10 +256,12 @@ def are_isomorphic(g: SimpleGraph, h: SimpleGraph) -> bool:
 def expand_children(
     parent: SimpleGraph, prune: Callable[[SimpleGraph], bool] | None = None
 ) -> list[SimpleGraph]:
-    """Accepted one-vertex extensions of a canonical parent, in subset order."""
+    """Accepted one-vertex extensions of a canonical parent, in subset order.
+    A prune with a true `forbids_c4` attribute declares that it rejects every
+    child with an induced C4 through the new vertex (module docstring)."""
     out = []
     gens = _canonical_cached(parent.n, parent.adj)[2]
-    gen_bits = [[1 << image for image in perm] for perm in gens]
+    tables = [_relabel_tables(perm) for perm in gens]
     done: set[int] = set()
     new_v = parent.n
     # v needs degree >= every child degree: above top, or equal to it when
@@ -232,14 +269,17 @@ def expand_children(
     degs = [row.bit_count() for row in parent.adj]
     top = max(degs, default=-1)
     top_mask = sum(1 << u for u, d in enumerate(degs) if d == top)
+    cherries = _cherries(parent) if getattr(prune, "forbids_c4", False) else ()
     for subset in range(1 << parent.n):
         d = subset.bit_count()
         if d < top or d == top and subset & top_mask:
             continue
-        if gen_bits:
-            if subset in done:
-                continue
-            _close_orbit(subset, gen_bits, done)
+        if subset in done:
+            continue
+        if cherries and _closes_c4(subset, cherries):
+            continue
+        if tables:
+            _close_orbit(subset, tables, done)
         child = add_vertex(parent, subset)
         if prune is not None and not prune(child):
             continue
@@ -247,28 +287,86 @@ def expand_children(
             # v has the unique maximum degree (module docstring)
             out.append(child)
             continue
-        # the orbit rule (module docstring); a vertex's orbit is the orbit
-        # of its singleton mask
+        # the refinement pre-test (module docstring)
+        colors, k = _refine(new_v + 1, child.adj, *_degree_colours(child.adj))
+        if colors[new_v] != k - 1:
+            continue
+        if colors.count(k - 1) == 1:
+            out.append(child)
+            continue
+        # the orbit rule (module docstring)
         _, labeling, child_gens = canonical_form(child)
-        orbit: set[int] = set()
-        _close_orbit(1 << labeling[-1], [[1 << image for image in perm] for perm in child_gens], orbit)
-        if 1 << new_v in orbit:
+        if _vertex_orbit(labeling[-1], child_gens) >> new_v & 1:
             out.append(child)
     return out
 
 
-def _close_orbit(subset: int, gen_bits: list[list[int]], done: set[int]) -> None:
+def _cherries(g: SimpleGraph) -> list[tuple[int, int]]:
+    """(the mask of a and b, their common neighbours) for every non-adjacent
+    pair a < b of g with a common neighbour."""
+    out = []
+    for a in range(g.n):
+        for b in range(a + 1, g.n):
+            common = g.adj[a] & g.adj[b]
+            if common and not g.adj[a] >> b & 1:
+                out.append((1 << a | 1 << b, common))
+    return out
+
+
+def _closes_c4(subset: int, cherries: list[tuple[int, int]]) -> bool:
+    """Whether a non-adjacent pair a, b in `subset` has a common neighbour x
+    outside it, which closes the induced C4 v-a-x-b through the new vertex."""
+    for pair, common in cherries:
+        if subset & pair == pair and common & ~subset:
+            return True
+    return False
+
+
+def _relabel_tables(perm: Perm) -> tuple[list[int], list[int]]:
+    """Lookup tables (lo, hi) that carry a vertex-set mask through `perm`:
+    with h = len(perm) // 2, lo[m] is the image of the vertices i < h with
+    bit i in m, and hi[m] that of the vertices h + i with bit i in m, so
+    mask s maps to lo[s & (1 << h) - 1] | hi[s >> h]."""
+    half = len(perm) // 2
+    lo, hi = [0], [0]
+    for image in perm[:half]:
+        bit = 1 << image
+        lo += [m | bit for m in lo]
+    for image in perm[half:]:
+        bit = 1 << image
+        hi += [m | bit for m in hi]
+    return lo, hi
+
+
+def _close_orbit(subset: int, tables: list[tuple[list[int], list[int]]], done: set[int]) -> None:
     """Add the orbit of `subset` to `done`, under the group generated by
-    permutations given as `relabel_mask` tables (bit_of[u] = 1 << image of u)."""
+    permutations given as `_relabel_tables` pairs."""
+    low = len(tables[0][0]) - 1
+    half = low.bit_length()
     done.add(subset)
     stack = [subset]
     while stack:
         s = stack.pop()
-        for bit_of in gen_bits:
-            t = relabel_mask(s, bit_of)
+        s_lo, s_hi = s & low, s >> half
+        for lo, hi in tables:
+            t = lo[s_lo] | hi[s_hi]
             if t not in done:
                 done.add(t)
                 stack.append(t)
+
+
+def _vertex_orbit(u: int, gens: tuple[Perm, ...]) -> int:
+    """The orbit of vertex u under the group `gens` generate, as a mask."""
+    orbit = 1 << u
+    stack = [u]
+    while stack:
+        x = stack.pop()
+        for perm in gens:
+            y = perm[x]
+            if not orbit >> y & 1:
+                orbit |= 1 << y
+                stack.append(y)
+    return orbit
 
 
 def enumerate_graphs(

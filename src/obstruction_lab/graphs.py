@@ -341,7 +341,9 @@ def parse_graph6(text: str) -> SimpleGraph:
             low = column & -column
             adj[low.bit_length() - 1] |= 1 << j
             column ^= low
-    return SimpleGraph(n, tuple(adj)).validate()
+    # n is within the cap, and each bit of column j below j is set in both
+    # rows, so the rows are in range, irreflexive and symmetric: no validate()
+    return SimpleGraph(n, tuple(adj))
 
 
 # ---------------------------------------------------------------------------

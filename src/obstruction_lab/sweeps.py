@@ -117,15 +117,25 @@ class SweepReport:
 # Each prune is anchored on the child's new vertex v = g.n - 1 and is valid
 # only on a child whose parent g - v passed the same prune: then every
 # obstruction of g contains v, and the prune runs only the searches anchored
-# on v (see `detectors`, "obstructions through one vertex").
+# on v (see `detectors`, "obstructions through one vertex").  A prune whose
+# class has no induced C4 is declared with `_forbids_c4`.
 
 
+def _forbids_c4(prune):
+    """Declare that `prune` rejects every child with an induced C4 through its
+    new vertex, so `expand_children` drops such subsets before building them."""
+    prune.forbids_c4 = True
+    return prune
+
+
+@_forbids_c4
 def prune_class_e(g: SimpleGraph) -> bool:
     """Class-E membership; valid only inside the generation tree, where g
     minus its last vertex is in E (see `detectors.class_e_through`)."""
     return class_e_through(g, g.n - 1)
 
 
+@_forbids_c4
 def prune_even_hole_free(g: SimpleGraph) -> bool:
     """Even-hole-freeness; valid only inside the generation tree, where g minus
     its last vertex is even-hole-free, so an even hole is one through it."""
@@ -325,7 +335,7 @@ def sweep_embed(max_n: int, k: int, threads: int | None = None) -> SweepReport:
     """Chordal K_{k+2}-free graphs embed into valid k-trees, induced."""
     if k not in (1, 2, 3):
         raise ContractViolation("embed sweep supports k in {1,2,3}")
-    stages = (partial(_prune_chordal, k=k), partial(process_embed, k=k))
+    stages = (_forbids_c4(partial(_prune_chordal, k=k)), partial(process_embed, k=k))
     report = _run_levels(f"embed_k{k}", max_n, threads, stages)
     sizes = [f["size"] for f in report.findings]
     report.details["max_ktree_size"] = max(sizes) if sizes else 0

@@ -10,7 +10,9 @@ from obstruction_lab.detectors import in_class_e
 from obstruction_lab.enumeration import (
     UNLABELED_COUNTS,
     _canonical,
+    _degree_colours,
     _refine,
+    _relabel_tables,
     are_isomorphic,
     canonical_cert,
     canonical_form,
@@ -27,9 +29,11 @@ from obstruction_lab.graphs import (
     is_connected,
     parse_graph6,
     path_graph,
+    relabel_mask,
     write_graph6,
 )
 from obstruction_lab.sweeps import (
+    _forbids_c4,
     _prune_chordal,
     prune_class_e,
     prune_even_hole_free,
@@ -349,9 +353,10 @@ SWEEP_PRUNES = {
     "class_e": prune_class_e,
     "tpw_free": prune_tpw_free,
     "even_hole_free": prune_even_hole_free,
-    "chordal_k1": partial(_prune_chordal, k=1),
-    "chordal_k2": partial(_prune_chordal, k=2),
-    "chordal_k3": partial(_prune_chordal, k=3),
+    # declared as `sweep_embed` declares them
+    "chordal_k1": _forbids_c4(partial(_prune_chordal, k=1)),
+    "chordal_k2": _forbids_c4(partial(_prune_chordal, k=2)),
+    "chordal_k3": _forbids_c4(partial(_prune_chordal, k=3)),
 }
 
 
@@ -375,36 +380,75 @@ def _survives_degree_filter(parent: SimpleGraph, subset: int) -> bool:
     return all(row.bit_count() + (subset >> u & 1) <= d for u, row in enumerate(parent.adj))
 
 
+def _c4_through_new_vertex(parent: SimpleGraph, subset: int) -> bool:
+    """Whether joining a new vertex v to `subset` makes an induced C4 through
+    v: some x outside the subset is adjacent to non-adjacent a, b inside it."""
+    for x in range(parent.n):
+        inside = [a for a in range(parent.n) if subset >> a & 1 and parent.adj[x] >> a & 1]
+        if not subset >> x & 1 and any(not parent.adj[a] >> b & 1 for a, b in itertools.combinations(inside, 2)):
+            return True
+    return False
+
+
 def test_expand_children_labels_one_survivor_per_orbit(monkeypatch):
     # only the smallest degree-filter survivor of each Aut(parent) orbit is
-    # built, and the subset orbit closure runs on exactly those subsets; the
-    # orbit rule's closures, on a child's canonical-last vertex, carry tables
-    # of the child's n + 1 vertices
+    # tried, and under a prune that forbids C4 only if it closes no C4
+    # through v; the subset orbit closure runs on exactly the subsets tried,
+    # and add_vertex builds exactly those
     built, closed = [], []
     monkeypatch.setattr(enumeration, "add_vertex", lambda g, s: built.append(s) or add_vertex(g, s))
     close = enumeration._close_orbit
-
-    def spy(s, gens, done):
-        if gens and len(gens[0]) == n:
-            closed.append(s)
-        else:
-            assert not s & (s - 1) and not done
-        close(s, gens, done)
-
-    monkeypatch.setattr(enumeration, "_close_orbit", spy)
-    for n in range(0, 7):
-        for parent in all_graphs(n) if n else [SimpleGraph(0, ())]:
+    monkeypatch.setattr(enumeration, "_close_orbit", lambda s, tables, done: closed.append(s) or close(s, tables, done))
+    for name, forbids_c4 in (("none", False), ("class_e", True), ("tpw_free", False)):
+        prune = SWEEP_PRUNES[name]
+        parents = [SimpleGraph(0, ())] + [g for n in range(1, 7) for g in enumerate_graphs(n, prune=prune)]
+        dropped = 0
+        for parent in parents:
+            n = parent.n
             built.clear()
             closed.clear()
-            expand_children(parent)
+            expand_children(parent, prune)
             gens = _canonical(parent.n, parent.adj)[2]
             group = _group(n, gens)
             minima = [
                 s for s in range(1 << n)
                 if _survives_degree_filter(parent, s) and s == min(_permute_mask(s, p) for p in group)
             ]
-            assert built == minima
-            assert closed == (minima if gens else [])
+            tried = [s for s in minima if not (forbids_c4 and _c4_through_new_vertex(parent, s))]
+            dropped += len(minima) - len(tried)
+            assert built == tried
+            assert closed == (tried if gens else [])
+        assert bool(dropped) == forbids_c4, name  # the C4 filter runs where declared
+
+
+def test_c4_filter_is_declared_exactly_where_it_holds():
+    # a declared prune rejects every child with a C4 through v, so dropping
+    # those subsets unbuilt changes nothing; the tpw-free prune admits some,
+    # so it must not declare it
+    declared = {name for name, prune in SWEEP_PRUNES.items() if getattr(prune, "forbids_c4", False)}
+    assert declared == {"class_e", "even_hole_free", "chordal_k1", "chordal_k2", "chordal_k3"}
+    for name, prune in SWEEP_PRUNES.items():
+        if prune is None:
+            continue
+        parents = [g for n in range(1, 6) for g in enumerate_graphs(n, prune=prune)]
+        passing = [
+            s for p in parents for s in range(1 << p.n) if _c4_through_new_vertex(p, s) and prune(add_vertex(p, s))
+        ]
+        assert bool(passing) == (name == "tpw_free"), name
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_relabel_tables_match_relabel_mask(n):
+    rng = random.Random(n)
+    for _ in range(3):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        lo, hi = _relabel_tables(tuple(perm))
+        half = n // 2
+        assert len(lo) == 1 << half and len(hi) == 1 << (n - half)
+        bit_of = [1 << image for image in perm]
+        for s in range(1 << n):
+            assert lo[s & (1 << half) - 1] | hi[s >> half] == relabel_mask(s, bit_of)
 
 
 def _unique_maximum(g: SimpleGraph) -> bool:
@@ -413,22 +457,54 @@ def _unique_maximum(g: SimpleGraph) -> bool:
     return all(d < degs[-1] for d in degs[:-1])
 
 
+def _refinement_decides(g: SimpleGraph) -> bool:
+    """Whether the new vertex g.n - 1 is outside the last cell of the child's
+    first equitable colouring, or alone in it."""
+    colors, k = _refine(g.n, g.adj, *_degree_colours(g.adj))
+    return colors[-1] != k - 1 or colors.count(k - 1) == 1
+
+
 @pytest.mark.parametrize("name", ["none", "class_e"])
 def test_expand_children_labels_exactly_the_children_without_unique_maximum(name, monkeypatch):
+    # of the children that pass the prune and lack a unique-maximum new
+    # vertex, labelled are exactly those the refinement pre-test leaves
+    # undecided
     prune = SWEEP_PRUNES[name]
     parents = [SimpleGraph(0, ())] + [g for n in range(1, 7) for g in enumerate_graphs(n, prune=prune)]
     built, labelled = [], []
     monkeypatch.setattr(enumeration, "add_vertex", lambda g, s: built.append(add_vertex(g, s)) or built[-1])
     monkeypatch.setattr(enumeration, "canonical_form", lambda g: labelled.append(g) or canonical_form(g))
-    skipped = 0
+    skipped = decided = 0
     for parent in parents:
         built.clear()
         labelled.clear()
         expand_children(parent, prune)
         passed = [c for c in built if prune is None or prune(c)]
-        assert labelled == [c for c in passed if not _unique_maximum(c)]
-        skipped += len(passed) - len(labelled)
-    assert skipped  # the gate is not vacuous
+        undecided = [c for c in passed if not _unique_maximum(c)]
+        assert labelled == [c for c in undecided if not _refinement_decides(c)]
+        skipped += len(passed) - len(undecided)
+        decided += len(undecided) - len(labelled)
+    assert skipped and decided  # the gate is not vacuous
+
+
+def test_refinement_pre_test_agrees_with_the_orbit_rule():
+    # v outside the last cell of the first equitable colouring is outside
+    # the orbit of canonical-last; v alone in it is canonical-last
+    outcomes = set()
+    for n in range(1, 7):
+        for parent in all_graphs(n):
+            for subset in range(1 << n):
+                child = add_vertex(parent, subset)
+                colors, k = _refine(child.n, child.adj, *_degree_colours(child.adj))
+                _, labeling, gens = canonical_form(child)
+                orbit = _vertex_orbit(labeling[-1], gens)
+                if colors[n] != k - 1:
+                    assert n not in orbit
+                    outcomes.add("reject")
+                elif colors.count(k - 1) == 1:
+                    assert labeling[-1] == n
+                    outcomes.add("accept")
+    assert outcomes == {"reject", "accept"}
 
 
 def test_pseudo_similar_children_are_kept_once():

@@ -45,7 +45,35 @@ def _parses_or_typed(fn, *args):
 @given(st.text(max_size=40) | st.binary(max_size=20).map(lambda b: b.decode("latin-1")))
 @FUZZ
 def test_parse_graph6_fuzz(text):
-    _parses_or_typed(parse_graph6, text)
+    g = _parses_or_typed(parse_graph6, text)
+    if g is not None:
+        g.validate()
+
+
+def _graph6_line(n: int, sextets: list[int], clear_padding: bool) -> str:
+    """A graph6 line with header n and the body bytes 63 + sextets[i], cut or
+    padded with zeros to the body length; `clear_padding` zeroes the bits
+    past the upper triangle."""
+    nbits = n * (n - 1) // 2
+    body = (sextets + [0] * ((nbits + 5) // 6))[: (nbits + 5) // 6]
+    if body and clear_padding:
+        body[-1] &= (0x3F << (-nbits % 6)) & 0x3F
+    head = chr(n + 63) if n <= 62 else "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
+    return head + "".join(chr(63 + b) for b in body)
+
+
+@given(st.integers(0, 128), st.lists(st.integers(0, 63), max_size=1400), st.booleans())
+@FUZZ
+def test_parse_graph6_builds_valid_graphs(n, sextets, clear_padding):
+    # the parser skips validate() on the rows it builds; every graph it
+    # returns must still pass it, and write back to the same line
+    line = _graph6_line(n, sextets, clear_padding)
+    g = _parses_or_typed(parse_graph6, line)
+    if clear_padding:
+        assert g is not None
+    if g is not None:
+        assert g.validate() is g and g.n == n
+        assert write_graph6(g) == line
 
 
 @given(st.one_of(

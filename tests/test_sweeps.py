@@ -289,9 +289,11 @@ def test_thm32_reports_a_violation_verdict(monkeypatch):
 
 
 def test_even_hole_subset_reports_a_non_member(monkeypatch):
-    # a prune that sees no hole through the new vertex admits every graph;
-    # each one outside E is recorded with its certificate
+    # a prune that sees no hole through the new vertex, and does not declare
+    # that it forbids C4, admits every graph; each one outside E is recorded
+    # with its certificate
     monkeypatch.setattr(sweeps, "holes_through", lambda g, v: ())
+    monkeypatch.setattr(sweeps.prune_even_hole_free, "forbids_c4", False)
     report = sweep_even_hole_subset_E(5, threads=1)
     outside = [write_graph6(g) for n in range(1, 6) for g in all_graphs(n) if not in_class_e(g).member]
     assert report.graphs_examined == 52 and len(outside) == 7
