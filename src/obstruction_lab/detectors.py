@@ -228,18 +228,11 @@ def hole_through(g: SimpleGraph, v: int) -> bool:
     Exact: a hole through v leaves v's two hole-neighbours, which are
     non-adjacent, attached to one component of g - N[v]; conversely a shortest
     path through such a component between two non-adjacent attachments closes
-    a hole with v.  One BFS over g - N[v], with a clique test per vertex and
-    per component (see _through).
+    a hole with v.  One BFS over g - N[v], component by component, with a
+    clique test per vertex and per component: it stops at the first vertex
+    with two non-adjacent neighbours in N(v), which closes a C4 with v, or at
+    the first component with two non-adjacent attachments.
     """
-    return _through(g, v) is not None
-
-
-def _through(g: SimpleGraph, v: int) -> str | None:
-    """One pass over g - N[v], component by component: "c4" as soon as a
-    vertex there has two non-adjacent neighbours in N(v), which close a C4
-    with v; else "hole" at the first component with two non-adjacent
-    attachments (see hole_through); else None, when no hole runs through v.
-    A C4 through v in a later component than that one is not reported."""
     if not 0 <= v < g.n:
         raise ContractViolation("vertex out of range")
     adj = g.adj
@@ -253,15 +246,15 @@ def _through(g: SimpleGraph, v: int) -> str | None:
             nxt = 0
             for u in bits(frontier):
                 if not is_clique(g, adj[u] & nv):
-                    return "c4"
+                    return True
                 nxt |= adj[u]
             reach |= nxt
             frontier = nxt & rest & ~comp
             comp |= frontier
         rest &= ~comp
         if not is_clique(g, reach & nv):
-            return "hole"
-    return None
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -755,6 +748,16 @@ def validate_even_wheel(g: SimpleGraph, cert: Certificate) -> bool:
 # pass, plus the components of its free vertices, and the induced-path search
 # runs only to build a Q known to exist.
 #
+# The hereditary prunes rest on this.  When g - v is free of the class's
+# obstructions, every obstruction of g contains v.  Every vertex of a C4,
+# theta or prism, and every rim vertex of a wheel, lies on a hole (thetas,
+# prisms and wheels are the Truemper configurations).  So with no hole
+# through v (`hole_through`), the only obstruction left is an even wheel
+# centred at v (`wheel_centred_at`; C6 plus a universal vertex has one).
+# With a hole through v, a C4 containing v is a hole of length 4 among the
+# holes through v, and the anchored find_theta, find_prism and
+# find_even_wheel decide the rest.
+#
 # The hole lists are memoized on the graph's (n, adj).  The holes of g - v are
 # keyed on g - v kept on n vertices with v's row and bit cleared, which every
 # child of one parent in the generation tree shares.
@@ -938,40 +941,6 @@ def in_class_e(g: SimpleGraph) -> Verdict:
     if wheel is not None:
         return Verdict(False, wheel)
     return Verdict(True)
-
-
-def class_e_through(g: SimpleGraph, v: int) -> bool:
-    """Class-E membership of g, exact whenever g - v is in E.
-
-    Then every obstruction of g contains v, and only the searches anchored on
-    v run (see "obstructions through one vertex").  Every vertex of a C4,
-    theta or prism, and every rim vertex of a wheel, lies on a hole.  So when
-    no hole runs through v, the only possible obstruction is an even wheel
-    centred at v.  Its rim lies in N(v), since a rim vertex outside N(v) would
-    sit on a hole through v (the rim arc between two consecutive neighbours
-    of v, closed by v); so it is an even hole of the C4-free g - v, with at
-    least 6 vertices, and a v with fewer than six neighbours is accepted
-    before the holes of g - v are read.
-
-    A C4 of g runs through v too, so it is some x outside N[v] with two
-    non-adjacent neighbours in N(v); the pass that looks for a hole through v
-    looks for that x as well, and stops at the first component that closes a
-    hole.  When it finds a hole without such an x, a C4 through v is a hole
-    of length 4 among the holes through v; with none, the anchored theta,
-    prism and even-wheel searches decide.
-    """
-    through = _through(g, v)
-    if through == "c4":
-        return False
-    if through is None:
-        return g.adj[v].bit_count() < 6 or wheel_centred_at(g, v) is None
-    if any(len(cycle) == 4 for cycle in holes_through(g, v)):
-        return False
-    return (
-        find_theta(g, anchor=v) is None
-        and find_prism(g, anchor=v) is None
-        and find_even_wheel(g, anchor=v) is None
-    )
 
 
 def in_class_et(g: SimpleGraph, t: int) -> Verdict:

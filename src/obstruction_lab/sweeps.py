@@ -20,7 +20,6 @@ from functools import partial
 from multiprocessing import get_context
 
 from .detectors import (
-    class_e_through,
     find_even_wheel,
     find_hole,
     find_prism,
@@ -117,8 +116,9 @@ class SweepReport:
 # Each prune is anchored on the child's new vertex v = g.n - 1 and is valid
 # only on a child whose parent g - v passed the same prune: then every
 # obstruction of g contains v, and the prune runs only the searches anchored
-# on v (see `detectors`, "obstructions through one vertex").  A prune whose
-# class has no induced C4 is declared with `_forbids_c4`.
+# on v (see `detectors`, "obstructions through one vertex", for why they
+# suffice).  A prune whose class has no induced C4 is declared with
+# `_forbids_c4`.
 
 
 def _forbids_c4(prune):
@@ -128,11 +128,29 @@ def _forbids_c4(prune):
     return prune
 
 
+def _free_through(g: SimpleGraph, v: int, c4_allowed: bool) -> bool:
+    """Whether no theta, prism or even wheel, nor a C4 unless `c4_allowed`,
+    contains v, given that g - v has none of them."""
+    if not hole_through(g, v):
+        # the rim of a wheel centred at v lies in N(v): a rim vertex outside
+        # N(v) is on a rim arc between two consecutive neighbours of v, which
+        # v closes into a hole through v.  The rim is an even hole of g - v,
+        # so without a C4 there it has at least six vertices.
+        return (not c4_allowed and g.adj[v].bit_count() < 6) or wheel_centred_at(g, v) is None
+    if not c4_allowed and any(len(cycle) == 4 for cycle in holes_through(g, v)):
+        return False
+    return (
+        find_theta(g, anchor=v) is None
+        and find_prism(g, anchor=v) is None
+        and find_even_wheel(g, anchor=v) is None
+    )
+
+
 @_forbids_c4
 def prune_class_e(g: SimpleGraph) -> bool:
     """Class-E membership; valid only inside the generation tree, where g
-    minus its last vertex is in E (see `detectors.class_e_through`)."""
-    return class_e_through(g, g.n - 1)
+    minus its last vertex is in E (see the prune comment above)."""
+    return _free_through(g, g.n - 1, c4_allowed=False)
 
 
 @_forbids_c4
@@ -144,15 +162,9 @@ def prune_even_hole_free(g: SimpleGraph) -> bool:
 
 def prune_tpw_free(g: SimpleGraph) -> bool:
     """Theta-, prism- and even-wheel-freeness (C4 allowed); valid only inside
-    the generation tree, where g minus its last vertex has it."""
-    v = g.n - 1
-    if hole_through(g, v):
-        return (
-            find_theta(g, anchor=v) is None
-            and find_prism(g, anchor=v) is None
-            and find_even_wheel(g, anchor=v) is None
-        )
-    return wheel_centred_at(g, v) is None
+    the generation tree, where g minus its last vertex has it (see the prune
+    comment above)."""
+    return _free_through(g, g.n - 1, c4_allowed=True)
 
 
 def _prune_chordal(g: SimpleGraph, k: int) -> bool:

@@ -109,10 +109,11 @@ def test_find_prints_one_object_or_the_indented_list(lines, tmp_path, capsys):
 def test_minor_diamond(tmp_path, capsys):
     p = tmp_path / "dia.g6"
     p.write_text(write_graph6(diamond()) + "\n")
-    code, out, _ = run_cli(capsys, "minor", "--z1", "0", "--z2", "1", str(p))
+    code, out, err = run_cli(capsys, "minor", "--z1", "0", "--z2", "1", "--explain", str(p))
     assert code == 0
     minor = parse_graph6(out.strip())
     assert minor.n == 3 and minor.edge_count() == 2  # the two-edge path
+    assert err == "# z=0 mapping=[0, 2, 3]\n"  # z keeps index 0; vertex 1 is contracted into it
 
 
 def test_find_writes_reverifiable_witness(tmp_path, capsys):

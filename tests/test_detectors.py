@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from obstruction_lab import detectors
 from obstruction_lab.detectors import (
     BICLIQUE,
+    CLIQUE,
     EVEN_WHEEL,
     PRISM,
     THETA,
@@ -298,25 +299,12 @@ def test_even_hole_free_implies_member_small():
 
 
 def test_hole_through_matches_iter_holes():
-    # _through, the pass behind hole_through: "c4" only for a vertex on a C4,
-    # and always for one whose every hole is a C4
     for n in range(1, 8):
         for g in all_graphs(n):
-            on_c4 = on_longer = 0
+            on_hole = 0
             for cyc in iter_holes(g):
-                if len(cyc) == 4:
-                    on_c4 |= mask_of(cyc)
-                else:
-                    on_longer |= mask_of(cyc)
-            on_hole = on_c4 | on_longer
+                on_hole |= mask_of(cyc)
             assert [hole_through(g, v) for v in range(n)] == [bool(on_hole >> v & 1) for v in range(n)]
-            for v in range(n):
-                through = detectors._through(g, v)
-                assert (through is not None) == bool(on_hole >> v & 1)
-                if through == "c4":
-                    assert on_c4 >> v & 1
-                if on_c4 >> v & 1 and not on_longer >> v & 1:
-                    assert through == "c4"
     with pytest.raises(ContractViolation):
         hole_through(cycle_graph(4), 4)
 
@@ -364,18 +352,59 @@ PRISM_GRAPH = SimpleGraph.from_edges(
 )
 
 
-# certificates of the wrong shape are invalid, and none of them may raise
-@pytest.mark.parametrize(
-    "cert",
-    [
-        Certificate(THETA, ends=(0, 1, 2), paths=((0, 2), (0, 3), (0, 4))),
-        Certificate(PRISM, triangles=((0, 1, 2), (3, 4, 5)), paths=((), (1, 4), (2, 5))),
-        Certificate(BICLIQUE, side_a=(0, 0), side_b=(3, 3)),
-    ],
-    ids=["theta-three-ends", "prism-empty-path", "biclique-repeated-vertices"],
+# K_{2,3} with ends 0, 1 and the middle vertices 2, 3 adjacent
+THETA_CHORD = SimpleGraph.from_edges(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3)])
+# a prism whose first two paths meet in 6
+PRISM_OVERLAP = SimpleGraph.from_edges(
+    7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 6), (6, 3), (1, 6), (6, 4), (2, 5)]
 )
-def test_misshapen_certificate_is_invalid(cert):
-    assert validate_certificate(PRISM_GRAPH, cert) is False
+PRISM_CHORD = SimpleGraph.from_edges(6, PRISM_GRAPH.edges() + [(0, 4)])
+WHEEL_6 = add_vertex(cycle_graph(6), 0b111111)
+PRISM_PATHS = ((0, 3), (1, 4), (2, 5))
+
+
+# certificates of the wrong shape, or tampered with, are invalid, and none of
+# them may raise; each case trips a different refusal of its validator
+MISSHAPEN = {
+    "theta-three-ends": (PRISM_GRAPH, Certificate(THETA, ends=(0, 1, 2), paths=((0, 2), (0, 3), (0, 4)))),
+    "prism-empty-path": (PRISM_GRAPH, Certificate(PRISM, triangles=((0, 1, 2), (3, 4, 5)), paths=((), (1, 4), (2, 5)))),
+    "biclique-repeated-vertices": (PRISM_GRAPH, Certificate(BICLIQUE, side_a=(0, 0), side_b=(3, 3))),
+    "theta-equal-ends": (THETA_CHORD, Certificate(THETA, ends=(0, 0), paths=((0, 2, 0), (0, 3, 0), (0, 4, 0)))),
+    "theta-adjacent-ends": (THETA_CHORD, Certificate(THETA, ends=(0, 2), paths=((0, 3, 2), (0, 1, 2), (0, 4, 1, 2)))),
+    "theta-path-not-induced": (
+        THETA_CHORD, Certificate(THETA, ends=(0, 1), paths=((0, 2, 3, 1), (0, 4, 1), (0, 4, 1))),
+    ),
+    "theta-interiors-overlap": (THETA_CHORD, Certificate(THETA, ends=(0, 1), paths=((0, 2, 1), (0, 2, 1), (0, 4, 1)))),
+    "theta-interiors-adjacent": (THETA_CHORD, Certificate(THETA, ends=(0, 1), paths=((0, 2, 1), (0, 3, 1), (0, 4, 1)))),
+    "prism-triangle-size": (PRISM_GRAPH, Certificate(PRISM, triangles=((0, 1), (3, 4, 5)), paths=PRISM_PATHS)),
+    "prism-triangles-overlap": (PRISM_GRAPH, Certificate(PRISM, triangles=((0, 1, 2), (2, 4, 5)), paths=PRISM_PATHS)),
+    "prism-not-a-triangle": (
+        PRISM_GRAPH, Certificate(PRISM, triangles=((0, 1, 3), (2, 4, 5)), paths=((0, 2), (1, 4), (3, 5))),
+    ),
+    "prism-path-not-induced": (
+        PRISM_GRAPH, Certificate(PRISM, triangles=((0, 1, 2), (3, 4, 5)), paths=((0, 3), (1, 4), (2, 0, 3, 5))),
+    ),
+    "prism-paths-overlap": (
+        PRISM_OVERLAP, Certificate(PRISM, triangles=((0, 1, 2), (3, 4, 5)), paths=((0, 6, 3), (1, 6, 4), (2, 5))),
+    ),
+    "prism-extra-crossing-edge": (
+        PRISM_CHORD, Certificate(PRISM, triangles=((0, 1, 2), (3, 4, 5)), paths=PRISM_PATHS),
+    ),
+    "even-wheel-rim-not-a-hole": (WHEEL_6, Certificate(EVEN_WHEEL, cycle=(0, 1, 2, 3), center=6)),
+    "even-wheel-centre-on-rim": (WHEEL_6, Certificate(EVEN_WHEEL, cycle=(0, 1, 2, 3, 4, 5), center=0)),
+    "biclique-wrong-kind": (PRISM_GRAPH, Certificate(CLIQUE, vertices=(0, 1, 2))),
+    "biclique-side-not-stable": (PRISM_GRAPH, Certificate(BICLIQUE, side_a=(0, 1), side_b=(3, 4))),
+    "biclique-missing-edge": (PRISM_GRAPH, Certificate(BICLIQUE, side_a=(0, 4), side_b=(2, 3))),
+}
+
+
+@pytest.mark.parametrize("name", MISSHAPEN)
+def test_misshapen_certificate_is_invalid(name):
+    g, cert = MISSHAPEN[name]
+    # validate_certificate dispatches on the kind, so only a direct call
+    # hands a validator a certificate of another kind
+    validate = detectors.validate_biclique if name == "biclique-wrong-kind" else validate_certificate
+    assert validate(g, cert) is False
 
 
 @pytest.mark.parametrize("vertex", [-1, 6, 10**8, "a", True])

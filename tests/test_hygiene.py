@@ -2,13 +2,17 @@
 import sits inside a function, no module imports another's underscore name,
 no `assert` guards anything (`python -O` strips it), and no function assigns
 a local it never reads (a name starting with `_` marks one as unused on
-purpose).
+purpose).  Every top-level function and class of the package must be named
+somewhere in `src/`, `tests/` or `perfbench/` outside its own definition; the
+search is by whole word, so the benchmark tracer's patches by name count.
 
 Neither pyflakes nor ruff is a dependency, so this walks the AST itself.
 `__init__.py` is skipped because its imports are the package's re-exports.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,6 +21,7 @@ import obstruction_lab
 
 PACKAGE = Path(obstruction_lab.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def unused_imports(source: str) -> list[str]:
@@ -143,3 +148,46 @@ def test_dead_local_detector():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_dead_locals(path):
     assert dead_locals(path.read_text()) == []
+
+
+WORD = re.compile(r"\w+")
+
+
+def dead_definitions(modules: dict[str, str], others: list[str]) -> list[str]:
+    """The top-level functions and classes of `modules` (name: source) whose
+    name appears, as a whole word, nowhere in `modules` and `others` outside
+    their own definition."""
+    counts = Counter(word for text in (*modules.values(), *others) for word in WORD.findall(text))
+    found = []
+    for module, source in modules.items():
+        lines = source.splitlines()
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = WORD.findall("\n".join(lines[node.lineno - 1 : node.end_lineno]))
+                if counts[node.name] == own.count(node.name):
+                    found.append(f"{module}: {node.name} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_dead_definition_detector():
+    source = (
+        "def used():\n"
+        "    return 1\n"
+        "def recursive(k):\n"
+        "    return recursive(k - 1)\n"
+        "@decorated\n"
+        "class Patched:\n"
+        "    pass\n"
+    )
+    others = ["used()", 'patch(m, "Patched")', "unrelated_recursive"]
+    assert dead_definitions({"m": source}, others) == ["m: recursive (line 3)"]
+
+
+def test_no_dead_definitions():
+    package = ROOT / "src" / "obstruction_lab"
+    folders = ("src", "tests", "perfbench")
+    sources = {path: path.read_text() for folder in folders for path in (ROOT / folder).rglob("*.py")}
+    modules = {path.name: text for path, text in sources.items() if path.parent == package}
+    others = [text for path, text in sources.items() if path.parent != package]
+    assert len(modules) == len(MODULES) + 1  # and __init__.py
+    assert dead_definitions(modules, others) == []

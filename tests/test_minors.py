@@ -150,6 +150,11 @@ def test_check_thm32_skips():
     # shared neighbor on the hole
     h = SimpleGraph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 0), (6, 0), (5, 6)])
     assert check_thm32(h, (0, 1, 2, 3, 4), 5, 6).status == "skip"
+    c5 = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
+    apart = SimpleGraph.from_edges(7, c5 + [(5, 0), (5, 1), (6, 3)])
+    assert check_thm32(apart, (0, 1, 2, 3, 4), 5, 6).reason == "pair not adjacent"
+    off_hole = SimpleGraph.from_edges(7, c5 + [(5, 0), (5, 1), (5, 6)])
+    assert check_thm32(off_hole, (0, 1, 2, 3, 4), 5, 6).reason == "pair must each have a neighbor on the hole"
 
 
 def test_both_good_with_adjacent_neighbors_never_in_class():

@@ -60,10 +60,9 @@ def test_kaleidoscope_examples():
 
 
 def test_kaleidoscope_internal_disjointness():
-    g = SimpleGraph.from_edges(
-        7, [(5, 0), (5, 1), (0, 2), (2, 1), (0, 3), (3, 4), (4, 1), (0, 6), (6, 3)]
-    )
-    k = Kaleidoscope(5, 0, 1, ((0, 3, 4, 1), (0, 6, 3, 4, 1)))
+    # two induced x-y paths whose interiors share the vertex 4
+    g = SimpleGraph.from_edges(8, [(5, 0), (5, 1), (0, 3), (3, 4), (4, 1), (0, 6), (6, 7), (7, 4)])
+    k = Kaleidoscope(5, 0, 1, ((0, 3, 4, 1), (0, 6, 7, 4, 1)))
     assert verify_kaleidoscope(g, k) == "K2"  # interiors share vertices
 
 
@@ -89,28 +88,31 @@ def test_mirrored_clauses():
     assert verify_mirrored(g3, k, (10,), 1) == "M3"
 
 
+# apex 0, stable set {1,2} in N(0), disjoint paths both members attach to
+PALANQUIN_HOST = SimpleGraph.from_edges(
+    9, [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4), (1, 5), (1, 7), (2, 6), (2, 8), (5, 6), (7, 8)]
+)
+
+
 def test_palanquin_examples():
-    # apex 0, stable set {1,2} in N(0), two disjoint paths both sets attach to
-    g = SimpleGraph.from_edges(
-        9,
-        [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4), (1, 5), (1, 7), (2, 6), (2, 8), (5, 6), (7, 8)],
-    )
+    g = PALANQUIN_HOST
     p = Palanquin(0, (1, 2), ((3, 4), (5, 6), (7, 8)))
     assert verify_palanquin(g, p) is None
     assert verify_palanquin(g, Palanquin(0, (1, 2), ((3, 4), (4, 5)))) == "P1"
     # apex touching a path violates the anticompleteness clause
-    g_bad = SimpleGraph.from_edges(
-        9,
-        [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4), (1, 5), (1, 7), (2, 6), (2, 8), (5, 6), (7, 8), (0, 5)],
-    )
+    g_bad = SimpleGraph.from_edges(9, g.edges() + [(0, 5)])
     assert verify_palanquin(g_bad, p) == "P2"
 
 
+ALIGNMENT_HOST = SimpleGraph.from_edges(
+    9, [(2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (0, 2), (0, 3), (1, 5), (1, 6), (8, 0), (8, 1)]
+)
+LONG_PATH = (2, 3, 4, 5, 6, 7)
+
+
 def test_alignment_verifier():
-    g = SimpleGraph.from_edges(
-        9, [(2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (0, 2), (0, 3), (1, 5), (1, 6), (8, 0), (8, 1)]
-    )
-    al = Alignment((0, 1), (2, 3, 4, 5, 6, 7), 2, (0, 1))
+    g = ALIGNMENT_HOST
+    al = Alignment((0, 1), LONG_PATH, 2, (0, 1))
     assert verify_alignment(g, al) is None
     assert verify_alignment(g, Alignment((0, 1), (2, 3, 4, 5, 6, 7), 2, (1, 0))) == "A3"
     with pytest.raises(ContractViolation):
@@ -119,6 +121,65 @@ def test_alignment_verifier():
     for x in (-1, 9):
         with pytest.raises(ContractViolation):
             verify_alignment(g, Alignment((0, 1), (2, 3, 4, 5, 6, 7), x, (0, 1)))
+
+
+# witnesses tampered with so that each trips a different refusal of its
+# verifier, and the clause that refusal names
+TAMPERED = {
+    "kaleidoscope-path-ends": (theta_with_pendant(), Kaleidoscope(5, 0, 1, ((0, 2, 1), (0, 3))), "K2"),
+    "kaleidoscope-path-through-apex": (theta_with_pendant(), Kaleidoscope(5, 0, 1, ((0, 5, 1),)), "K2"),
+    "kaleidoscope-path-not-induced": (
+        SimpleGraph.from_edges(5, [(3, 0), (3, 1), (0, 2), (2, 4), (4, 1), (0, 4)]),
+        Kaleidoscope(3, 0, 1, ((0, 2, 4, 1),)),
+        "K2",
+    ),
+    "palanquin-apex-misses-set": (PALANQUIN_HOST, Palanquin(0, (1, 3), ((5, 6), (7, 8))), "P1"),
+    "palanquin-set-not-stable": (
+        SimpleGraph.from_edges(9, PALANQUIN_HOST.edges() + [(1, 2)]),
+        Palanquin(0, (1, 2), ((3, 4), (5, 6), (7, 8))),
+        "P1",
+    ),
+    "palanquin-member-misses-path": (PALANQUIN_HOST, Palanquin(0, (1, 2), ((3, 4), (5,))), "P2"),
+    "alignment-path-meets-set": (ALIGNMENT_HOST, Alignment((0, 1), (0, 2, 3), 0, (0, 1)), "A1"),
+    "alignment-x-not-an-end": (ALIGNMENT_HOST, Alignment((0, 1), LONG_PATH, 3, (0, 1)), "A1"),
+    "alignment-set-not-stable": (ALIGNMENT_HOST, Alignment((0, 8), LONG_PATH, 2, (0, 8)), "A1"),
+    "alignment-member-misses-path": (ALIGNMENT_HOST, Alignment((8,), LONG_PATH, 2, (8,)), "A2"),
+    "strong-block-smaller-than-k": (cycle_graph(4), StrongBlockWitness(3, (0, 2), (((0, 2), ((0, 1, 2),)),)), "SB1"),
+    "strong-block-family-missing": (cycle_graph(4), StrongBlockWitness(2, (0, 2), ()), "SB2"),
+    "strong-block-not-a-path": (
+        cycle_graph(4), StrongBlockWitness(2, (0, 2), (((0, 2), ((0, 1, 2), (0, 2))),)), "SB2",
+    ),
+    "strong-block-path-repeated": (
+        cycle_graph(4), StrongBlockWitness(2, (0, 2), (((0, 2), ((0, 1, 2), (2, 1, 0))),)), "SB2",
+    ),
+    "strong-block-interiors-overlap": (
+        complete_graph(4), StrongBlockWitness(2, (0, 1), (((0, 1), ((0, 2, 1), (0, 2, 3, 1))),)), "SB2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", TAMPERED)
+def test_tampered_witness_names_its_clause(name):
+    g, witness, clause = TAMPERED[name]
+    assert verify_witness(g, witness) == clause
+
+
+# malformed witnesses, which no clause describes, raise
+MALFORMED = {
+    "palanquin-empty-set": (PALANQUIN_HOST, Palanquin(0, (), ((3, 4),))),
+    "alignment-empty-path": (ALIGNMENT_HOST, Alignment((0, 1), (), 2, (0, 1))),
+    "alignment-repeated-member": (ALIGNMENT_HOST, Alignment((0, 0), LONG_PATH, 2, (0, 0))),
+    "strong-block-pair-of-three": (cycle_graph(4), StrongBlockWitness(2, (0, 2), (((0, 1, 2), ((0, 1, 2),)),))),
+    "strong-block-repeated-vertex": (cycle_graph(4), StrongBlockWitness(2, (0, 0), ())),
+    "strong-block-k-zero": (cycle_graph(4), StrongBlockWitness(0, (0, 2), ())),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_witness_raises(name):
+    g, witness = MALFORMED[name]
+    with pytest.raises(ContractViolation):
+        verify_witness(g, witness)
 
 
 def test_blurry_witness_and_extra_edges():

@@ -1,5 +1,4 @@
-"""The anchored hereditary prunes and the "obstruction through v" kernel
-against the full predicates they replace.
+"""The anchored hereditary prunes against the full predicates they replace.
 
 A prune only sees children of parents that passed it, so each gate walks
 every parent in the class and every neighbour subset of the new vertex, and
@@ -9,11 +8,12 @@ compares the members per level of the pruned tree and of the full predicate
 over every graph with n <= 8, and seeded growth walks compare the two on
 children up to n = 40.  A spy checks that the class-E, (theta, prism,
 even-wheel)-free and even-hole-free prunes never fall back to a whole-graph
-search.  The kernel `class_e_through` is gated the same way, with the new
-vertex moved to other positions, and on the triangle minors of every class
-member.  The thm31 minor check must send every minor with a hole through z
-to `in_class_e`, and the C4-necessity search must find the thetas that
-`find_theta` finds on every eligible pair's minor.
+search; why the searches through the new vertex suffice is argued once, in
+`detectors`, "obstructions through one vertex".  The thm31 minor check must
+send every minor with a hole through z to `in_class_e`, and the C4-necessity
+search must find the thetas that `find_theta` finds on every eligible pair's
+minor.  Mutants of each prune and of the minor filter must each fail a named
+gate.
 """
 
 import functools
@@ -148,7 +148,7 @@ def test_count_audit_catches_a_loose_prune():
     # accepting every new vertex of degree 6 without a hole through it lets
     # the 6-wheel in at n = 7
     loose = KERNEL_MUTANTS["neighbourhood_bound_7"][2]
-    assert _pruned_counts(lambda g: loose(g, g.n - 1), 7) == (1, 2, 4, 10, 28, 100, 439)
+    assert _pruned_counts(lambda g: loose(g, g.n - 1, False), 7) == (1, 2, 4, 10, 28, 100, 439)
 
 
 def _draw_neighbours(rng, g):
@@ -260,7 +260,7 @@ def test_prunes_are_named_module_functions():
 
 
 # ---------------------------------------------------------------------------
-# the kernel class_e_through(g, v), exact whenever g - v is in E
+# the new vertex elsewhere, the triangle minors and the mutant gates
 
 
 def _move_last(g, pos):
@@ -283,17 +283,10 @@ def _children_anywhere(full):
                     yield _move_last(child, pos), pos
 
 
-def _kernel_disagreements():
-    full = PRUNES["class_e"][1]
-    for g, v in _children_anywhere(full):
-        if detectors.class_e_through(g, v) != full(g):
-            yield write_graph6(g), v
-
-
 @functools.cache
 def _class_members():
     """Every class member with n <= 8, walked with the full predicate so that
-    the kernel under test plays no part."""
+    no prune plays a part."""
     level, out = [SimpleGraph(0, ())], []
     for _ in range(8):
         level = [c for p in level for c in expand_children(p, lambda g: in_class_e(g).member)]
@@ -304,7 +297,7 @@ def _class_members():
 def _minor_disagreements(monkeypatch):
     """Runs thm31_minor_violations on every member with n <= 8 and yields each
     eligible pair whose minor never reached `minors.in_class_e` although z
-    lies on a hole there, or on which the kernel and in_class_e disagree."""
+    lies on a hole there."""
     built, checked = [], []
     monkeypatch.setattr(
         minors, "triangle_minor", lambda g, z1, z2: built.append((z1, z2)) or triangle_minor(g, z1, z2)
@@ -320,8 +313,6 @@ def _minor_disagreements(monkeypatch):
             minor, z, _ = triangle_minor(g, pair.z1, pair.z2)
             if (pair.z1, pair.z2) not in checked and hole_through(minor, z):
                 yield write_graph6(g), (pair.z1, pair.z2), "skipped"
-            if detectors.class_e_through(minor, z) != in_class_e(minor).member:
-                yield write_graph6(g), (pair.z1, pair.z2), "kernel"
 
 
 @functools.cache
@@ -354,10 +345,6 @@ def _c4_disagreements():
             yield write_graph6(g)
 
 
-def test_kernel_matches_in_class_e_with_v_anywhere():
-    assert list(_kernel_disagreements()) == []
-
-
 def test_no_hole_through_v_means_no_theta():
     # the c4-necessity loop skips find_theta on a minor with no hole through z
     bad = [
@@ -381,19 +368,25 @@ def test_kernel_on_every_minor_n8(monkeypatch):
 # each mutant, and the gates that must each catch it
 KERNEL_MUTANTS = {
     "no_neighbourhood_even_hole": (
-        detectors, "class_e_through",
-        lambda g, v: not hole_through(g, v) or in_class_e(g).member,
-        ("kernel",),
+        sweeps, "_free_through",
+        lambda g, v, c4_allowed: not hole_through(g, v) or in_class_e(g).member,
+        ("class_e",),
     ),
     "neighbourhood_bound_7": (
-        detectors, "class_e_through",
-        lambda g, v: in_class_e(g).member if hole_through(g, v) else (
-            g.adj[v].bit_count() < 7 or detectors.wheel_centred_at(g, v) is None
+        sweeps, "_free_through",
+        lambda g, v, c4_allowed, free=sweeps._free_through: (
+            not hole_through(g, v) and g.adj[v].bit_count() < 7 or free(g, v, c4_allowed)
         ),
-        ("kernel",),
+        ("class_e",),
     ),
-    "class_e_skips_v_as_centre": (detectors, "wheel_centred_at", lambda g, v: None, ("kernel",)),
+    "class_e_skips_centred_wheel": (sweeps, "wheel_centred_at", lambda g, v: None, ("class_e",)),
+    "class_e_skips_v_as_centre": (detectors, "wheel_centred_at", lambda g, v: None, ("class_e",)),
     "tpw_free_skips_v_as_centre": (sweeps, "wheel_centred_at", lambda g, v: None, ("tpw_free",)),
+    "class_e_allows_c4": (
+        sweeps, "_free_through",
+        lambda g, v, c4_allowed, free=sweeps._free_through: free(g, v, True),
+        ("class_e",),
+    ),
     "even_hole_prune_reads_odd_as_even": (
         sweeps, "holes_through",
         lambda g, v, holes=detectors.holes_through: tuple(c[:-1] if len(c) % 2 else c for c in holes(g, v)),
@@ -405,16 +398,16 @@ KERNEL_MUTANTS = {
         ("even_hole_free",),
     ),
     "c4_test_skips_clique_check": (
-        detectors, "class_e_through",
-        lambda g, v, kernel=detectors.class_e_through: kernel(g, v) and not any(
+        sweeps, "_free_through",
+        lambda g, v, c4_allowed, free=sweeps._free_through: free(g, v, c4_allowed) and not any(
             (g.adj[x] & g.adj[v]).bit_count() >= 2 for x in bits(g.vertices_mask & ~g.adj[v] & ~(1 << v))
         ),
-        ("kernel",),
+        ("class_e",),
     ),
     "anchored_on_vertex_0": (
-        detectors, "class_e_through",
-        lambda g, v, kernel=detectors.class_e_through: kernel(g, 0),
-        ("kernel",),
+        sweeps, "_free_through",
+        lambda g, v, c4_allowed, free=sweeps._free_through: free(g, 0, c4_allowed),
+        ("class_e", "tpw_free"),
     ),
     "shortcut_common_at_most_2": (
         minors, "z_may_lie_on_hole",
@@ -436,7 +429,7 @@ def test_kernel_gates_catch_mutants(name, monkeypatch):
     monkeypatch.setattr(module, attr, mutant)
     for gate in gates:
         found = {
-            "kernel": _kernel_disagreements,
+            "class_e": lambda: iter(_n7_disagreements("class_e")),
             "minors": partial(_minor_disagreements, monkeypatch),
             "c4": _c4_disagreements,
             "tpw_free": lambda: iter(_n7_disagreements("tpw_free")),
