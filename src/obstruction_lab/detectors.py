@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Generator, Iterable, Iterator
 
 from .errors import ContractViolation
@@ -113,38 +113,59 @@ def iter_holes(
     """All holes, shortest first; each exactly once in canonical orientation.
 
     Canonical form: the cycle starts at its smallest vertex and runs toward
-    the smaller of that vertex's two cycle-neighbors.  The search is lazy and
-    length-major: it runs the hole kernel on a window of one length at a time,
-    one explicit-stack DFS per live anchor, so the first short hole comes out
-    before any longer one is looked for.  all_holes and the whole-graph
-    find_even_wheel run the same kernel over windows of several lengths.  The
-    arguments are checked here, before any search; a bad one raises
-    ContractViolation.
+    the smaller of that vertex's two cycle-neighbors.  The arguments are
+    checked here, before any search; a bad one raises ContractViolation.
 
-    Dead anchors: an anchor whose length-L search never builds a path of
-    L - 1 vertices is the smallest vertex of no hole of length >= L, since
-    the first L - 1 vertices of such a hole are such a path under the same
-    constraints.  It is dropped for every longer length, and the search
-    stops once no anchor is live.  A length the parity skips is searched
-    only until each anchor first reaches L - 1 vertices, to learn which
-    anchors die there; lengths below min_len are not searched.
+    The length windows of the hole search are chosen here and nowhere else.
+    Each window is one kernel call, one DFS per live anchor over lengths
+    lo..hi.  Until a first hole is out, each window is one length, so that
+    hole comes out as soon as it is found.  After a first hole of length L
+    come [L + 1, 2L], [2L + 1, 4L], ..., each sorted stably by length
+    (within a length the kernel yields in iter_holes order), so the first
+    vertices of a long hole are not rebuilt for every shorter length.
+
+    Dead anchors: an anchor whose search up to hi never builds a path of
+    hi - 1 vertices is the smallest vertex of no hole of length >= hi, since
+    the first hi - 1 vertices of such a hole are such a path under the same
+    constraints.  It is dropped for every later window, and the search stops
+    once no anchor is live.  A one-length window the parity skips only
+    probes, to learn which anchors die there; a wider window is filtered by
+    parity after its sort.  Lengths below min_len are not searched.
     """
     if min_len < 4:
         raise ContractViolation("holes have at least 4 vertices")
     if not isinstance(parity, str) or parity not in _PARITIES:
         raise ContractViolation(f"unknown hole parity {parity!r}")
     top = g.n if max_len is None else min(max_len, g.n)
-    return _live_anchor_holes(g, min_len, top, _PARITIES[parity])
+    return _windowed_holes(g, min_len, top, _PARITIES[parity])
 
 
-def _live_anchor_holes(
+def _windowed_holes(
     g: SimpleGraph, min_len: int, top: int, parities: tuple[int, ...]
 ) -> Iterator[tuple[int, ...]]:
-    live = g.vertices_mask
-    for length in range(min_len, top + 1):
-        if not live:
-            return
-        live = yield from _holes_in_window(g, length, length, live, length % 2 not in parities)
+    live, lo, hi, found = g.vertices_mask, min_len, min_len, False
+    while live and lo <= top:
+        kernel = _holes_in_window(g, lo, hi, live, lo == hi and lo % 2 not in parities)
+        if lo == hi:
+            # a peek tells whether a hole is out; the rest come straight on
+            try:
+                cycle = next(kernel)
+            except StopIteration as done:
+                live = done.value
+            else:
+                found = True
+                yield cycle
+                live = yield from kernel
+        else:
+            window = []
+            try:
+                while True:
+                    window.append(next(kernel))
+            except StopIteration as done:
+                live = done.value
+            window.sort(key=len)
+            yield from (cycle for cycle in window if len(cycle) % 2 in parities)
+        lo, hi = hi + 1, min(2 * hi if found else hi + 1, top)
 
 
 def all_holes(g: SimpleGraph) -> list[tuple[int, ...]]:
@@ -648,43 +669,14 @@ def validate_prism(g: SimpleGraph, cert: Certificate) -> bool:
 
 def find_even_wheel(g: SimpleGraph, anchor: int | None = None) -> Certificate | None:
     """Hole C plus outside vertex with an even number (hence >= 4) of
-    neighbors on C: the first rim in iter_holes order, centre lowest first.
-    With an anchor, the first even wheel containing it: on the rim, a hole
-    through the anchor; else centred at it (`wheel_centred_at`).
-
-    Without one, the holes come in the length windows [4, 8], [9, 16],
-    [17, 32], ..., one DFS per live anchor each, and the search stops at the
-    first window holding a wheel.  There it keeps the shortest rim that has
-    a centre, the first found of its length: within a length, the holes come
-    in iter_holes order.  No earlier window held a wheel, so this is the
-    certificate of the length-major scan, which runs one DFS per length and
-    so rebuilds the first L - 1 vertices of a hole of length L once for
-    every shorter length."""
+    neighbors on C: the first rim in iter_holes order, over its length
+    windows, centre lowest first.  With an anchor, the first even wheel
+    containing it: on the rim, a hole through the anchor; else centred at it
+    (`wheel_centred_at`)."""
     if anchor is None:
-        return _first_even_wheel(g)
+        return _even_wheel_on(g, iter_holes(g))
     rim = _even_wheel_on(g, holes_through(g, anchor))
     return rim if rim is not None else wheel_centred_at(g, anchor)
-
-
-def _first_even_wheel(g: SimpleGraph) -> Certificate | None:
-    live, lo, hi = g.vertices_mask, 4, 8
-    while live and lo <= g.n:
-        kernel = _holes_in_window(g, lo, min(hi, g.n), live)
-        best = None
-        while True:
-            try:
-                cycle = next(kernel)
-            except StopIteration as done:
-                live = done.value
-                break
-            if best is None or len(cycle) < len(best.cycle):
-                centre = _wheel_centre(g, mask_of(cycle))
-                if centre >= 0:
-                    best = Certificate(EVEN_WHEEL, cycle=cycle, center=centre)
-        if best is not None:
-            return best
-        lo, hi = hi + 1, 2 * hi
-    return None
 
 
 def _wheel_centre(g: SimpleGraph, cmask: int) -> int:
@@ -924,9 +916,10 @@ def in_class_e(g: SimpleGraph) -> Verdict:
 
     The first hole is the C4 test, and a graph with no hole is a member, as
     every vertex of a theta or a prism, and every rim vertex of a wheel, lies
-    on a hole.  The whole-graph find_even_wheel, over its length windows,
-    is the last step."""
-    first = next(iter_holes(g), None)
+    on a hole.  The last step reads the rest of the same iter_holes stream
+    for a wheel's rim, so no hole length is searched twice."""
+    holes = iter_holes(g)
+    first = next(holes, None)
     if first is None:
         return Verdict(True)
     if len(first) == 4:
@@ -937,7 +930,7 @@ def in_class_e(g: SimpleGraph) -> Verdict:
     prism = find_prism(g)
     if prism is not None:
         return Verdict(False, prism)
-    wheel = find_even_wheel(g)
+    wheel = _even_wheel_on(g, chain((first,), holes))
     if wheel is not None:
         return Verdict(False, wheel)
     return Verdict(True)

@@ -51,12 +51,15 @@ REPORT_SCHEMA = "obstruction-lab/report-v1"
 
 def default_threads() -> int:
     env = os.environ.get("OBSTRUCTION_LAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ContractViolation(f"OBSTRUCTION_LAB_THREADS is not an integer: {env!r}") from None
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        threads = int(env)
+    except ValueError:
+        raise ContractViolation(f"OBSTRUCTION_LAB_THREADS is not an integer: {env!r}") from None
+    if threads < 1:
+        raise ContractViolation(f"OBSTRUCTION_LAB_THREADS must be at least 1: {env!r}")
+    return threads
 
 
 @dataclass
@@ -300,7 +303,9 @@ def _run_levels(name: str, max_n: int, threads: int | None, stages, stop_when=No
     if not 1 <= max_n <= ENUMERATION_CAP:
         raise ContractViolation(f"sweeps support max_n in 1..{ENUMERATION_CAP}")
     prune, processor = stages
-    threads = default_threads() if threads is None else max(1, threads)
+    threads = default_threads() if threads is None else threads
+    if threads < 1:
+        raise ContractViolation(f"thread count must be at least 1, got {threads}")
     report = SweepReport(name=name, max_n=max_n)
     t0 = time.perf_counter()
     level = [SimpleGraph(0, ())]

@@ -300,6 +300,25 @@ def test_sweep_bad_thread_env_is_usage_error(monkeypatch, capsys):
     assert code == 2 and "OBSTRUCTION_LAB_THREADS" in err
 
 
+# a thread count below 1, from the option or the environment, was once
+# taken as 1; each case is (argv after the suite, OBSTRUCTION_LAB_THREADS)
+BAD_THREAD_COUNTS = {
+    "option-zero": (["--threads", "0"], None),
+    "option-negative": (["--threads", "-2"], None),
+    "env-zero": ([], "0"),
+    "env-negative": ([], "-2"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_THREAD_COUNTS)
+def test_bad_thread_count_is_usage_error(case, monkeypatch, capsys):
+    argv, env = BAD_THREAD_COUNTS[case]
+    if env is not None:
+        monkeypatch.setenv("OBSTRUCTION_LAB_THREADS", env)
+    code, out, err = run_cli(capsys, "sweep", "thm31", "--max-n", "3", *argv)
+    assert code == 2 and err.startswith("error:") and "at least 1" in err and out == ""
+
+
 def test_grow_cli(tmp_path, capsys):
     target = tmp_path / "target.txt"
     from obstruction_lab.ktrees import KTree

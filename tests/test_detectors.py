@@ -1,7 +1,10 @@
+import functools
 import hashlib
+import importlib.util
 import itertools
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -48,6 +51,7 @@ from obstruction_lab.graphs import (
     delete_vertex,
     empty_graph,
     mask_of,
+    parse_graph6,
     path_graph,
     write_graph6,
 )
@@ -468,11 +472,24 @@ def test_iter_holes_is_lazy():
     assert len(list(iter_holes(_necklace(6), min_len=5))) == 2**6
 
 
+_KERNEL = detectors._holes_in_window
+
+
+def _length_major(g: SimpleGraph):
+    """The reference for every windowed hole search: the kernel as imported,
+    so unpatched, run one length at a time from 4 with dead anchors dropped,
+    which yields every hole in iter_holes order."""
+    live = g.vertices_mask
+    for length in range(4, g.n + 1):
+        if live:
+            live = yield from _KERNEL(g, length, length, live)
+
+
 def _window_mismatches():
-    """Each (graph, window) whose iter_holes differs from the default window's
-    holes filtered by length and parity, on the graphs of the pin."""
+    """Each (graph, window) whose iter_holes differs from the length-major
+    reference filtered by length and parity, on the graphs of the pin."""
     for g in _pin_graphs():
-        every = list(iter_holes(g))
+        every = list(_length_major(g))
         for parity, a in itertools.product(("any", "even", "odd"), range(4, 9)):
             for b in (a, a + 2, None):
                 want = [
@@ -487,38 +504,97 @@ def test_iter_holes_window_matches_filtered_default():
     assert next(_window_mismatches(), None) is None
 
 
-_KERNEL = detectors._holes_in_window
-
-
-def _lengths_searched(monkeypatch) -> list[int]:
-    """Spies on the hole kernel; the list collects each length of every
-    window it is called for, probes included."""
-    lengths = []
+def _windows_searched(monkeypatch) -> list[tuple[int, int]]:
+    """Spies on the hole kernel; the list collects the (lo, hi) window of
+    every call, probes included."""
+    windows = []
 
     def spy(g, lo, hi, live, probe=False):
-        lengths.extend(range(lo, hi + 1))
+        windows.append((lo, hi))
         return (yield from _KERNEL(g, lo, hi, live, probe))
 
     monkeypatch.setattr(detectors, "_holes_in_window", spy)
-    return lengths
+    return windows
 
 
 def test_dead_anchors_end_the_search(monkeypatch):
     # 42 disjoint triangles, as many as the vertex cap holds: no anchor
     # builds a path of 3 vertices, so length 4 is the only one searched
-    lengths = _lengths_searched(monkeypatch)
+    windows = _windows_searched(monkeypatch)
     edges = [(i + a, i + b) for i in range(0, 126, 3) for a, b in ((0, 1), (0, 2), (1, 2))]
     assert list(iter_holes(SimpleGraph.from_edges(126, edges))) == []
-    assert lengths == [4]
+    assert windows == [(4, 4)]
 
 
 def test_find_hole_searches_no_length_below_min_len(monkeypatch):
-    lengths = _lengths_searched(monkeypatch)
+    windows = _windows_searched(monkeypatch)
     g = SimpleGraph.from_edges(9, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 8), (8, 4)])
     for k in range(4, 10):
-        lengths.clear()
+        windows.clear()
         find_hole(g, min_len=k)
-        assert lengths and min(lengths) == k
+        assert windows and min(lo for lo, _ in windows) == k
+
+
+CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+
+
+@functools.cache
+def _corpus_graphs() -> tuple[SimpleGraph, ...]:
+    """The benchmark's check-corpus graphs for seed 1."""
+    spec = importlib.util.spec_from_file_location("corpus", CORPUS)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    return tuple(parse_graph6(line) for line, _ in corpus.generate(1))
+
+
+def test_in_class_e_searches_each_hole_length_once(monkeypatch):
+    # its C4 test and its wheel step read one hole stream
+    windows = _windows_searched(monkeypatch)
+    repeats = []
+    for g in _corpus_graphs():
+        windows.clear()
+        in_class_e(g)
+        lengths = [k for lo, hi in windows for k in range(lo, hi + 1)]
+        if len(lengths) != len(set(lengths)):
+            repeats.append(write_graph6(g))
+    assert repeats == []
+
+
+def _first_hole_window_faults(monkeypatch):
+    """(graph6, windows) for each seed-1 corpus graph whose first hole, of
+    length L, takes a kernel call other than the one-length windows 4..L."""
+    windows = _windows_searched(monkeypatch)
+    for g in _corpus_graphs():
+        windows.clear()
+        first = next(iter_holes(g), None)
+        if first is not None and windows != [(k, k) for k in range(4, len(first) + 1)]:
+            yield write_graph6(g), list(windows)
+
+
+def test_first_hole_is_searched_one_length_at_a_time(monkeypatch):
+    assert next(_first_hole_window_faults(monkeypatch), None) is None
+
+
+def _doubling_from_first(g, min_len, top, parities):
+    """A stand-in for iter_holes's window loop that doubles its windows from
+    the first on, [4, 4], [5, 8], [9, 16], ..., before any hole is out."""
+    live, lo, hi = g.vertices_mask, min_len, min_len
+    while live and lo <= top:
+        kernel = detectors._holes_in_window(g, lo, hi, live)
+        window = []
+        try:
+            while True:
+                window.append(next(kernel))
+        except StopIteration as done:
+            live = done.value
+        window.sort(key=len)
+        yield from (c for c in window if len(c) % 2 in parities)
+        lo, hi = hi + 1, min(2 * hi, top)
+
+
+def test_first_hole_gate_catches_doubling_from_the_first_window(monkeypatch):
+    monkeypatch.setattr(detectors, "_windowed_holes", _doubling_from_first)
+    assert next(_first_hole_window_faults(monkeypatch), None) is not None
 
 
 def _closed_only(g, lo, hi, live, probe=False):
@@ -544,7 +620,7 @@ def _one_length_early(g, lo, hi, live, probe=False):
     return (yield from _KERNEL(g, hi + 2, hi + 2, reached, True))
 
 
-# each must fail the pin or the window test
+# each must fail the window gate, against the length-major reference
 DEAD_ANCHOR_MUTANTS = {
     "closed_only": _closed_only,
     "inverted": _inverted,
@@ -555,7 +631,7 @@ DEAD_ANCHOR_MUTANTS = {
 @pytest.mark.parametrize("name", DEAD_ANCHOR_MUTANTS)
 def test_pin_or_window_catches_dead_anchor_mutants(name, monkeypatch):
     monkeypatch.setattr(detectors, "_holes_in_window", DEAD_ANCHOR_MUTANTS[name])
-    assert _detector_digest() != DETECTOR_PIN or next(_window_mismatches(), None) is not None
+    assert next(_window_mismatches(), None) is not None
 
 
 def _long_wheel(k: int) -> SimpleGraph:
@@ -573,15 +649,22 @@ def _wheel_gate_graphs():
 
 
 def _wheel_window_mismatches():
-    """(graph6, what) for each gate graph where a search over one or more
-    length windows differs from the length-major scan of iter_holes: the
-    whole-graph find_even_wheel, or all_holes."""
+    """(graph6, what) for each gate graph where a search over windows of
+    several lengths differs from the length-major reference: iter_holes,
+    all_holes, the whole-graph find_even_wheel, or in_class_e's verdict when
+    it is a member or an even wheel."""
     for g in _wheel_gate_graphs():
-        holes = list(iter_holes(g))
-        if find_even_wheel(g) != detectors._even_wheel_on(g, holes):
-            yield write_graph6(g), "find_even_wheel"
+        holes = list(_length_major(g))
+        wheel = detectors._even_wheel_on(g, holes)
+        if list(iter_holes(g)) != holes:
+            yield write_graph6(g), "iter_holes"
         if all_holes(g) != holes:
             yield write_graph6(g), "all_holes"
+        if find_even_wheel(g) != wheel:
+            yield write_graph6(g), "find_even_wheel"
+        violation = in_class_e(g).violation
+        if (violation is None or violation.kind == EVEN_WHEEL) and violation != wheel:
+            yield write_graph6(g), "in_class_e"
 
 
 def test_window_searches_match_length_major_scan():
@@ -589,7 +672,7 @@ def test_window_searches_match_length_major_scan():
 
 
 # kernel stand-ins that differ from it only on a window of several lengths,
-# so iter_holes, the reference of the gate above, keeps its answer
+# so the length-major reference keeps its answer
 
 
 def _first_rim_found(g, lo, hi, live, probe=False):

@@ -5,6 +5,8 @@ a local it never reads (a name starting with `_` marks one as unused on
 purpose).  Every top-level function and class of the package must be named
 somewhere in `src/`, `tests/` or `perfbench/` outside its own definition; the
 search is by whole word, so the benchmark tracer's patches by name count.
+The hole kernel `_holes_in_window` is called only by iter_holes's window loop
+and by all_holes, so its length windows are chosen in one place.
 
 Neither pyflakes nor ruff is a dependency, so this walks the AST itself.
 `__init__.py` is skipped because its imports are the package's re-exports.
@@ -191,3 +193,45 @@ def test_no_dead_definitions():
     others = [text for path, text in sources.items() if path.parent != package]
     assert len(modules) == len(MODULES) + 1  # and __init__.py
     assert dead_definitions(modules, others) == []
+
+
+def callers(source: str, callee: str) -> list[tuple[str, int]]:
+    """(scope, line) of each call of `callee` by name or as an attribute;
+    the scope is the enclosing function or class, nested ones and lambdas by
+    their own name, or <module>."""
+    tree = ast.parse(source)
+    scopes = [("<module>", tree)]
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scopes.append((node.name, node))
+        elif isinstance(node, ast.Lambda):
+            scopes.append(("<lambda>", node))
+    found = []
+    for name, scope in scopes:
+        for node in own_nodes(scope):
+            if isinstance(node, ast.Call):
+                called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if called == callee:
+                    found.append((name, node.lineno))
+    return sorted(found)
+
+
+def test_caller_detector():
+    source = (
+        "x = k(1)\n"
+        "def f():\n"
+        "    def g():\n"
+        "        return m.k(2)\n"
+        "    return lambda: k(3)\n"
+        "class C:\n"
+        "    y = kk(4) + k(5)\n"
+    )
+    assert callers(source, "k") == [("<lambda>", 5), ("<module>", 1), ("C", 7), ("g", 4)]
+
+
+HOLE_KERNEL_CALLERS = {("detectors.py", "_windowed_holes"), ("detectors.py", "all_holes")}
+
+
+def test_hole_window_policy_has_one_owner():
+    found = {(path.name, name) for path in MODULES for name, _ in callers(path.read_text(), "_holes_in_window")}
+    assert found == HOLE_KERNEL_CALLERS
