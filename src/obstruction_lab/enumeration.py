@@ -1,22 +1,43 @@
 """Canonical small-graph enumeration.
 
-Canonical labeling is color-refinement plus individualization with twin
+Canonical labeling is colour refinement plus individualization with twin
 pruning; the certificate is the adjacency upper triangle packed under the
-minimizing labeling.  Colours stay dense, 0..k-1.  A refinement round splits
-each non-singleton cell in place, in colour order, by its members' counts
-into the round's cells, which ranks vertices as one sort by (old colour,
-counts) would; refinement stops as soon as the colouring is discrete, and
-individualizing u gives it its cell's colour and moves the rest of the cell
-and every later cell up one.  The search also yields automorphisms: each
-twin swap it skips, and for each leaf whose certificate ties the best, the
-map best_lab[i] -> lab[i].  Generation follows McKay's canonical-
-construction-path rule (B. D. McKay, "Isomorph-free exhaustive generation",
-J. Algorithms 26, 1998): a child produced by adding one vertex v to a
-canonical parent is kept iff v lies in the Aut(child) orbit of the child's
-canonical-last vertex.  The labelling call that finds that vertex also
-returns generators of all of Aut(child), so the orbit is exact.  Parents are
-pairwise non-isomorphic, and the rule keeps exactly one child per
-isomorphism class of the next level:
+minimizing labeling.
+
+A partition is an ordered list of vertex-set masks, its cells, in colour
+order.  A refinement round splits each non-singleton cell in place by its
+members' packed counts into every cell, the groups in ascending signature
+order, which ranks vertices as one sort by (old cell, counts) would;
+refinement stops as soon as no cell splits or the partition is discrete.
+The search starts from the degree partition (one cell per degree,
+ascending) refined until equitable.
+
+Individualizing u in an equitable partition puts {u} in front of the rest of
+its cell C, and the first round after that is computed directly: each cell D
+splits into D - N(u) and then D & N(u), and empty parts are dropped.  This is
+the round full counting gives.  The partition was equitable, so the members
+of D have equal counts into every old cell, and their counts into the new
+cells differ only at {u}, where a count is the adjacency to u, and at C - u,
+where it is the count into C less that adjacency.  {u} comes first, so
+ascending signatures put the non-neighbours first.  If no cell splits, every
+count is constant on every cell, so the partition is already equitable;
+otherwise full rounds follow.
+
+A leaf is a discrete partition, and the vertex at position j gets bit
+n-1-j.  Carried through that position table and cut to the later positions,
+the row of the vertex at position i is the next n-1-i bits of the packed
+triangle, so the leaf packs its certificate one neighbour at a time instead
+of one pair at a time.
+
+The search also yields automorphisms: each twin swap it skips, and for each
+leaf whose certificate ties the best, the map best_lab[i] -> lab[i].
+Generation follows McKay's canonical-construction-path rule (B. D. McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 26, 1998): a child
+produced by adding one vertex v to a canonical parent is kept iff v lies in
+the Aut(child) orbit of the child's canonical-last vertex.  The labelling
+call that finds that vertex also returns generators of all of Aut(child),
+so the orbit is exact.  Parents are pairwise non-isomorphic, and the rule
+keeps exactly one child per isomorphism class of the next level:
 
 - An isomorphism phi: G -> H carries canonical-last to canonical-last up to
   an automorphism: both canonical labellings give the same graph, so
@@ -39,7 +60,7 @@ isomorphism class of the next level:
 
 Three exact filters run on the neighbour subset before the child is built:
 
-- Degree.  The initial colours rank degrees, and neither refinement nor
+- Degree.  The degree partition ranks degrees, and neither refinement nor
   individualization reorders cells, so the canonical-last vertex has maximum
   degree, and so does every vertex of its orbit.  A subset that leaves v
   below the maximum degree is skipped: v could not lie in that orbit.
@@ -70,13 +91,15 @@ labelling them:
 - Unique maximum.  A child whose new vertex v has the unique maximum degree
   is accepted: the canonical-last vertex has maximum degree, and only v
   does, so v is canonical-last and the orbit rule accepts it.
-- Refinement pre-test.  The child's degree colouring is refined once to its
-  first equitable colouring R, which is where the labelling search starts.
-  Every leaf of that search comes from R by individualization and
-  refinement, which never reorder cells, so canonical-last lies in R's last
-  cell.  R is isomorphism-invariant (refinement commutes with relabelling),
-  so every automorphism maps each cell of R onto itself, and the orbit of
-  canonical-last lies inside that last cell.  So v outside the last cell is
+- Refinement pre-test.  The child's degree partition is refined once to its
+  first equitable partition R, which is where the labelling search starts:
+  a child left undecided is labelled from R, handed over in `_pre_tested`
+  rather than refined again.  Every leaf of that search comes from R by
+  individualization and refinement, which never reorder cells, so
+  canonical-last lies in R's last cell.  R is isomorphism-invariant
+  (refinement commutes with relabelling), so every automorphism maps each
+  cell of R onto itself, and the orbit of canonical-last lies inside that
+  last cell.  So v outside the last cell is
   outside the orbit, and the child is rejected; v alone in it is
   canonical-last, and the child is accepted.  Only the rest are labelled.
   The unique-maximum skip is the case where v is alone in the last cell
@@ -104,41 +127,65 @@ ENUMERATION_CAP = 10
 UNLABELED_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668, 12005168)
 
 
-def _refine(n: int, adj: tuple[int, ...], colors: list[int], k: int) -> tuple[list[int], int]:
-    """Refine the dense colouring `colors` (k colours) until it is equitable;
-    signatures pack one count field per cell, wide enough for 0..n-1."""
+def _refine(n: int, adj: tuple[int, ...], cells: list[int]) -> list[int]:
+    """Refine the ordered partition `cells` (vertex-set masks, in colour
+    order) until it is equitable.  Each round splits every non-singleton cell
+    by its members' counts into every cell, the groups in ascending signature
+    order; signatures pack one count field per cell, wide enough for 0..n-1."""
     width = max(4, n.bit_length())
-    while k < n:
-        cells = [0] * k
-        for v in range(n):
-            cells[colors[v]] |= 1 << v
-        split = [0] * n
-        nk = 0
+    while len(cells) < n:
+        split = []
         for cm in cells:
             if not cm & (cm - 1):
-                split[cm.bit_length() - 1] = nk
-                nk += 1
+                split.append(cm)
                 continue
-            sigs: dict[int, list[int]] = {}
-            while cm:
-                v = (cm & -cm).bit_length() - 1
-                cm &= cm - 1
-                row = adj[v]
+            sigs: dict[int, int] = {}
+            m = cm
+            while m:
+                low = m & -m
+                m ^= low
+                row = adj[low.bit_length() - 1]
                 s = 0
                 for other in cells:
                     s = s << width | (row & other).bit_count()
-                sigs.setdefault(s, []).append(v)
-            for s in sorted(sigs):
-                for v in sigs[s]:
-                    split[v] = nk
-                nk += 1
-        if nk == k:  # no cell split, so the colouring is equitable
-            return colors, k
-        colors, k = split, nk
-    return colors, k
+                sigs[s] = sigs.get(s, 0) | low
+            if len(sigs) == 1:
+                split.append(cm)
+            else:
+                split += [sigs[s] for s in sorted(sigs)]
+        if len(split) == len(cells):  # no cell split, so the partition is equitable
+            return cells
+        cells = split
+    return cells
+
+
+def _individualize(n: int, adj: tuple[int, ...], cells: list[int], t: int, low: int) -> list[int]:
+    """The equitable partition `_refine` reaches from the equitable `cells`
+    with the vertex `low` (a one-bit mask) of cells[t] put alone in front of
+    the rest of its cell, computing the first round directly (module
+    docstring): every cell splits into its non-neighbours and then its
+    neighbours of that vertex, and empty parts are dropped."""
+    nbrs = adj[low.bit_length() - 1]
+    out = []
+    for cell in cells[:t] + [low, cells[t] ^ low] + cells[t + 1:]:
+        inside = cell & nbrs
+        if inside and inside != cell:
+            out += (cell ^ inside, inside)
+        else:
+            out.append(cell)
+    if len(out) == len(cells) + 1:  # no cell split, so the partition is equitable
+        return out
+    return _refine(n, adj, out)
 
 
 Perm = tuple[int, ...]
+
+# The child that expand_children's refinement pre-test is about to label, as
+# its adjacency tuple, and the refined degree partition the pre-test computed
+# for it.  `_canonical` starts from that partition only when its own `adj` is
+# that very tuple, so an entry left over from another call, or another thread,
+# costs one refinement and never changes a result.
+_pre_tested: tuple[tuple[int, ...] | None, list[int]] = (None, [])
 
 
 def _canonical(n: int, adj: tuple[int, ...]) -> tuple[int, Perm, tuple[Perm, ...]]:
@@ -146,20 +193,24 @@ def _canonical(n: int, adj: tuple[int, ...]) -> tuple[int, Perm, tuple[Perm, ...
     and automorphisms generating Aut(g) (perm[u] = image of u).
 
     Why they generate all of Aut(g).  Let T be the search tree without twin
-    pruning: a node is the refined colouring reached by individualizing a
+    pruning: a node is the refined partition reached by individualizing a
     sequence of vertices, and its children individualize each member of the
     first non-singleton cell.  Refinement, the choice of that cell and
     individualization commute with relabelling, so an automorphism s maps
     the node of (u1, ..., uk) to the node of (s(u1), ..., s(uk)) and a leaf
-    labelling lab to s o lab, which has the same certificate.  Let H be the
-    group the returned permutations generate.
+    labelling lab to s o lab, which has the same certificate.  The two
+    shortcuts leave T as full rounds build it: the direct first round after
+    an individualization gives the partition a full round gives (module
+    docstring), and a root handed over in `_pre_tested` is the refined
+    degree partition the search would compute itself.  Let H be the group
+    the returned permutations generate.
 
     - Every node of T is mapped into the visited tree by some h in H.  By
       induction on depth: if h maps node N to a visited node M, it maps the
       child of N at x to the child of M at h(x).  If M branched on h(x),
       that child is visited.  Otherwise h(x) was skipped as the twin of a
       branched w, and the swap t = (h(x) w) was recorded.  t fixes M, since
-      h(x) and w have the same colour there, so t h maps the child to the
+      h(x) and w lie in the same cell there, so t h maps the child to the
       visited child at w.
     - Let best be the first visited leaf with the least certificate, and s an
       automorphism.  Some h in H maps the leaf s o best to a visited leaf
@@ -171,37 +222,45 @@ def _canonical(n: int, adj: tuple[int, ...]) -> tuple[int, Perm, tuple[Perm, ...
         return 0, tuple(range(n)), ()
     best: list = [None, None]
     gens: dict[Perm, None] = {}
+    # the vertex at position j gets bit n-1-j, so each row, cut to the later
+    # positions, is the next n-1-i bits of the upper triangle
+    position_bits = [1 << j for j in range(n - 1, -1, -1)]
 
-    def leaf(colors: list[int]):
-        lab = [0] * n
-        for v in range(n):
-            lab[colors[v]] = v
+    def leaf(cells: list[int]):
+        position = dict(zip(cells, position_bits))
         cert = 0
-        for i in range(n - 1):
-            row = adj[lab[i]]
-            for u in lab[i + 1:]:
-                cert = cert << 1 | (row >> u & 1)
+        later = (1 << n) - 1
+        width = n
+        for low in cells:
+            later ^= low
+            width -= 1
+            m = adj[low.bit_length() - 1] & later
+            row = 0
+            while m:
+                bit = m & -m
+                m ^= bit
+                row |= position[bit]
+            cert = cert << width | row
         if best[0] is None or cert < best[0]:
-            best[0], best[1] = cert, lab
+            best[0], best[1] = cert, cells
         elif cert == best[0]:
             # both labelings give the same graph
             perm = [0] * n
-            for b, u in zip(best[1], lab):
-                perm[b] = u
+            for b, u in zip(best[1], cells):
+                perm[b.bit_length() - 1] = u.bit_length() - 1
             gens[tuple(perm)] = None
 
-    def descend(colors: list[int], k: int):
-        colors, k = _refine(n, adj, colors, k)
-        if k == n:
-            leaf(colors)
+    def descend(cells: list[int]):
+        if len(cells) == n:
+            leaf(cells)
             return
-        counts = [0] * k
-        for c in colors:
-            counts[c] += 1
-        target = next(c for c in range(k) if counts[c] > 1)
-        members = [v for v in range(n) if colors[v] == target]
+        t = next(i for i, cm in enumerate(cells) if cm & (cm - 1))
         branched: list[int] = []
-        for u in members:
+        m = cells[t]
+        while m:
+            low = m & -m
+            m ^= low
+            u = low.bit_length() - 1
             # skip vertices interchangeable with an already-branched one;
             # swapping the two is an automorphism
             twin = None
@@ -216,21 +275,22 @@ def _canonical(n: int, adj: tuple[int, ...]) -> tuple[int, Perm, tuple[Perm, ...
                 gens[tuple(perm)] = None
                 continue
             branched.append(u)
-            # u alone takes colour target; the rest of its cell and every
-            # later cell move up one
-            child = [c + (c >= target) for c in colors]
-            child[u] = target
-            descend(child, k + 1)
+            descend(_individualize(n, adj, cells, t, low))
 
-    descend(*_degree_colours(adj))
-    return best[0], tuple(best[1]), tuple(gens)
+    pre_tested_adj, cells = _pre_tested
+    if pre_tested_adj is not adj:
+        cells = _refine(n, adj, _degree_cells(adj))
+    descend(cells)
+    return best[0], tuple(c.bit_length() - 1 for c in best[1]), tuple(gens)
 
 
-def _degree_colours(adj: tuple[int, ...]) -> tuple[list[int], int]:
-    """The dense colouring that ranks vertices by degree, and its colour count."""
-    degs = [row.bit_count() for row in adj]
-    rank = {d: i for i, d in enumerate(sorted(set(degs)))}
-    return [rank[d] for d in degs], len(rank)
+def _degree_cells(adj: tuple[int, ...]) -> list[int]:
+    """The degree partition: one cell per degree, in ascending degree order."""
+    cells: dict[int, int] = {}
+    for v, row in enumerate(adj):
+        d = row.bit_count()
+        cells[d] = cells.get(d, 0) | 1 << v
+    return [cells[d] for d in sorted(cells)]
 
 
 @lru_cache(maxsize=1 << 21)
@@ -259,6 +319,7 @@ def expand_children(
     """Accepted one-vertex extensions of a canonical parent, in subset order.
     A prune with a true `forbids_c4` attribute declares that it rejects every
     child with an induced C4 through the new vertex (module docstring)."""
+    global _pre_tested
     out = []
     gens = _canonical_cached(parent.n, parent.adj)[2]
     tables = [_relabel_tables(perm) for perm in gens]
@@ -288,13 +349,15 @@ def expand_children(
             out.append(child)
             continue
         # the refinement pre-test (module docstring)
-        colors, k = _refine(new_v + 1, child.adj, *_degree_colours(child.adj))
-        if colors[new_v] != k - 1:
+        cells = _refine(new_v + 1, child.adj, _degree_cells(child.adj))
+        if not cells[-1] >> new_v & 1:
             continue
-        if colors.count(k - 1) == 1:
+        if cells[-1] == 1 << new_v:
             out.append(child)
             continue
-        # the orbit rule (module docstring)
+        # the orbit rule (module docstring), labelled from the pre-test's
+        # partition
+        _pre_tested = child.adj, cells
         _, labeling, child_gens = canonical_form(child)
         if _vertex_orbit(labeling[-1], child_gens) >> new_v & 1:
             out.append(child)

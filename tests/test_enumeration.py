@@ -1,6 +1,9 @@
 import hashlib
 import itertools
 import random
+import sys
+import threading
+import time
 from functools import partial
 
 import pytest
@@ -10,7 +13,8 @@ from obstruction_lab.detectors import in_class_e
 from obstruction_lab.enumeration import (
     UNLABELED_COUNTS,
     _canonical,
-    _degree_colours,
+    _degree_cells,
+    _individualize,
     _refine,
     _relabel_tables,
     are_isomorphic,
@@ -181,35 +185,88 @@ def test_canonical_output_pinned():
     assert digest.hexdigest() == CANONICAL_PIN
 
 
-def _dense_colouring(rng: random.Random, n: int) -> tuple[list[int], int]:
+def _dense_refine(n: int, adj: tuple[int, ...], colors: list[int], k: int) -> tuple[list[int], int]:
+    """The reference refinement on dense colours 0..k-1: each round splits
+    each non-singleton cell, in colour order, by its members' counts into
+    every cell, the groups in ascending signature order."""
+    width = max(4, n.bit_length())
+    while k < n:
+        cells = [0] * k
+        for v in range(n):
+            cells[colors[v]] |= 1 << v
+        split = [0] * n
+        nk = 0
+        for cm in cells:
+            if not cm & (cm - 1):
+                split[cm.bit_length() - 1] = nk
+                nk += 1
+                continue
+            sigs: dict[int, list[int]] = {}
+            while cm:
+                v = (cm & -cm).bit_length() - 1
+                cm &= cm - 1
+                row = adj[v]
+                s = 0
+                for other in cells:
+                    s = s << width | (row & other).bit_count()
+                sigs.setdefault(s, []).append(v)
+            for s in sorted(sigs):
+                for v in sigs[s]:
+                    split[v] = nk
+                nk += 1
+        if nk == k:
+            return colors, k
+        colors, k = split, nk
+    return colors, k
+
+
+def _random_cells(rng: random.Random, n: int) -> list[int]:
+    """A seeded random ordered partition of 0..n-1, as vertex-set masks."""
     k = rng.randint(1, n)
     colors = [rng.randrange(k) for _ in range(n)]
-    used = {c: i for i, c in enumerate(sorted(set(colors)))}
-    return [used[c] for c in colors], len(used)
+    return [mask for mask in (sum(1 << v for v in range(n) if colors[v] == c) for c in range(k)) if mask]
+
+
+def _as_cells(n: int, colors: list[int], k: int) -> list[int]:
+    return [sum(1 << v for v in range(n) if colors[v] == c) for c in range(k)]
+
+
+def _is_equitable(adj: tuple[int, ...], cells: list[int]) -> bool:
+    return all(
+        len({tuple((adj[v] & other).bit_count() for other in cells) for v in range(len(adj)) if cell >> v & 1}) == 1
+        for cell in cells
+    )
 
 
 def test_refine_is_an_ordered_equitable_refinement():
     rng = random.Random(5)
     for g in random_graphs(400, 5, (1, 12)):
-        colors, k = _dense_colouring(rng, g.n)
-        out, out_k = _refine(g.n, g.adj, colors, k)
-        assert sorted(set(out)) == list(range(out_k))
+        cells = _random_cells(rng, g.n)
+        out = _refine(g.n, g.adj, list(cells))
+        assert all(out) and sum(out) == (1 << g.n) - 1
+        assert sum(c.bit_count() for c in out) == g.n
         # every cell of the input is a run of consecutive output cells
-        for u in range(g.n):
-            for v in range(g.n):
-                if colors[u] < colors[v]:
-                    assert out[u] < out[v]
-        cells = [sum(1 << v for v in range(g.n) if out[v] == c) for c in range(out_k)]
-        for c in range(out_k):
-            counts = {tuple((g.adj[v] & cell).bit_count() for cell in cells) for v in range(g.n) if out[v] == c}
-            assert len(counts) == 1
+        i = 0
+        for cell in cells:
+            covered = 0
+            while covered != cell:
+                assert out[i] & ~cell == 0
+                covered |= out[i]
+                i += 1
+        assert _is_equitable(g.adj, out)
+        # the same partition, cell for cell, as the dense-colour reference
+        colors = [next(c for c, cell in enumerate(cells) if cell >> v & 1) for v in range(g.n)]
+        assert out == _as_cells(g.n, *_dense_refine(g.n, g.adj, colors, len(cells)))
 
 
 class _Unread(list):
-    """A colouring that fails when a refinement round reads it."""
+    """A partition that fails when a refinement round reads its cells."""
 
     def __getitem__(self, i):
-        raise AssertionError("a refinement round ran on a discrete colouring")
+        raise AssertionError("a refinement round ran on a discrete partition")
+
+    def __iter__(self):
+        raise AssertionError("a refinement round ran on a discrete partition")
 
 
 def test_refine_returns_a_discrete_colouring_without_a_round():
@@ -217,9 +274,28 @@ def test_refine_returns_a_discrete_colouring_without_a_round():
     for n in range(1, 12):
         order = list(range(n))
         rng.shuffle(order)
-        colors = _Unread(order)
-        out, k = _refine(n, None, colors, n)
-        assert out is colors and k == n and out == order
+        cells = _Unread(1 << v for v in order)
+        out = _refine(n, None, cells)
+        assert out is cells and len(out) == n
+
+
+def test_direct_first_round_matches_full_refinement():
+    # after individualizing u in an equitable partition, the direct first
+    # round (split every cell by adjacency to u) followed by full rounds
+    # gives what full rounds give from the individualized partition
+    rng = random.Random(12)
+    tried = 0
+    for g in random_graphs(300, 12, (2, 12)):
+        for cells in (_refine(g.n, g.adj, _degree_cells(g.adj)), _refine(g.n, g.adj, _random_cells(rng, g.n))):
+            for t, cell in enumerate(cells):
+                m = cell if cell & (cell - 1) else 0
+                while m:
+                    low = m & -m
+                    m ^= low
+                    individualized = cells[:t] + [low, cell ^ low] + cells[t + 1:]
+                    assert _individualize(g.n, g.adj, cells, t, low) == _refine(g.n, g.adj, individualized)
+                    tried += 1
+    assert tried > 1000
 
 
 def test_canonical_last_has_maximum_degree():
@@ -268,6 +344,41 @@ def test_canonical_generators_are_automorphisms():
                 for gen in _canonical(h.n, h.adj)[2]:
                     assert sorted(gen) == list(range(n))
                     assert _is_automorphism(h, gen)
+
+
+def _doubled(rng: random.Random, n: int) -> SimpleGraph:
+    """Two copies of a random graph on n // 2 vertices, each vertex joined to
+    its copy, and for odd n a vertex joined to every other: swapping the
+    copies is an automorphism."""
+    h = n // 2
+    edges = [(u, v) for u in range(h) for v in range(u + 1, h) if rng.random() < 0.4]
+    edges += [(u + h, v + h) for u, v in edges] + [(u, u + h) for u in range(h)]
+    edges += [(u, 2 * h) for u in range(2 * h)] if n % 2 else []
+    return SimpleGraph.from_edges(n, edges)
+
+
+def test_canonical_cert_and_generators_past_the_pin():
+    # CANONICAL_PIN stops at n = 10, but canonical_cert and are_isomorphic
+    # take any n <= 128
+    rng = random.Random(11)
+    graphs = list(random_graphs(90, 11, (11, 16)))
+    graphs += [_doubled(rng, n) for n in range(11, 17)] + [cycle_graph(n) for n in range(11, 17)]
+    with_gens = 0
+    for g in graphs:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        cert, labeling, gens = _canonical(g.n, g.adj)
+        assert canonical_cert(_relabel(g, perm)) == canonical_cert(g) == cert
+        packed = 0
+        for i, u in enumerate(labeling):
+            for w in labeling[i + 1:]:
+                packed = packed << 1 | (g.adj[u] >> w & 1)
+        assert packed == cert
+        for gen in gens:
+            assert sorted(gen) == list(range(g.n))
+            assert _is_automorphism(g, gen)
+        with_gens += bool(gens)
+    assert with_gens >= 12
 
 
 def _automorphisms(g: SimpleGraph):
@@ -457,23 +568,34 @@ def _unique_maximum(g: SimpleGraph) -> bool:
     return all(d < degs[-1] for d in degs[:-1])
 
 
+def _first_equitable_cells(g: SimpleGraph) -> list[int]:
+    """The child's first equitable partition, by the dense-colour reference."""
+    degs = [row.bit_count() for row in g.adj]
+    rank = {d: i for i, d in enumerate(sorted(set(degs)))}
+    return _as_cells(g.n, *_dense_refine(g.n, g.adj, [rank[d] for d in degs], len(rank)))
+
+
 def _refinement_decides(g: SimpleGraph) -> bool:
     """Whether the new vertex g.n - 1 is outside the last cell of the child's
-    first equitable colouring, or alone in it."""
-    colors, k = _refine(g.n, g.adj, *_degree_colours(g.adj))
-    return colors[-1] != k - 1 or colors.count(k - 1) == 1
+    first equitable partition, or alone in it."""
+    last = _first_equitable_cells(g)[-1]
+    return not last >> (g.n - 1) & 1 or last == 1 << (g.n - 1)
 
 
 @pytest.mark.parametrize("name", ["none", "class_e"])
 def test_expand_children_labels_exactly_the_children_without_unique_maximum(name, monkeypatch):
     # of the children that pass the prune and lack a unique-maximum new
     # vertex, labelled are exactly those the refinement pre-test leaves
-    # undecided
+    # undecided; each of those is labelled from the pre-test's partition, so
+    # its degree partition is refined once, not again by the labelling
     prune = SWEEP_PRUNES[name]
     parents = [SimpleGraph(0, ())] + [g for n in range(1, 7) for g in enumerate_graphs(n, prune=prune)]
-    built, labelled = [], []
+    built, labelled, refined = [], [], []
     monkeypatch.setattr(enumeration, "add_vertex", lambda g, s: built.append(add_vertex(g, s)) or built[-1])
     monkeypatch.setattr(enumeration, "canonical_form", lambda g: labelled.append(g) or canonical_form(g))
+    refine = enumeration._refine
+    monkeypatch.setattr(enumeration, "_refine", lambda n, adj, cells: refined.append((adj, cells)) or refine(n, adj, cells))
+    enumeration._canonical_cached.cache_clear()  # so the children are labelled, not looked up
     skipped = decided = 0
     for parent in parents:
         built.clear()
@@ -482,28 +604,61 @@ def test_expand_children_labels_exactly_the_children_without_unique_maximum(name
         passed = [c for c in built if prune is None or prune(c)]
         undecided = [c for c in passed if not _unique_maximum(c)]
         assert labelled == [c for c in undecided if not _refinement_decides(c)]
+        for c in labelled:
+            assert sum(adj is c.adj and cells == _degree_cells(c.adj) for adj, cells in refined) == 1
         skipped += len(passed) - len(undecided)
         decided += len(undecided) - len(labelled)
     assert skipped and decided  # the gate is not vacuous
 
 
+def test_threads_expanding_at_once_get_the_serial_children(monkeypatch):
+    # the pre-test hands its partition to the labelling through one
+    # module-level slot; a thread that finds another thread's entry there
+    # refines for itself and never labels from the wrong partition.  Each
+    # labelling call first yields the interpreter lock, so other threads
+    # overwrite the slot in between.
+    parents = [g for n in range(1, 7) for g in enumerate_graphs(n, prune=prune_class_e)]
+    expected = [[c.adj for c in expand_children(p, prune_class_e)] for p in parents]
+    monkeypatch.setattr(enumeration, "canonical_form", lambda g: time.sleep(0) or canonical_form(g))
+    results = [None] * 4
+
+    def expand_all(i):
+        results[i] = [[c.adj for c in expand_children(p, prune_class_e)] for p in parents]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        enumeration._canonical_cached.cache_clear()
+        threads = [threading.Thread(target=expand_all, args=(i,)) for i in range(len(results))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * len(results)
+
+
 def test_refinement_pre_test_agrees_with_the_orbit_rule():
-    # v outside the last cell of the first equitable colouring is outside
+    # v outside the last cell of the first equitable partition is outside
     # the orbit of canonical-last; v alone in it is canonical-last
     outcomes = set()
     for n in range(1, 7):
         for parent in all_graphs(n):
             for subset in range(1 << n):
                 child = add_vertex(parent, subset)
-                colors, k = _refine(child.n, child.adj, *_degree_colours(child.adj))
+                last = _refine(child.n, child.adj, _degree_cells(child.adj))[-1]
                 _, labeling, gens = canonical_form(child)
                 orbit = _vertex_orbit(labeling[-1], gens)
-                if colors[n] != k - 1:
+                if not last >> n & 1:
                     assert n not in orbit
                     outcomes.add("reject")
-                elif colors.count(k - 1) == 1:
+                elif last == 1 << n:
                     assert labeling[-1] == n
                     outcomes.add("accept")
+                # the orbit of canonical-last lies in the last cell
+                assert all(last >> u & 1 for u in orbit)
     assert outcomes == {"reject", "accept"}
 
 
