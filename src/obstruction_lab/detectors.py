@@ -8,13 +8,38 @@ shortest length first, then smallest anchor vertex, then lexicographically
 smallest vertex sequence (with the orientation fixed by second < last).
 
 The two path kernels, the hole search over a window of lengths and the
-induced a-b path search, are depth-first loops over an explicit stack.  Each entry holds a
-path, its vertex mask, the neighbourhoods the next vertex must avoid and the
-candidates not yet tried; the lowest candidate bit is peeled first, so the
-order is the ascending one above.  find_theta only tries ends whose
-neighbourhood holds three pairwise non-adjacent vertices: the three paths
-leave an end through interiors that are disjoint and anticomplete, so their
-first vertices are pairwise non-adjacent.
+induced a-b path search, are depth-first loops over an explicit stack.  Each
+entry holds a path, its vertex mask, the neighbourhoods the next vertex must
+avoid and the candidates not yet tried; the lowest candidate bit is peeled
+first, so the order is the ascending one above.
+
+Resumable hole windows.  iter_holes searches a window of lengths lo..hi at a
+time (its docstring says which).  When another window follows, the kernel
+hands on, per anchor, the entries it cut at a path of hi - 1 vertices that can
+still be extended, in DFS order, and the next window resumes from them
+instead of restarting at each anchor.  Every hole of length > hi from an
+anchor starts with one of those paths, and a DFS in turn over entries in
+lexicographic prefix order meets each anchor's holes of one length in
+lexicographic order, as a restart would; so the stable sort by length gives
+the same stream.  An anchor with no entry left is the smallest vertex of no
+longer hole and starts nothing more (dead anchors), and the search stops when
+no anchor has an entry.  A window the parity skips only probes: it stops each
+anchor at its first path of hi - 1 vertices and hands on a fresh start at
+each anchor that built one.  The last window keeps nothing.
+
+Theta ends.  Each of a theta's three paths leaves an end a through some x in
+N(a) whose next vertex (the other end, or the next interior vertex) lies
+outside N[a], and the three such x are pairwise non-adjacent, as the
+interiors are disjoint and anticomplete.  So find_theta tries as an end only a
+vertex with a stable triple among {x in N(a) : N(x) not inside N[a]}; the end
+pairs it skips hold no theta, and its first theta is unchanged.
+
+Prism triangles.  Each corner of a prism's triangle has a neighbour that is
+neither other corner and adjacent to neither: the next vertex on its path,
+since only the triangle edges run between different paths.  find_prism drops
+every other triangle before forming pairs.  The triangles left keep their
+relative order, so the pairs left are tried in the same order as before, and
+the pairs dropped hold no prism; so its first prism is unchanged.
 
 Given an `anchor` vertex, find_theta, find_prism and find_even_wheel look
 only for a configuration containing it, on the holes through it (see
@@ -117,20 +142,15 @@ def iter_holes(
     checked here, before any search; a bad one raises ContractViolation.
 
     The length windows of the hole search are chosen here and nowhere else.
-    Each window is one kernel call, one DFS per live anchor over lengths
-    lo..hi.  Until a first hole is out, each window is one length, so that
-    hole comes out as soon as it is found.  After a first hole of length L
-    come [L + 1, 2L], [2L + 1, 4L], ..., each sorted stably by length
-    (within a length the kernel yields in iter_holes order), so the first
-    vertices of a long hole are not rebuilt for every shorter length.
-
-    Dead anchors: an anchor whose search up to hi never builds a path of
-    hi - 1 vertices is the smallest vertex of no hole of length >= hi, since
-    the first hi - 1 vertices of such a hole are such a path under the same
-    constraints.  It is dropped for every later window, and the search stops
-    once no anchor is live.  A one-length window the parity skips only
-    probes, to learn which anchors die there; a wider window is filtered by
-    parity after its sort.  Lengths below min_len are not searched.
+    Each window is one kernel call, one DFS per anchor over lengths lo..hi,
+    resumed where the window before it stopped (see "resumable hole windows"
+    in the module docstring).  Until a first hole is out, each window is one
+    length, so that hole comes out as soon as it is found.  After a first
+    hole of length L come [L + 1, 2L], [2L + 1, 4L], ..., each sorted stably
+    by length (within a length the kernel yields in iter_holes order).  A
+    one-length window the parity skips only probes; a wider window is
+    filtered by parity after its sort.  Lengths below min_len are not
+    searched.
     """
     if min_len < 4:
         raise ContractViolation("holes have at least 4 vertices")
@@ -143,26 +163,26 @@ def iter_holes(
 def _windowed_holes(
     g: SimpleGraph, min_len: int, top: int, parities: tuple[int, ...]
 ) -> Iterator[tuple[int, ...]]:
-    live, lo, hi, found = g.vertices_mask, min_len, min_len, False
-    while live and lo <= top:
-        kernel = _holes_in_window(g, lo, hi, live, lo == hi and lo % 2 not in parities)
+    roots, lo, hi, found = _fresh_starts(g.vertices_mask), min_len, min_len, False
+    while roots and lo <= top:
+        kernel = _holes_in_window(g, lo, hi, roots, lo == hi and lo % 2 not in parities, hi < top)
         if lo == hi:
             # a peek tells whether a hole is out; the rest come straight on
             try:
                 cycle = next(kernel)
             except StopIteration as done:
-                live = done.value
+                roots = done.value
             else:
                 found = True
                 yield cycle
-                live = yield from kernel
+                roots = yield from kernel
         else:
             window = []
             try:
                 while True:
                     window.append(next(kernel))
             except StopIteration as done:
-                live = done.value
+                roots = done.value
             window.sort(key=len)
             yield from (cycle for cycle in window if len(cycle) % 2 in parities)
         lo, hi = hi + 1, min(2 * hi if found else hi + 1, top)
@@ -172,35 +192,53 @@ def all_holes(g: SimpleGraph) -> list[tuple[int, ...]]:
     """Every hole, in iter_holes order, from one DFS per anchor over the
     lengths 4..n; within one length that DFS yields them in iter_holes order,
     so a stable sort by length is the whole reordering."""
-    holes = list(_holes_in_window(g, 4, g.n, g.vertices_mask)) if g.n >= 4 else []
+    holes = list(_holes_in_window(g, 4, g.n, _fresh_starts(g.vertices_mask))) if g.n >= 4 else []
     holes.sort(key=len)
     return holes
 
 
+# where the hole kernel starts at one anchor: (anchor, entries), each entry a
+# path from the anchor, its mask, the neighbourhoods the next vertex must
+# avoid and the candidates not yet tried; entries None starts afresh
+_Root = tuple[int, list[tuple[tuple[int, ...], int, int, int]] | None]
+
+
+def _fresh_starts(anchors: int) -> list[_Root]:
+    """The hole kernel's fresh start at each anchor in the mask, ascending."""
+    return [(a, None) for a in bits(anchors)]
+
+
 def _holes_in_window(
-    g: SimpleGraph, lo: int, hi: int, live: int, probe: bool = False
-) -> Generator[tuple[int, ...], None, int]:
-    """Yields the holes of lengths lo..hi (4 <= lo <= hi <= n) anchored at a
-    live vertex, and returns the mask of the anchors whose search was cut at
-    a path of hi - 1 vertices; any other anchor is the smallest vertex of no
-    longer hole.  One DFS per anchor: a path of lo - 1 to hi - 1 vertices
-    closes holes, so per anchor and per length the holes come in
-    lexicographic order.  A probe yields nothing and leaves each anchor at its
-    first path of hi - 1 vertices."""
+    g: SimpleGraph, lo: int, hi: int, roots: Iterable[_Root], probe: bool = False, keep: bool = False
+) -> Generator[tuple[int, ...], None, list[_Root]]:
+    """Yields the holes of lengths lo..hi (4 <= lo <= hi <= n) that extend
+    `roots`, which holds per anchor, ascending, the entries to search from in
+    DFS order, each a path of fewer than lo - 1 vertices, or None to start
+    afresh at the anchor.  One DFS per anchor over those entries in turn, so
+    per anchor and per length the holes come in lexicographic order.  With
+    `keep`, returns the entries cut at a path of hi - 1 vertices that can
+    still be extended, in the same order, for the next window to resume from
+    (see "resumable hole windows" in the module docstring); otherwise returns
+    nothing.  A probe yields nothing, stops each anchor at its first path of
+    hi - 1 vertices and returns a fresh start at each anchor that built one."""
     n, adj = g.n, g.adj
     opening, closing = lo - 1, hi - 1
-    reached = 0
-    for anchor in bits(live & ((1 << (n - lo + 1)) - 1)):
+    cut, reached = [], 0
+    for anchor, entries in roots:
+        if anchor > n - lo:
+            break
         above = ((1 << n) - 1) & ~((1 << (anchor + 1)) - 1)
         a_adj = adj[anchor]
-        first = a_adj & above
-        if not first:
-            continue
+        # interior vertices avoid N(anchor), the closing vertex sits in it
         inner = above & ~a_adj
-        # entry: path from the anchor, its mask, the neighbourhoods the next
-        # vertex must avoid, the candidates not yet tried; interior vertices
-        # avoid N(anchor), the closing vertex sits in it
-        stack = [((anchor,), 1 << anchor, 0, first)]
+        if entries is None:
+            first = a_adj & above
+            if not first:
+                continue
+            stack = [((anchor,), 1 << anchor, 0, first)]
+        else:
+            stack = entries[::-1]
+        kept = []
         while stack:
             path, pmask, forbidden, cands = stack.pop()
             low = cands & -cands
@@ -216,10 +254,13 @@ def _holes_in_window(
                     stack.append((path, pmask, forbidden | adj[w], nxt))
                 if depth < opening or probe:
                     continue
-            else:
+            elif probe:
                 reached |= 1 << anchor
-                if probe:
-                    break
+                break
+            elif keep:
+                nxt = adj[w] & inner & ~forbidden & ~pmask
+                if nxt:
+                    kept.append((path, pmask, forbidden | adj[w], nxt))
             # the closing vertex exceeds path[1], fixing the orientation
             closers = adj[w] & a_adj & above & ~forbidden & ~pmask
             closers = closers >> (path[1] + 1) << (path[1] + 1)
@@ -227,7 +268,9 @@ def _holes_in_window(
                 low = closers & -closers
                 yield path + (low.bit_length() - 1,)
                 closers ^= low
-    return reached
+        if kept:
+            cut.append((anchor, kept))
+    return _fresh_starts(reached) if probe else cut
 
 
 def find_hole(
@@ -456,15 +499,15 @@ def find_theta(g: SimpleGraph, anchor: int | None = None) -> Certificate | None:
     """Two non-adjacent ends joined by three internally disjoint induced paths
     of length >= 2 whose interiors are pairwise anticomplete.
 
-    An end needs three pairwise non-adjacent neighbours, its neighbours on
-    the three paths; other vertices are skipped as ends before any search.
-    With an anchor, the first theta containing it, found as a hole through
-    the anchor plus one ear (see "obstructions through one vertex").
+    Vertices that cannot be an end are skipped before any search (see
+    "theta ends" in the module docstring).  With an anchor, the first theta
+    containing it, found as a hole through the anchor plus one ear (see
+    "obstructions through one vertex").
     """
     if anchor is not None:
         return _first_on_holes(_theta_on, g, anchor)
-    n, adj = g.n, g.adj
-    ends = [_has_stable_triple(g, adj[v]) for v in range(n)]
+    n = g.n
+    ends = [_theta_end(g, v) for v in range(n)]
     for a in range(n):
         if not ends[a]:
             continue
@@ -497,6 +540,22 @@ def anticomplete_sets(g: SimpleGraph, sets: list[int], q: int) -> tuple[int, ...
                 compat[j] |= 1 << i
     got = has_clique(SimpleGraph(count, tuple(compat)), q)
     return None if got is None else got.vertices
+
+
+def _theta_end(g: SimpleGraph, a: int) -> bool:
+    """Whether a can be an end of a theta: some three of its neighbours that
+    have a neighbour outside N[a] are pairwise non-adjacent (see "theta ends"
+    in the module docstring)."""
+    adj = g.adj
+    nbrs = adj[a]
+    if nbrs.bit_count() < 3:
+        return False
+    closed = nbrs | 1 << a
+    exits = 0
+    for x in bits(nbrs):
+        if adj[x] & ~closed:
+            exits |= 1 << x
+    return _has_stable_triple(g, exits)
 
 
 def _has_stable_triple(g: SimpleGraph, mask: int) -> bool:
@@ -537,13 +596,18 @@ def validate_theta(g: SimpleGraph, cert: Certificate) -> bool:
 # prism
 
 
-def _triangles(g: SimpleGraph) -> list[tuple[int, int, int]]:
+def _prism_triangles(g: SimpleGraph) -> list[tuple[int, int, int]]:
+    """The triangles u < v < w, ascending, each of whose corners has a
+    neighbour adjacent to neither other corner (see "prism triangles" in the
+    module docstring)."""
+    adj = g.adj
     out = []
     for u in range(g.n):
-        for v in bits(g.adj[u] >> (u + 1) << (u + 1)):
-            common = g.adj[u] & g.adj[v]
+        for v in bits(adj[u] >> (u + 1) << (u + 1)):
+            common = adj[u] & adj[v]
             for w in bits(common >> (v + 1) << (v + 1)):
-                out.append((u, v, w))
+                if adj[u] & ~(adj[v] | adj[w]) and adj[v] & ~(adj[u] | adj[w]) and adj[w] & ~(adj[u] | adj[v]):
+                    out.append((u, v, w))
     return out
 
 
@@ -569,13 +633,15 @@ def find_prism(g: SimpleGraph, anchor: int | None = None) -> Certificate | None:
     triangle edges running between different paths.
 
     Triangle pairs are tried closest first so that on prism-bearing hosts the
-    certificate surfaces before any expensive failing pair is exhausted.
-    With an anchor, the first prism containing it, found as a hole through
-    the anchor plus one ear (see "obstructions through one vertex").
+    certificate surfaces before any expensive failing pair is exhausted; a
+    triangle that cannot be one of a prism's is dropped first (see "prism
+    triangles" in the module docstring).  With an anchor, the first prism
+    containing it, found as a hole through the anchor plus one ear (see
+    "obstructions through one vertex").
     """
     if anchor is not None:
         return _first_on_holes(_prism_on, g, anchor)
-    tris = _triangles(g)
+    tris = _prism_triangles(g)
     if len(tris) < 2:
         return None
     dist_from = {}

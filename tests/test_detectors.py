@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obstruction_lab import detectors
+from obstruction_lab import cli, detectors
 from obstruction_lab.detectors import (
     BICLIQUE,
     CLIQUE,
@@ -473,16 +473,15 @@ def test_iter_holes_is_lazy():
 
 
 _KERNEL = detectors._holes_in_window
+_ROOTS = detectors._fresh_starts
 
 
 def _length_major(g: SimpleGraph):
     """The reference for every windowed hole search: the kernel as imported,
-    so unpatched, run one length at a time from 4 with dead anchors dropped,
+    so unpatched, restarted at every anchor for one length at a time from 4,
     which yields every hole in iter_holes order."""
-    live = g.vertices_mask
     for length in range(4, g.n + 1):
-        if live:
-            live = yield from _KERNEL(g, length, length, live)
+        yield from _KERNEL(g, length, length, _ROOTS(g.vertices_mask))
 
 
 def _window_mismatches():
@@ -509,9 +508,9 @@ def _windows_searched(monkeypatch) -> list[tuple[int, int]]:
     every call, probes included."""
     windows = []
 
-    def spy(g, lo, hi, live, probe=False):
+    def spy(g, lo, hi, roots, probe=False, keep=False):
         windows.append((lo, hi))
-        return (yield from _KERNEL(g, lo, hi, live, probe))
+        return (yield from _KERNEL(g, lo, hi, roots, probe, keep))
 
     monkeypatch.setattr(detectors, "_holes_in_window", spy)
     return windows
@@ -539,12 +538,37 @@ CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
 
 
 @functools.cache
-def _corpus_graphs() -> tuple[SimpleGraph, ...]:
-    """The benchmark's check-corpus graphs for seed 1."""
+def _corpus_lines(seed: int) -> tuple[str, ...]:
+    """The graph6 lines of the benchmark's check-corpus for a seed."""
     spec = importlib.util.spec_from_file_location("corpus", CORPUS)
     corpus = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(corpus)
-    return tuple(parse_graph6(line) for line, _ in corpus.generate(1))
+    return tuple(line for line, _ in corpus.generate(seed))
+
+
+@functools.cache
+def _corpus_graphs(seed: int = 1) -> tuple[SimpleGraph, ...]:
+    """The benchmark's check-corpus graphs for a seed, 1 by default."""
+    return tuple(parse_graph6(line) for line in _corpus_lines(seed))
+
+
+# sha256 of the stdout of `check --t 4` on the check-corpus of each seed
+# (n = 10..33), taken before the resumable hole windows and the theta-end and
+# prism-triangle cuts: the benchmark checks only each line's kind and whether
+# its certificate is valid, so this pins the certificates themselves
+CHECK_PINS = {
+    1: "a1200601484673986aa91015aa0b9e2e11b0ef12984e6a4f19f92370ab03bc6c",
+    2: "0962d475a91e94dfd39d015d5a787f2c5294cc605fdc8fdcdcdeee9b936314d8",
+    3: "5c91e25ca686ac44ab26ee40d511997d4fe8158ad8e02d506a7392691e10e6bf",
+}
+
+
+@pytest.mark.parametrize("seed", CHECK_PINS)
+def test_check_output_pinned_on_the_corpus(seed, tmp_path, capsys):
+    path = tmp_path / "corpus.g6"
+    path.write_text("".join(line + "\n" for line in _corpus_lines(seed)))
+    assert cli.main(["check", "--t", "4", str(path)]) == 1
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CHECK_PINS[seed]
 
 
 def test_in_class_e_searches_each_hole_length_once(monkeypatch):
@@ -578,15 +602,15 @@ def test_first_hole_is_searched_one_length_at_a_time(monkeypatch):
 def _doubling_from_first(g, min_len, top, parities):
     """A stand-in for iter_holes's window loop that doubles its windows from
     the first on, [4, 4], [5, 8], [9, 16], ..., before any hole is out."""
-    live, lo, hi = g.vertices_mask, min_len, min_len
-    while live and lo <= top:
-        kernel = detectors._holes_in_window(g, lo, hi, live)
+    roots, lo, hi = _ROOTS(g.vertices_mask), min_len, min_len
+    while roots and lo <= top:
+        kernel = detectors._holes_in_window(g, lo, hi, roots, keep=hi < top)
         window = []
         try:
             while True:
                 window.append(next(kernel))
         except StopIteration as done:
-            live = done.value
+            roots = done.value
         window.sort(key=len)
         yield from (c for c in window if len(c) % 2 in parities)
         lo, hi = hi + 1, min(2 * hi, top)
@@ -597,27 +621,29 @@ def test_first_hole_gate_catches_doubling_from_the_first_window(monkeypatch):
     assert next(_first_hole_window_faults(monkeypatch), None) is not None
 
 
-def _closed_only(g, lo, hi, live, probe=False):
-    """An anchor stays live only if it closed a hole in the window."""
+def _closed_only(g, lo, hi, roots, probe=False, keep=False):
+    """A fresh start only at each anchor that closed a hole in the window."""
     closed = 0
-    for cyc in _KERNEL(g, lo, hi, live, probe):
+    for cyc in _KERNEL(g, lo, hi, roots, probe, keep):
         closed |= 1 << cyc[0]
         yield cyc
-    return closed
+    return _ROOTS(closed) if keep else []
 
 
-def _inverted(g, lo, hi, live, probe=False):
-    """The live anchors that built no path of hi - 1 vertices."""
-    return live & ~(yield from _KERNEL(g, lo, hi, live, probe))
+def _inverted(g, lo, hi, roots, probe=False, keep=False):
+    """A fresh start at each anchor given that built no entry to hand on."""
+    cut = yield from _KERNEL(g, lo, hi, roots, probe, keep)
+    given, kept = (mask_of(a for a, _ in side) for side in (roots, cut))
+    return _ROOTS(given & ~kept) if keep else []
 
 
-def _one_length_early(g, lo, hi, live, probe=False):
+def _one_length_early(g, lo, hi, roots, probe=False, keep=False):
     """Keeps an anchor only if it reaches hi + 1 vertices, the prefix of a
     hole of length hi + 2, so an anchor of a hole of length hi + 1 is lost."""
-    reached = yield from _KERNEL(g, lo, hi, live, probe)
+    cut = yield from _KERNEL(g, lo, hi, roots, probe, keep)
     if hi + 2 > g.n:
-        return 0
-    return (yield from _KERNEL(g, hi + 2, hi + 2, reached, True))
+        return []
+    return (yield from _KERNEL(g, hi + 2, hi + 2, cut, True))
 
 
 # each must fail the window gate, against the length-major reference
@@ -631,6 +657,77 @@ DEAD_ANCHOR_MUTANTS = {
 @pytest.mark.parametrize("name", DEAD_ANCHOR_MUTANTS)
 def test_pin_or_window_catches_dead_anchor_mutants(name, monkeypatch):
     monkeypatch.setattr(detectors, "_holes_in_window", DEAD_ANCHOR_MUTANTS[name])
+    assert next(_window_mismatches(), None) is not None
+
+
+def test_a_window_resumes_from_the_paths_the_last_one_cut(monkeypatch):
+    # after a window that is not a probe, the next extends only paths longer
+    # than the previous cut: it starts from the paths of hi - 1 vertices
+    calls = []
+
+    def spy(g, lo, hi, roots, probe=False, keep=False):
+        calls.append((hi, probe, roots))
+        return (yield from _KERNEL(g, lo, hi, roots, probe, keep))
+
+    monkeypatch.setattr(detectors, "_holes_in_window", spy)
+    wrong, resumed = [], 0
+    for g, parity in itertools.product(_corpus_graphs(), ("any", "even")):
+        calls.clear()
+        for _ in iter_holes(g, parity=parity):
+            pass
+        for (hi, probe, _), (_, _, roots) in zip(calls, calls[1:]):
+            if not probe:
+                resumed += 1
+                if any(len(path) != hi - 1 for _, entries in roots for path, *_ in entries):
+                    wrong.append((write_graph6(g), parity, hi))
+    assert wrong == []
+    assert resumed > 1000
+
+
+def _drain(kernel):
+    """Runs the kernel to its end, dropping its holes, and returns what it
+    returns."""
+    try:
+        while True:
+            next(kernel)
+    except StopIteration as done:
+        return done.value
+
+
+def _last_entry_dropped(g, lo, hi, roots, probe=False, keep=False):
+    """The window hands on its entries but the last."""
+    cut = yield from _KERNEL(g, lo, hi, roots, probe, keep)
+    if probe or not cut:
+        return cut
+    anchor, entries = cut[-1]
+    return cut[:-1] + [(anchor, entries[:-1])]
+
+
+def _resumed_in_reverse(g, lo, hi, roots, probe=False, keep=False):
+    """The window hands on each anchor's entries in reverse DFS order."""
+    cut = yield from _KERNEL(g, lo, hi, roots, probe, keep)
+    return cut if probe else [(anchor, entries[::-1]) for anchor, entries in cut]
+
+
+def _handed_on_across_a_probe(g, lo, hi, roots, probe=False, keep=False):
+    """A probe hands on, per anchor, the first entry it cut at hi - 1
+    vertices, where it stops, in place of a fresh start."""
+    if not probe:
+        return (yield from _KERNEL(g, lo, hi, roots, probe, keep))
+    return [(anchor, entries[:1]) for anchor, entries in _drain(_KERNEL(g, lo, hi, roots, False, True))]
+
+
+# each must fail the window gate, against the length-major reference
+RESUME_MUTANTS = {
+    "last_entry_dropped": _last_entry_dropped,
+    "resumed_in_reverse": _resumed_in_reverse,
+    "handed_on_across_a_probe": _handed_on_across_a_probe,
+}
+
+
+@pytest.mark.parametrize("name", RESUME_MUTANTS)
+def test_window_gate_catches_resume_mutants(name, monkeypatch):
+    monkeypatch.setattr(detectors, "_holes_in_window", RESUME_MUTANTS[name])
     assert next(_window_mismatches(), None) is not None
 
 
@@ -675,32 +772,33 @@ def test_window_searches_match_length_major_scan():
 # so the length-major reference keeps its answer
 
 
-def _first_rim_found(g, lo, hi, live, probe=False):
+def _first_rim_found(g, lo, hi, roots, probe=False, keep=False):
     """The window ends at the first hole with an even-wheel centre in
-    anchor-major order, which need not be the shortest."""
+    anchor-major order, which need not be the shortest, and the next window
+    resumes from the entries it was given."""
     if lo == hi:
-        return (yield from _KERNEL(g, lo, hi, live, probe))
-    for cyc in _KERNEL(g, lo, hi, live, probe):
+        return (yield from _KERNEL(g, lo, hi, roots, probe, keep))
+    for cyc in _KERNEL(g, lo, hi, roots, probe, keep):
         yield cyc
         if detectors._wheel_centre(g, mask_of(cyc)) >= 0:
             break
-    return live
+    return roots
 
 
-def _top_length_skipped(g, lo, hi, live, probe=False):
-    """The window yields no hole of its top length hi, but still returns
-    the anchors cut at hi - 1 vertices."""
+def _top_length_skipped(g, lo, hi, roots, probe=False, keep=False):
+    """The window yields no hole of its top length hi, but still hands on a
+    fresh start at each anchor that built a path of hi - 1 vertices."""
     if lo < hi:
-        live = yield from _KERNEL(g, lo, hi - 1, live, probe)
+        roots = yield from _KERNEL(g, lo, hi - 1, roots, probe, True)
         lo, probe = hi, True
-    return (yield from _KERNEL(g, lo, hi, live, probe))
+    return (yield from _KERNEL(g, lo, hi, roots, probe, keep))
 
 
-def _cut_anchor_dropped(g, lo, hi, live, probe=False):
-    """The window drops the lowest anchor cut at hi - 1 vertices from the
-    live mask it returns."""
-    cut = yield from _KERNEL(g, lo, hi, live, probe)
-    return cut if lo == hi else cut & (cut - 1)
+def _cut_anchor_dropped(g, lo, hi, roots, probe=False, keep=False):
+    """The window drops the entries of the lowest anchor it cut at hi - 1
+    vertices from those it hands on."""
+    cut = yield from _KERNEL(g, lo, hi, roots, probe, keep)
+    return cut if lo == hi else cut[1:]
 
 
 WINDOW_MUTANTS = {
@@ -757,13 +855,18 @@ def test_stable_triple_matches_subsets():
 
 
 def test_theta_ends_pass_the_end_filter():
+    # each path leaves an end through a neighbour whose next vertex lies
+    # outside the end's closed neighbourhood
     for n in range(5, 8):
         for g in all_graphs(n):
             cert = find_theta(g)
             if cert is None:
                 continue
+            for path in cert.paths:
+                for end, nxt in ((path[0], path[2]), (path[-1], path[-3])):
+                    assert nxt != end and not g.has_edge(end, nxt)
             for end, nbrs in zip(cert.ends, ([p[1] for p in cert.paths], [p[-2] for p in cert.paths])):
-                assert detectors._has_stable_triple(g, g.adj[end])
+                assert detectors._theta_end(g, end)
                 assert not any(g.has_edge(u, v) for u, v in itertools.combinations(nbrs, 2))
 
 
@@ -787,6 +890,108 @@ def test_theta_gate_catches_end_filter_mutants(name, monkeypatch):
     monkeypatch.setattr(detectors, "_has_stable_triple", END_FILTER_MUTANTS[name])
     assert find_theta(complete_bipartite(2, 3)) is None
     assert next(_theta_disagreements(), None) is not None
+
+
+# ---------------------------------------------------------------------------
+# the theta-end and prism-triangle cuts against the searches without them
+
+
+def _uncut_theta_end(g: SimpleGraph, a: int) -> bool:
+    """The end rule without the cut: a stable triple anywhere in N(a)."""
+    return detectors._has_stable_triple(g, g.adj[a])
+
+
+def _uncut_triangles(g: SimpleGraph) -> list[tuple[int, int, int]]:
+    """Every triangle u < v < w, ascending."""
+    out = []
+    for u in range(g.n):
+        for v in bits(g.adj[u] >> (u + 1) << (u + 1)):
+            for w in bits((g.adj[u] & g.adj[v]) >> (v + 1) << (v + 1)):
+                out.append((u, v, w))
+    return out
+
+
+# per cut: the search, the detectors attribute that makes the cut, and the
+# reference without it
+CUTS = {
+    "theta_ends": (find_theta, "_theta_end", _uncut_theta_end),
+    "prism_triangles": (find_prism, "_prism_triangles", _uncut_triangles),
+}
+
+
+def _cut_gate_graphs():
+    """Every graph with n <= 7, seeded random graphs with n = 8..16 (each
+    with its own edge probability, so some dense and full of triangles) and
+    the check-corpus graphs of seeds 1..3."""
+    return itertools.chain(
+        (g for n in range(1, 8) for g in all_graphs(n)),
+        random_graphs(120, 29, (8, 16)),
+        *(_corpus_graphs(seed) for seed in (1, 2, 3)),
+    )
+
+
+def _cut_outcomes(name: str):
+    """(graph6, certificate, reference certificate) per gate graph, from the
+    search with the cut as detectors holds it and with the reference."""
+    finder, attr, uncut = CUTS[name]
+    for g in _cut_gate_graphs():
+        got = finder(g)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(detectors, attr, uncut)
+            want = finder(g)
+        yield write_graph6(g), got, want
+
+
+@pytest.mark.parametrize("name", CUTS)
+def test_cut_keeps_the_first_certificate(name):
+    outcomes = list(_cut_outcomes(name))
+    assert [g6 for g6, got, want in outcomes if got != want] == []
+    # the corpus plants 180 of each kind; the small and random graphs add more
+    assert sum(want is not None for _, _, want in outcomes) > 200
+
+
+def _end_on_exits(admit):
+    """The end rule on the neighbours x of a that admit(g, a, x) keeps."""
+    def end(g, a):
+        return detectors._has_stable_triple(g, mask_of(x for x in bits(g.adj[a]) if admit(g, a, x)))
+    return end
+
+
+def _triangles_with_private(enough):
+    """The triangles each of whose corners c passes enough(g, private), with
+    private the neighbours of c adjacent to neither other corner."""
+    def triangles(g):
+        out = []
+        for t in _uncut_triangles(g):
+            rows = [g.adj[c] for c in t]
+            if all(enough(g, rows[i] & ~(rows[i - 1] | rows[i - 2])) for i in range(3)):
+                out.append(t)
+        return out
+    return triangles
+
+
+def _outside(g, a, x):
+    return g.adj[x] & ~(g.adj[a] | 1 << a)
+
+
+# cuts that are too strong; each must fail its gate
+CUT_MUTANTS = {
+    "end_exit_with_two_outside": ("theta_ends", _end_on_exits(lambda g, a, x: _outside(g, a, x).bit_count() >= 2)),
+    "end_exit_with_no_neighbour_in_n_a": (
+        "theta_ends", _end_on_exits(lambda g, a, x: _outside(g, a, x) and not g.adj[x] & g.adj[a]),
+    ),
+    "private_neighbour_of_degree_3": (
+        "prism_triangles", _triangles_with_private(lambda g, p: any(g.degree(x) >= 3 for x in bits(p))),
+    ),
+    "two_private_neighbours": ("prism_triangles", _triangles_with_private(lambda g, p: p.bit_count() >= 2)),
+}
+
+
+@pytest.mark.parametrize("name", CUT_MUTANTS)
+def test_cut_gate_catches_mutants(name, monkeypatch):
+    cut, mutant = CUT_MUTANTS[name]
+    monkeypatch.setattr(detectors, CUTS[cut][1], mutant)
+    assert any(got != want for _, got, want in _cut_outcomes(cut))
 
 
 # ---------------------------------------------------------------------------
