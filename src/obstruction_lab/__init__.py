@@ -19,15 +19,7 @@ from .detectors import (
     validate_certificate,
 )
 from .enumeration import canonical_cert, are_isomorphic, enumerate_graphs
-from .finders import (
-    anticomplete_family,
-    banana_select,
-    extract_induced_from_blurry,
-    filter_mirrored,
-    find_alignment,
-    find_strong_block,
-    ramsey_split,
-)
+from .finders import extract_induced_from_blurry, find_strong_block
 from .graphs import (
     SimpleGraph,
     parse_edgelist,

@@ -7,7 +7,3 @@ class ContractViolation(ValueError):
 
 class GraphFormatError(ValueError):
     """Malformed graph6 / edge-list input; message names the byte or line offset."""
-
-
-class HypothesisMiss(Exception):
-    """A finder's hypotheses do not hold for the given instance (typed skip)."""

@@ -33,6 +33,16 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+def mask_within(vertices: Iterable[int], n: int) -> int | None:
+    """mask_of(vertices) when every vertex is in 0..n-1, else None."""
+    m = 0
+    for v in vertices:
+        if not 0 <= v < n:
+            return None
+        m |= 1 << v
+    return m
+
+
 def relabel_mask(mask: int, bit_of: list[int]) -> int:
     """A vertex-set mask carried to new labels: the union of bit_of[v] over
     its members v, where bit_of[v] is 1 << (the new label of v)."""
@@ -141,11 +151,6 @@ def complete_bipartite(a: int, b: int) -> SimpleGraph:
 def disjoint_union(g: SimpleGraph, h: SimpleGraph) -> SimpleGraph:
     adj = list(g.adj) + [row << g.n for row in h.adj]
     return SimpleGraph(g.n + h.n, tuple(adj))
-
-
-def complement_graph(g: SimpleGraph) -> SimpleGraph:
-    full = g.vertices_mask
-    return SimpleGraph(g.n, tuple(full & ~row & ~(1 << v) for v, row in enumerate(g.adj)))
 
 
 def add_vertex(g: SimpleGraph, neighbors: int) -> SimpleGraph:

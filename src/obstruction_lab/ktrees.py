@@ -21,6 +21,7 @@ from .graphs import (
     components,
     induced_subgraph,
     mask_of,
+    mask_within,
     parse_graph6,
     relabel_mask,
     write_graph6,
@@ -203,15 +204,16 @@ def contains_induced(g: SimpleGraph, h: SimpleGraph) -> Embedding | None:
 
 def validate_embedding(host: SimpleGraph, pattern: SimpleGraph, emb: Embedding) -> bool:
     """Injective and adjacency-preserving in both directions on the image."""
-    if len(emb) != pattern.n or len(set(emb)) != pattern.n:
+    if len(emb) != pattern.n:
         return False
-    if any(not 0 <= v < host.n for v in emb):
+    # in range, and injective when the image has a bit for each vertex
+    image = mask_within(emb, host.n)
+    if image is None or image.bit_count() != pattern.n:
         return False
     # each pattern row, carried into the host, is the host row cut to the image
     at = [1 << v for v in emb]
-    image = mask_of(emb)
-    for u, v in enumerate(emb):
-        if relabel_mask(pattern.adj[u], at) != host.adj[v] & image:
+    for row, v in zip(pattern.adj, emb):
+        if relabel_mask(row, at) != host.adj[v] & image:
             return False
     return True
 

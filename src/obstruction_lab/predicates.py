@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import ContractViolation
 from .graphs import SimpleGraph, bits, is_induced_path, mask_of, parse_graph6, write_graph6
-from .graphs import check_vertices, ints_from_json, ints_to_json, relabel_mask
+from .graphs import check_vertices, ints_from_json, ints_to_json, mask_within, relabel_mask
 from .ktrees import KTree, validate_ktree
 
 PathSeq = tuple[int, ...]
@@ -201,39 +201,43 @@ def verify_alignment(g: SimpleGraph, al: Alignment) -> str | None:
 def verify_blurry(g: SimpleGraph, w: BlurryWitness) -> str | None:
     _check_vertex_fields(g, w)
     zmask = mask_of(w.zset)
-    if len(w.zset) != zmask.bit_count():
-        raise ContractViolation("zset has duplicates")
-    if sorted(w.order) != sorted(w.zset):
-        raise ContractViolation("order must be a bijection on zset")
-    if sorted(w.target.order) != list(range(w.target.graph.n)):
-        raise ContractViolation("target order must be a bijection on the target's vertices")
     h = len(w.zset)
+    if h != zmask.bit_count():
+        raise ContractViolation("zset has duplicates")
+    # order is in range and zset duplicate-free, so h vertices covering zset
+    # are a bijection on it
+    if len(w.order) != h or mask_of(w.order) != zmask:
+        raise ContractViolation("order must be a bijection on zset")
     t = w.target
-    if t.k != 2 or t.graph.n != h:
+    m = t.graph.n
+    if len(t.order) != m or mask_within(t.order, m) != (1 << m) - 1:
+        raise ContractViolation("target order must be a bijection on the target's vertices")
+    if t.k != 2 or m != h:
         return "B1"
     pos = {v: i for i, v in enumerate(w.order)}
-    y_adj = [0] * h
+    y_adj = [0] * h  # the 2-tree on order positions
+    y_target = [0] * h  # and carried to the target's vertices
     for u, v in w.y_edges:
-        if u not in pos or v not in pos:
+        i, j = pos.get(u), pos.get(v)
+        if i is None or j is None:
             raise ContractViolation("spanning edge outside the induced set")
         if not g.adj[u] >> v & 1:
             return "B1"
-        y_adj[pos[u]] |= 1 << pos[v]
-        y_adj[pos[v]] |= 1 << pos[u]
+        y_adj[i] |= 1 << j
+        y_adj[j] |= 1 << i
+        x, y = t.order[i], t.order[j]
+        y_target[x] |= 1 << y
+        y_target[y] |= 1 << x
     ok, _ = validate_ktree(SimpleGraph(h, tuple(y_adj)), 2, tuple(range(h)))
-    if not ok:
+    # isomorphic to the target respecting both orderings
+    if not ok or y_target != list(t.graph.adj):
         return "B1"
-    # isomorphic to the target respecting both orderings: each target row,
-    # carried to order positions, is the 2-tree's row
-    t_at = [0] * h
-    for i, x in enumerate(t.order):
-        t_at[x] = 1 << i
-    for i, x in enumerate(t.order):
-        if relabel_mask(t.graph.adj[x], t_at) != y_adj[i]:
-            return "B1"
     # the 2-tree is a subgraph of the host now, so a host edge it misses
     # shows as a row with more host than tree neighbours in zset
-    if all((g.adj[u] & zmask).bit_count() == y_adj[i].bit_count() for i, u in enumerate(w.order)):
+    for u, row in zip(w.order, y_adj):
+        if (g.adj[u] & zmask).bit_count() != row.bit_count():
+            break
+    else:
         return None
     at = [0] * g.n
     for i, u in enumerate(w.order):

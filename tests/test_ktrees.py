@@ -199,9 +199,17 @@ def test_validate_embedding_matches_pairwise():
             (host, pattern, emb[:-1]),
             (host, SimpleGraph(m, tuple(toggled)), emb),
         ]
+        # drawing nothing: the first vertex repeated over the last, a vertex
+        # below or above the host's range, one vertex too many, new or not
+        spare = next((v for v in range(host.n) if v not in emb), emb[0])
+        bad = (emb[:1] + emb[:-1], (-1,) + emb[1:], (host.n,) + emb[1:], emb + (spare,), emb + emb[:1])
+        cases += [(host, pattern, b) for b in bad]
     results = [validate_embedding(*case) for case in cases]
     assert results == [pairwise_validate_embedding(*case) for case in cases]
     assert results.count(True) > len(cases) // 5 and results.count(False) > len(cases) // 5
+    # pinned while injectivity was still read off a set of the embedding
+    digest = "b252984c94a61108dfc8c78c2c7a70d1432402cdf4067fd54f41ec73a7185ced"
+    assert hashlib.sha256(bytes(results)).hexdigest() == digest
 
 
 def test_ktrees_are_connected_chordal_cliquefree():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -329,11 +330,12 @@ def pairwise_extra_edges(g, w):
     ]
 
 
-def _outcome(verify, g, w):
+def _outcome(verify, g, w, message=False):
+    """The verdict, or the refusal, with its message when `message` is set."""
     try:
         return verify(g, w)
-    except ContractViolation:
-        return "ContractViolation"
+    except ContractViolation as exc:
+        return f"ContractViolation: {exc}" if message else "ContractViolation"
 
 
 def _relabelled(t, perm):
@@ -350,7 +352,10 @@ def blurry_cases(seed, count):
     host adding random edges inside and around the copy, then the witness
     as it is and tampered (an edge dropped or added, a spanning edge cut
     from the host, two order positions swapped, the target relabelled
-    consistently or not, an edge leaving the set, a repeated vertex)."""
+    consistently or not, an edge leaving the set, a repeated vertex, an
+    order or a target order that is no bijection).  The bijection cases
+    draw nothing from the stream, so the cases before them stay as they
+    were."""
     rng = random.Random(seed)
     for _ in range(count):
         h = rng.randint(2, 8)
@@ -382,7 +387,17 @@ def blurry_cases(seed, count):
         if n > h:
             outside = next(x for x in range(n) if x not in place)
             yield host, BlurryWitness(zset, tuple(y_edges + [(place[0], outside)]), order, tree)
+            yield host, BlurryWitness(zset, tuple(y_edges), (outside,) + order[1:], tree)
         yield host, BlurryWitness(zset[:-1] + zset[:1], tuple(y_edges), order, tree)
+        # the first order vertex repeated and the last one missing; one short;
+        # one long, covering zset all the same
+        for bad in (order[:-1] + order[:1], order[:-1], order + order[:1]):
+            yield host, BlurryWitness(zset, tuple(y_edges), bad, tree)
+        # a negative, a repeated or a too large target position; one short;
+        # one long
+        t = tree.order
+        for bad in ((-1,) + t[1:], t[:1] + t[:-1], (h,) + t[1:], t[:-1], t + t[:1]):
+            yield host, BlurryWitness(zset, tuple(y_edges), order, KTree(tree.graph, 2, bad))
 
 
 def test_verify_blurry_matches_pairwise_clauses():
@@ -392,6 +407,23 @@ def test_verify_blurry_matches_pairwise_clauses():
     assert set(verdicts) == {None, "B1", "B2", "ContractViolation"}
     # some verified witnesses carry host edges beyond their 2-tree
     assert any(v is None and pairwise_extra_edges(g, w) for v, (g, w) in zip(verdicts, cases))
+
+
+def test_verify_blurry_refusals_pinned():
+    # sha256 of the verdicts and refusal messages, pinned while the order
+    # checks still sorted both sides
+    outcomes = [_outcome(verify_blurry, g, w, message=True) for g, w in blurry_cases(61, 400)]
+    assert hashlib.sha256(json.dumps(outcomes).encode()).hexdigest() == BLURRY_OUTCOMES_SHA256
+    refusals = {o for o in outcomes if o is not None and o.startswith("ContractViolation")}
+    assert refusals == {
+        "ContractViolation: zset has duplicates",
+        "ContractViolation: order must be a bijection on zset",
+        "ContractViolation: target order must be a bijection on the target's vertices",
+        "ContractViolation: spanning edge outside the induced set",
+    }
+
+
+BLURRY_OUTCOMES_SHA256 = "221257536278cc85a8f80a842f3d19fdf389a63f8b299a71c6de39d1c1ede7bd"
 
 
 def test_blurry_extra_edges_matches_pairwise():

@@ -117,6 +117,30 @@ def test_planted_hosts_pinned_and_k4_free():
     assert digest.hexdigest() == "962ecfcd85f1f5fd22323d43620e089c4cf46a0c2ce16b04422ba3a4e129540c"
 
 
+# sha256 over each trial's host graph6 and 2-tree edge list, as sweep_obs51
+# hands them to the extraction, pinned while each noise vertex still went
+# through add_vertex
+OBS51_STREAM_PINS = {
+    1: "a25be8db337a76b62aa5fafaba57e7af335ee04f2ce9fd5b2ea09217096c9d7c",
+    3: "4eced44289c0012bdfd11d0b1e5ce7d15d749bc9ca7b34cac516de072233d377",
+    13: "0d7ce899f5a96bb6615838b71d2e61e191d470c07973df2d32471e1f9ed3ad0c",
+}
+
+
+@pytest.mark.parametrize("seed", OBS51_STREAM_PINS)
+def test_obs51_input_stream_pinned(seed, monkeypatch):
+    digest = hashlib.sha256()
+    extract = sweeps.extract_induced_from_blurry
+
+    def record(host, w):
+        digest.update(f"{write_graph6(host)} {json.dumps(w.y_edges)}\n".encode())
+        return extract(host, w)
+
+    monkeypatch.setattr(sweeps, "extract_induced_from_blurry", record)
+    assert sweep_obs51(3000, seed).ok
+    assert digest.hexdigest() == OBS51_STREAM_PINS[seed]
+
+
 def test_obs51_records_a_refused_witness(monkeypatch):
     # a host without the spanning edge 0-1 fails clause B1 on every trial
     def plant_without_edge_01(rng, tree):
