@@ -23,9 +23,10 @@ lexicographic prefix order meets each anchor's holes of one length in
 lexicographic order, as a restart would; so the stable sort by length gives
 the same stream.  An anchor with no entry left is the smallest vertex of no
 longer hole and starts nothing more (dead anchors), and the search stops when
-no anchor has an entry.  A window the parity skips only probes: it stops each
-anchor at its first path of hi - 1 vertices and hands on a fresh start at
-each anchor that built one.  The last window keeps nothing.
+no anchor has an entry.  A window lo..hi extends the paths it resumes
+without closing them until they have lo - 1 vertices, so a parity steps over
+the lengths it skips and no anchor restarts after the first window.  The last
+window keeps nothing.
 
 Theta ends.  Each of a theta's three paths leaves an end a through some x in
 N(a) whose next vertex (the other end, or the next interior vertex) lies
@@ -144,13 +145,13 @@ def iter_holes(
     The length windows of the hole search are chosen here and nowhere else.
     Each window is one kernel call, one DFS per anchor over lengths lo..hi,
     resumed where the window before it stopped (see "resumable hole windows"
-    in the module docstring).  Until a first hole is out, each window is one
-    length, so that hole comes out as soon as it is found.  After a first
-    hole of length L come [L + 1, 2L], [2L + 1, 4L], ..., each sorted stably
-    by length (within a length the kernel yields in iter_holes order).  A
-    one-length window the parity skips only probes; a wider window is
-    filtered by parity after its sort.  Lengths below min_len are not
-    searched.
+    in the module docstring).  Until a first hole is out, each window is the
+    next single length the parity admits, so that hole comes out as soon as
+    it is found.  After a first hole of length L come [L + 1, 2L],
+    [2L + 1, 4L], ..., each sorted stably by length (within a length the
+    kernel yields in iter_holes order) and then filtered by parity.  Lengths
+    below min_len are not searched, nor any above the longest the parity
+    admits.
     """
     if min_len < 4:
         raise ContractViolation("holes have at least 4 vertices")
@@ -163,9 +164,12 @@ def iter_holes(
 def _windowed_holes(
     g: SimpleGraph, min_len: int, top: int, parities: tuple[int, ...]
 ) -> Iterator[tuple[int, ...]]:
-    roots, lo, hi, found = _fresh_starts(g.vertices_mask), min_len, min_len, False
+    # one parity admits every other length: start and end on admitted ones
+    step = 3 - len(parities)
+    lo, top = min_len + (min_len % 2 not in parities), top - (top % 2 not in parities)
+    roots, hi, found = _fresh_starts(g.vertices_mask), lo, False
     while roots and lo <= top:
-        kernel = _holes_in_window(g, lo, hi, roots, lo == hi and lo % 2 not in parities, hi < top)
+        kernel = _holes_in_window(g, lo, hi, roots, hi < top)
         if lo == hi:
             # a peek tells whether a hole is out; the rest come straight on
             try:
@@ -185,7 +189,7 @@ def _windowed_holes(
                 roots = done.value
             window.sort(key=len)
             yield from (cycle for cycle in window if len(cycle) % 2 in parities)
-        lo, hi = hi + 1, min(2 * hi if found else hi + 1, top)
+        lo, hi = (hi + 1, min(2 * hi, top)) if found else (hi + step, hi + step)
 
 
 def all_holes(g: SimpleGraph) -> list[tuple[int, ...]]:
@@ -209,21 +213,21 @@ def _fresh_starts(anchors: int) -> list[_Root]:
 
 
 def _holes_in_window(
-    g: SimpleGraph, lo: int, hi: int, roots: Iterable[_Root], probe: bool = False, keep: bool = False
+    g: SimpleGraph, lo: int, hi: int, roots: Iterable[_Root], keep: bool = False
 ) -> Generator[tuple[int, ...], None, list[_Root]]:
     """Yields the holes of lengths lo..hi (4 <= lo <= hi <= n) that extend
     `roots`, which holds per anchor, ascending, the entries to search from in
     DFS order, each a path of fewer than lo - 1 vertices, or None to start
     afresh at the anchor.  One DFS per anchor over those entries in turn, so
-    per anchor and per length the holes come in lexicographic order.  With
-    `keep`, returns the entries cut at a path of hi - 1 vertices that can
-    still be extended, in the same order, for the next window to resume from
-    (see "resumable hole windows" in the module docstring); otherwise returns
-    nothing.  A probe yields nothing, stops each anchor at its first path of
-    hi - 1 vertices and returns a fresh start at each anchor that built one."""
+    per anchor and per length the holes come in lexicographic order; a path
+    of fewer than lo - 1 vertices is extended but not closed.  With `keep`,
+    returns the entries cut at a path of hi - 1 vertices that can still be
+    extended, in the same order, for the next window to resume from (see
+    "resumable hole windows" in the module docstring); otherwise returns
+    nothing."""
     n, adj = g.n, g.adj
     opening, closing = lo - 1, hi - 1
-    cut, reached = [], 0
+    cut = []
     for anchor, entries in roots:
         if anchor > n - lo:
             break
@@ -252,11 +256,8 @@ def _holes_in_window(
                 nxt = adj[w] & inner & ~forbidden & ~pmask
                 if nxt:
                     stack.append((path, pmask, forbidden | adj[w], nxt))
-                if depth < opening or probe:
+                if depth < opening:
                     continue
-            elif probe:
-                reached |= 1 << anchor
-                break
             elif keep:
                 nxt = adj[w] & inner & ~forbidden & ~pmask
                 if nxt:
@@ -270,7 +271,7 @@ def _holes_in_window(
                 closers ^= low
         if kept:
             cut.append((anchor, kept))
-    return _fresh_starts(reached) if probe else cut
+    return cut
 
 
 def find_hole(

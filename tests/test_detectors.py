@@ -476,6 +476,18 @@ _KERNEL = detectors._holes_in_window
 _ROOTS = detectors._fresh_starts
 
 
+def _drain(kernel, holes=None):
+    """Runs the kernel to its end, appending its holes to `holes` if given,
+    and returns what it returns."""
+    try:
+        while True:
+            hole = next(kernel)
+            if holes is not None:
+                holes.append(hole)
+    except StopIteration as done:
+        return done.value
+
+
 def _length_major(g: SimpleGraph):
     """The reference for every windowed hole search: the kernel as imported,
     so unpatched, restarted at every anchor for one length at a time from 4,
@@ -484,19 +496,31 @@ def _length_major(g: SimpleGraph):
         yield from _KERNEL(g, length, length, _ROOTS(g.vertices_mask))
 
 
+def _admits(parity: str, length: int) -> bool:
+    return parity in ("any", ("even", "odd")[length % 2])
+
+
 def _window_mismatches():
     """Each (graph, window) whose iter_holes differs from the length-major
-    reference filtered by length and parity, on the graphs of the pin."""
+    reference filtered by length and parity, on the graphs of the pin; then
+    each check-corpus graph of seed 1 (n = 10..33, where a parity skips
+    lengths before and after its first hole) whose parity stream from length
+    4, or whose find_hole of that parity, differs from the default stream
+    filtered by parity."""
     for g in _pin_graphs():
         every = list(_length_major(g))
         for parity, a in itertools.product(("any", "even", "odd"), range(4, 9)):
             for b in (a, a + 2, None):
-                want = [
-                    c for c in every
-                    if a <= len(c) <= (b or g.n) and parity in ("any", ("even", "odd")[len(c) % 2])
-                ]
+                want = [c for c in every if a <= len(c) <= (b or g.n) and _admits(parity, len(c))]
                 if list(iter_holes(g, min_len=a, max_len=b, parity=parity)) != want:
                     yield write_graph6(g), a, b, parity
+    for g in _corpus_graphs():
+        every = list(iter_holes(g))
+        for parity in ("even", "odd"):
+            want = [c for c in every if _admits(parity, len(c))]
+            cert = find_hole(g, parity=parity)
+            if list(iter_holes(g, parity=parity)) != want or (cert and cert.cycle) != next(iter(want), None):
+                yield write_graph6(g), 4, None, parity
 
 
 def test_iter_holes_window_matches_filtered_default():
@@ -505,12 +529,12 @@ def test_iter_holes_window_matches_filtered_default():
 
 def _windows_searched(monkeypatch) -> list[tuple[int, int]]:
     """Spies on the hole kernel; the list collects the (lo, hi) window of
-    every call, probes included."""
+    every call."""
     windows = []
 
-    def spy(g, lo, hi, roots, probe=False, keep=False):
+    def spy(g, lo, hi, roots, keep=False):
         windows.append((lo, hi))
-        return (yield from _KERNEL(g, lo, hi, roots, probe, keep))
+        return (yield from _KERNEL(g, lo, hi, roots, keep))
 
     monkeypatch.setattr(detectors, "_holes_in_window", spy)
     return windows
@@ -585,65 +609,87 @@ def test_in_class_e_searches_each_hole_length_once(monkeypatch):
 
 
 def _first_hole_window_faults(monkeypatch):
-    """(graph6, windows) for each seed-1 corpus graph whose first hole, of
-    length L, takes a kernel call other than the one-length windows 4..L."""
+    """(graph6, parity, windows) for each seed-1 corpus graph and parity
+    whose stream, until its first hole, of length L, is out (or to its end,
+    if it has none), makes a kernel call other than the one-length windows
+    of the lengths the parity admits, in turn from 4 to L."""
     windows = _windows_searched(monkeypatch)
-    for g in _corpus_graphs():
+    for g, parity in itertools.product(_corpus_graphs(), ("any", "even", "odd")):
         windows.clear()
-        first = next(iter_holes(g), None)
-        if first is not None and windows != [(k, k) for k in range(4, len(first) + 1)]:
-            yield write_graph6(g), list(windows)
+        first = next(iter_holes(g, parity=parity), None)
+        top = len(first) if first else g.n
+        want = [(k, k) for k in range(4, top + 1) if _admits(parity, k)]
+        if windows != (want if first else want[: len(windows)]):
+            yield write_graph6(g), parity, list(windows)
 
 
 def test_first_hole_is_searched_one_length_at_a_time(monkeypatch):
     assert next(_first_hole_window_faults(monkeypatch), None) is None
 
 
-def _doubling_from_first(g, min_len, top, parities):
-    """A stand-in for iter_holes's window loop that doubles its windows from
-    the first on, [4, 4], [5, 8], [9, 16], ..., before any hole is out."""
-    roots, lo, hi = _ROOTS(g.vertices_mask), min_len, min_len
-    while roots and lo <= top:
-        kernel = detectors._holes_in_window(g, lo, hi, roots, keep=hi < top)
-        window = []
-        try:
-            while True:
-                window.append(next(kernel))
-        except StopIteration as done:
-            roots = done.value
-        window.sort(key=len)
-        yield from (c for c in window if len(c) % 2 in parities)
-        lo, hi = hi + 1, min(2 * hi, top)
+def _drained_windows(step):
+    """A stand-in for iter_holes's window loop that drains every window,
+    sorts it by length and filters it by parity.  Until a hole of the parity
+    is out, its windows are single lengths from min_len, `step` apart, or for
+    step None they double from the first on, [4, 4], [5, 8], [9, 16], ...;
+    after it they double as iter_holes's do."""
+
+    def loop(g, min_len, top, parities):
+        roots, lo, hi, found = _ROOTS(g.vertices_mask), min_len, min_len, False
+        while roots and lo <= top:
+            window = []
+            roots = _drain(detectors._holes_in_window(g, lo, hi, roots, hi < top), window)
+            window = [c for c in sorted(window, key=len) if len(c) % 2 in parities]
+            found = found or bool(window)
+            yield from window
+            lo, hi = (hi + 1, min(2 * hi, top)) if found or step is None else (hi + step, hi + step)
+
+    return loop
 
 
 def test_first_hole_gate_catches_doubling_from_the_first_window(monkeypatch):
-    monkeypatch.setattr(detectors, "_windowed_holes", _doubling_from_first)
+    monkeypatch.setattr(detectors, "_windowed_holes", _drained_windows(None))
     assert next(_first_hole_window_faults(monkeypatch), None) is not None
 
 
-def _closed_only(g, lo, hi, roots, probe=False, keep=False):
+# parity steps other than iter_holes's, each caught by the first-hole gate
+PARITY_STEP_MUTANTS = {
+    "one_length_at_a_time": _drained_windows(1),
+    "two_lengths_skipped": _drained_windows(3),
+    "admitted_length_skipped": _drained_windows(4),
+}
+
+
+@pytest.mark.parametrize("name", PARITY_STEP_MUTANTS)
+def test_first_hole_gate_catches_parity_step_mutants(name, monkeypatch):
+    monkeypatch.setattr(detectors, "_windowed_holes", PARITY_STEP_MUTANTS[name])
+    assert next(_first_hole_window_faults(monkeypatch), None) is not None
+
+
+def _closed_only(g, lo, hi, roots, keep=False):
     """A fresh start only at each anchor that closed a hole in the window."""
     closed = 0
-    for cyc in _KERNEL(g, lo, hi, roots, probe, keep):
+    for cyc in _KERNEL(g, lo, hi, roots, keep):
         closed |= 1 << cyc[0]
         yield cyc
     return _ROOTS(closed) if keep else []
 
 
-def _inverted(g, lo, hi, roots, probe=False, keep=False):
+def _inverted(g, lo, hi, roots, keep=False):
     """A fresh start at each anchor given that built no entry to hand on."""
-    cut = yield from _KERNEL(g, lo, hi, roots, probe, keep)
+    cut = yield from _KERNEL(g, lo, hi, roots, keep)
     given, kept = (mask_of(a for a, _ in side) for side in (roots, cut))
     return _ROOTS(given & ~kept) if keep else []
 
 
-def _one_length_early(g, lo, hi, roots, probe=False, keep=False):
-    """Keeps an anchor only if it reaches hi + 1 vertices, the prefix of a
-    hole of length hi + 2, so an anchor of a hole of length hi + 1 is lost."""
-    cut = yield from _KERNEL(g, lo, hi, roots, probe, keep)
+def _one_length_early(g, lo, hi, roots, keep=False):
+    """Hands on only a fresh start at each anchor with a path of hi + 1
+    vertices that can still be extended, so an anchor whose longer holes all
+    have length hi + 1 or hi + 2 is lost."""
+    cut = yield from _KERNEL(g, lo, hi, roots, keep)
     if hi + 2 > g.n:
         return []
-    return (yield from _KERNEL(g, hi + 2, hi + 2, cut, True))
+    return _ROOTS(mask_of(anchor for anchor, _ in _drain(_KERNEL(g, hi + 2, hi + 2, cut, True))))
 
 
 # each must fail the window gate, against the length-major reference
@@ -661,13 +707,14 @@ def test_pin_or_window_catches_dead_anchor_mutants(name, monkeypatch):
 
 
 def test_a_window_resumes_from_the_paths_the_last_one_cut(monkeypatch):
-    # after a window that is not a probe, the next extends only paths longer
-    # than the previous cut: it starts from the paths of hi - 1 vertices
+    # the next window extends only paths longer than the previous cut, also
+    # across the lengths a parity skips: it starts from the paths of hi - 1
+    # vertices, and only the first window starts afresh
     calls = []
 
-    def spy(g, lo, hi, roots, probe=False, keep=False):
-        calls.append((hi, probe, roots))
-        return (yield from _KERNEL(g, lo, hi, roots, probe, keep))
+    def spy(g, lo, hi, roots, keep=False):
+        calls.append((hi, roots))
+        return (yield from _KERNEL(g, lo, hi, roots, keep))
 
     monkeypatch.setattr(detectors, "_holes_in_window", spy)
     wrong, resumed = [], 0
@@ -675,53 +722,33 @@ def test_a_window_resumes_from_the_paths_the_last_one_cut(monkeypatch):
         calls.clear()
         for _ in iter_holes(g, parity=parity):
             pass
-        for (hi, probe, _), (_, _, roots) in zip(calls, calls[1:]):
-            if not probe:
-                resumed += 1
-                if any(len(path) != hi - 1 for _, entries in roots for path, *_ in entries):
-                    wrong.append((write_graph6(g), parity, hi))
+        for (hi, _), (_, roots) in zip(calls, calls[1:]):
+            resumed += 1
+            if any(entries is None or any(len(path) != hi - 1 for path, *_ in entries) for _, entries in roots):
+                wrong.append((write_graph6(g), parity, hi))
     assert wrong == []
     assert resumed > 1000
 
 
-def _drain(kernel):
-    """Runs the kernel to its end, dropping its holes, and returns what it
-    returns."""
-    try:
-        while True:
-            next(kernel)
-    except StopIteration as done:
-        return done.value
-
-
-def _last_entry_dropped(g, lo, hi, roots, probe=False, keep=False):
+def _last_entry_dropped(g, lo, hi, roots, keep=False):
     """The window hands on its entries but the last."""
-    cut = yield from _KERNEL(g, lo, hi, roots, probe, keep)
-    if probe or not cut:
+    cut = yield from _KERNEL(g, lo, hi, roots, keep)
+    if not cut:
         return cut
     anchor, entries = cut[-1]
     return cut[:-1] + [(anchor, entries[:-1])]
 
 
-def _resumed_in_reverse(g, lo, hi, roots, probe=False, keep=False):
+def _resumed_in_reverse(g, lo, hi, roots, keep=False):
     """The window hands on each anchor's entries in reverse DFS order."""
-    cut = yield from _KERNEL(g, lo, hi, roots, probe, keep)
-    return cut if probe else [(anchor, entries[::-1]) for anchor, entries in cut]
-
-
-def _handed_on_across_a_probe(g, lo, hi, roots, probe=False, keep=False):
-    """A probe hands on, per anchor, the first entry it cut at hi - 1
-    vertices, where it stops, in place of a fresh start."""
-    if not probe:
-        return (yield from _KERNEL(g, lo, hi, roots, probe, keep))
-    return [(anchor, entries[:1]) for anchor, entries in _drain(_KERNEL(g, lo, hi, roots, False, True))]
+    cut = yield from _KERNEL(g, lo, hi, roots, keep)
+    return [(anchor, entries[::-1]) for anchor, entries in cut]
 
 
 # each must fail the window gate, against the length-major reference
 RESUME_MUTANTS = {
     "last_entry_dropped": _last_entry_dropped,
     "resumed_in_reverse": _resumed_in_reverse,
-    "handed_on_across_a_probe": _handed_on_across_a_probe,
 }
 
 
@@ -772,32 +799,32 @@ def test_window_searches_match_length_major_scan():
 # so the length-major reference keeps its answer
 
 
-def _first_rim_found(g, lo, hi, roots, probe=False, keep=False):
+def _first_rim_found(g, lo, hi, roots, keep=False):
     """The window ends at the first hole with an even-wheel centre in
     anchor-major order, which need not be the shortest, and the next window
     resumes from the entries it was given."""
     if lo == hi:
-        return (yield from _KERNEL(g, lo, hi, roots, probe, keep))
-    for cyc in _KERNEL(g, lo, hi, roots, probe, keep):
+        return (yield from _KERNEL(g, lo, hi, roots, keep))
+    for cyc in _KERNEL(g, lo, hi, roots, keep):
         yield cyc
         if detectors._wheel_centre(g, mask_of(cyc)) >= 0:
             break
     return roots
 
 
-def _top_length_skipped(g, lo, hi, roots, probe=False, keep=False):
-    """The window yields no hole of its top length hi, but still hands on a
-    fresh start at each anchor that built a path of hi - 1 vertices."""
-    if lo < hi:
-        roots = yield from _KERNEL(g, lo, hi - 1, roots, probe, True)
-        lo, probe = hi, True
-    return (yield from _KERNEL(g, lo, hi, roots, probe, keep))
+def _top_length_skipped(g, lo, hi, roots, keep=False):
+    """The window yields no hole of its top length hi, but still hands on
+    the entries it cut at paths of hi - 1 vertices."""
+    if lo == hi:
+        return (yield from _KERNEL(g, lo, hi, roots, keep))
+    roots = yield from _KERNEL(g, lo, hi - 1, roots, True)
+    return _drain(_KERNEL(g, hi, hi, roots, keep))
 
 
-def _cut_anchor_dropped(g, lo, hi, roots, probe=False, keep=False):
+def _cut_anchor_dropped(g, lo, hi, roots, keep=False):
     """The window drops the entries of the lowest anchor it cut at hi - 1
     vertices from those it hands on."""
-    cut = yield from _KERNEL(g, lo, hi, roots, probe, keep)
+    cut = yield from _KERNEL(g, lo, hi, roots, keep)
     return cut if lo == hi else cut[1:]
 
 
