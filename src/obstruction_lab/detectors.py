@@ -322,6 +322,23 @@ def hole_through(g: SimpleGraph, v: int) -> bool:
     return False
 
 
+def has_induced_c4(g: SimpleGraph) -> bool:
+    """Whether g has a hole of length 4.
+
+    Exact: a hole a-x-b-y is a non-adjacent pair a, b with two non-adjacent
+    common neighbours x, y; conversely, for such a pair and such neighbours,
+    the four edges ax, xb, by, ya are present and the chords ab, xy are not,
+    so a-x-b-y is a hole.  One pass over the non-adjacent pairs, with a
+    clique test on each common neighbourhood, decides it.
+    """
+    adj = g.adj
+    for a in range(g.n):
+        for b in bits(g.vertices_mask & ~adj[a] & ~((2 << a) - 1)):
+            if not is_clique(g, adj[a] & adj[b]):
+                return True
+    return False
+
+
 # ---------------------------------------------------------------------------
 # chordality (greedy simplicial elimination; Dirac witness ordering)
 

@@ -85,32 +85,38 @@ Three exact filters run on the neighbour subset before the child is built:
   images of its bits, so the image is the one a bit-by-bit relabelling
   gives, and the closure reaches the same orbit.
 
-Two exact skips run after the prune, and decide most children without
-labelling them:
+A built child is kept iff it passes both the prune and the orbit rule.
+Neither verdict depends on the other, so they may be decided in either
+order, and each child takes the cheaper order.  Two exact skips decide most
+children's orbit rule without labelling them:
 
 - Unique maximum.  A child whose new vertex v has the unique maximum degree
   is accepted: the canonical-last vertex has maximum degree, and only v
-  does, so v is canonical-last and the orbit rule accepts it.
-- Refinement pre-test.  The child's degree partition is refined once to its
-  first equitable partition R, which is where the labelling search starts:
-  a child left undecided is labelled from R, handed over in `_pre_tested`
-  rather than refined again.  Every leaf of that search comes from R by
-  individualization and refinement, which never reorder cells, so
-  canonical-last lies in R's last cell.  R is isomorphism-invariant
-  (refinement commutes with relabelling), so every automorphism maps each
-  cell of R onto itself, and the orbit of canonical-last lies inside that
-  last cell.  So v outside the last cell is
+  does, so v is canonical-last and the orbit rule accepts it.  Such a child
+  goes straight to the prune.
+- Refinement pre-test.  Every other child runs it before the prune, and the
+  prune runs only on the children it does not reject.  The child's degree
+  partition is refined towards its first equitable partition R, which is
+  where the labelling search starts: a child left undecided is labelled
+  from R, handed over in `_pre_tested` rather than refined again.  Every
+  leaf of that search comes from R by individualization and refinement,
+  which never reorder cells, so canonical-last lies in R's last cell.  R is
+  isomorphism-invariant (refinement commutes with relabelling), so every
+  automorphism maps each cell of R onto itself, and the orbit of
+  canonical-last lies inside that last cell.  So v outside the last cell is
   outside the orbit, and the child is rejected; v alone in it is
   canonical-last, and the child is accepted.  Only the rest are labelled.
-  The unique-maximum skip is the case where v is alone in the last cell
-  before refinement.
+  The refinement stops at the first round after which v has left the last
+  cell or is alone in it: each round splits cells in place, so the last
+  cell of R lies inside the last cell of every earlier round, and that
+  verdict is R's.  The unique-maximum skip is the case where v is alone in
+  the last cell before refinement.
 
 The skips save only last-level labellings: an inner-level child is labelled
-anyway when it is expanded as a parent.
-
-Hereditary pruning predicates are applied before the (more expensive)
-acceptance test, which is sound because a pruned class cannot have unpruned
-descendants.
+anyway when it is expanded as a parent.  The prune is hereditary, so a
+child it rejects has no descendant in the class, and the tree is cut there
+whichever verdict comes first; labelling, the most expensive step, runs
+last, on the children that passed both the pre-test and the prune.
 """
 
 from __future__ import annotations
@@ -127,13 +133,17 @@ ENUMERATION_CAP = 10
 UNLABELED_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668, 12005168)
 
 
-def _refine(n: int, adj: tuple[int, ...], cells: list[int]) -> list[int]:
+def _refine(n: int, adj: tuple[int, ...], cells: list[int], decide: int = 0) -> list[int]:
     """Refine the ordered partition `cells` (vertex-set masks, in colour
     order) until it is equitable.  Each round splits every non-singleton cell
     by its members' counts into every cell, the groups in ascending signature
-    order; signatures pack one count field per cell, wide enough for 0..n-1."""
+    order; signatures pack one count field per cell, wide enough for 0..n-1.
+    Given a one-vertex mask `decide`, stop as soon as the last cell lacks
+    that vertex or is that vertex alone (the pre-test, module docstring)."""
     width = max(4, n.bit_length())
     while len(cells) < n:
+        if decide and (not cells[-1] & decide or cells[-1] == decide):
+            return cells
         split = []
         for cm in cells:
             if not cm & (cm - 1):
@@ -342,15 +352,15 @@ def expand_children(
         if tables:
             _close_orbit(subset, tables, done)
         child = add_vertex(parent, subset)
-        if prune is not None and not prune(child):
-            continue
         if d > top + (subset & top_mask != 0):
             # v has the unique maximum degree (module docstring)
-            out.append(child)
+            if prune is None or prune(child):
+                out.append(child)
             continue
-        # the refinement pre-test (module docstring)
-        cells = _refine(new_v + 1, child.adj, _degree_cells(child.adj))
-        if not cells[-1] >> new_v & 1:
+        # the refinement pre-test, then the prune on what it does not reject
+        # (module docstring)
+        cells = _refine(new_v + 1, child.adj, _degree_cells(child.adj), 1 << new_v)
+        if not cells[-1] >> new_v & 1 or prune is not None and not prune(child):
             continue
         if cells[-1] == 1 << new_v:
             out.append(child)

@@ -25,6 +25,7 @@ from .detectors import (
     find_prism,
     find_theta,
     has_clique,
+    has_induced_c4,
     hole_through,
     holes_through,
     in_class_e,
@@ -49,9 +50,11 @@ from .predicates import BlurryWitness, verify_blurry
 REPORT_SCHEMA = "obstruction-lab/report-v1"
 
 # The benchmark tracer (`perfbench/tracing.py`) patches `sweeps.add_vertex`
-# by name.  No sweep calls it since the blurry host grows its rows in one
-# list, so the binding is named here and kept until the tracer drops it.
-_TRACER_ONLY = (add_vertex,)
+# and `sweeps.find_hole` by name.  No sweep calls either: the blurry host
+# grows its rows in one list, and the C4-necessity host is tested for a C4 by
+# `has_induced_c4`.  So the bindings are named here and kept until the tracer
+# drops them.
+_TRACER_ONLY = (add_vertex, find_hole)
 
 
 def default_threads() -> int:
@@ -263,9 +266,10 @@ def process_embed(g: SimpleGraph, k: int):
 
 
 def process_c4_necessity(g: SimpleGraph):
-    # host must carry an induced C4; the prune already guarantees
-    # (theta, prism, even-wheel)-freeness, so minors_through_z applies
-    if find_hole(g, min_len=4, max_len=4) is None:
+    # the host must carry an induced C4, which a pair test decides without a
+    # hole search (`has_induced_c4`); the prune already guarantees (theta,
+    # prism, even-wheel)-freeness, so minors_through_z applies
+    if not has_induced_c4(g):
         return 0, [], []
     pairs = eligible_pairs(g)
     findings = []

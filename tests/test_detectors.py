@@ -30,6 +30,7 @@ from obstruction_lab.detectors import (
     find_theta,
     has_biclique,
     has_clique,
+    has_induced_c4,
     hole_through,
     in_class_e,
     in_class_et,
@@ -593,6 +594,44 @@ def test_check_output_pinned_on_the_corpus(seed, tmp_path, capsys):
     path.write_text("".join(line + "\n" for line in _corpus_lines(seed)))
     assert cli.main(["check", "--t", "4", str(path)]) == 1
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CHECK_PINS[seed]
+
+
+def _c4_disagreements(has_c4):
+    """Each graph with n <= 7, then each seed-1 check-corpus graph, on which
+    `has_c4` and a length-4 hole search differ."""
+    for g in itertools.chain((g for n in range(1, 8) for g in all_graphs(n)), _corpus_graphs()):
+        if has_c4(g) != (find_hole(g, min_len=4, max_len=4) is not None):
+            yield g
+
+
+def test_has_induced_c4_matches_the_hole_search():
+    assert next(_c4_disagreements(has_induced_c4), None) is None
+    assert not has_induced_c4(diamond()) and has_induced_c4(cycle_graph(4))
+
+
+def _c4_with_adjacent_common_neighbours(g: SimpleGraph) -> bool:
+    """Any two common neighbours of a non-adjacent pair count."""
+    pairs = itertools.combinations(range(g.n), 2)
+    return any(not g.has_edge(a, b) and (g.adj[a] & g.adj[b]).bit_count() > 1 for a, b in pairs)
+
+
+def _c4_with_adjacent_pair(g: SimpleGraph) -> bool:
+    """Any pair counts, adjacent or not."""
+    pairs = itertools.combinations(range(g.n), 2)
+    return any(not detectors.is_clique(g, g.adj[a] & g.adj[b]) for a, b in pairs)
+
+
+# each must fail the C4 gate: the diamond is a witness against both
+C4_MUTANTS = {
+    "adjacent_common_neighbours": _c4_with_adjacent_common_neighbours,
+    "adjacent_pair": _c4_with_adjacent_pair,
+}
+
+
+@pytest.mark.parametrize("name", C4_MUTANTS)
+def test_c4_gate_catches_mutants(name):
+    assert C4_MUTANTS[name](diamond())
+    assert next(_c4_disagreements(C4_MUTANTS[name]), None) is not None
 
 
 def test_in_class_e_searches_each_hole_length_once(monkeypatch):

@@ -594,7 +594,11 @@ def test_expand_children_labels_exactly_the_children_without_unique_maximum(name
     monkeypatch.setattr(enumeration, "add_vertex", lambda g, s: built.append(add_vertex(g, s)) or built[-1])
     monkeypatch.setattr(enumeration, "canonical_form", lambda g: labelled.append(g) or canonical_form(g))
     refine = enumeration._refine
-    monkeypatch.setattr(enumeration, "_refine", lambda n, adj, cells: refined.append((adj, cells)) or refine(n, adj, cells))
+    monkeypatch.setattr(
+        enumeration,
+        "_refine",
+        lambda n, adj, cells, decide=0: refined.append((adj, cells)) or refine(n, adj, cells, decide),
+    )
     enumeration._canonical_cached.cache_clear()  # so the children are labelled, not looked up
     skipped = decided = 0
     for parent in parents:
@@ -609,6 +613,62 @@ def test_expand_children_labels_exactly_the_children_without_unique_maximum(name
         skipped += len(passed) - len(undecided)
         decided += len(undecided) - len(labelled)
     assert skipped and decided  # the gate is not vacuous
+
+
+def _pre_test_rejects(g: SimpleGraph) -> bool:
+    """Whether the new vertex g.n - 1 is outside the last cell of the child's
+    first equitable partition, by the dense-colour reference."""
+    return not _first_equitable_cells(g)[-1] >> (g.n - 1) & 1
+
+
+@pytest.mark.parametrize("name", [name for name in SWEEP_PRUNES if name != "none"])
+def test_prune_runs_only_on_children_the_pre_test_keeps(name, monkeypatch):
+    # the prune sees exactly the built children with a unique-maximum new
+    # vertex or one the refinement pre-test does not reject
+    prune = SWEEP_PRUNES[name]
+    parents = [SimpleGraph(0, ())] + [g for n in range(1, 7) for g in enumerate_graphs(n, prune=prune)]
+    built, reached = [], []
+
+    def spy(g):
+        reached.append(g)
+        return prune(g)
+
+    spy.forbids_c4 = getattr(prune, "forbids_c4", False)
+    monkeypatch.setattr(enumeration, "add_vertex", lambda g, s: built.append(add_vertex(g, s)) or built[-1])
+    rejected = 0
+    for parent in parents:
+        built.clear()
+        reached.clear()
+        expand_children(parent, spy)
+        assert reached == [c for c in built if _unique_maximum(c) or not _pre_test_rejects(c)]
+        rejected += len(built) - len(reached)
+    assert rejected  # the gate is not vacuous
+
+
+def test_early_stopping_pre_test_matches_full_refinement(monkeypatch):
+    # on every child built, stopping once v's place in the last cell is
+    # decided gives the verdict the first equitable partition gives, and an
+    # undecided child gets that partition itself
+    built = []
+    monkeypatch.setattr(enumeration, "add_vertex", lambda g, s: built.append(add_vertex(g, s)) or built[-1])
+    for n in range(7):
+        for parent in all_graphs(n) if n else (SimpleGraph(0, ()),):
+            expand_children(parent)
+
+    def verdict(cells, v):
+        return "reject" if not cells[-1] & v else "accept" if cells[-1] == v else "label"
+
+    verdicts, stopped = set(), 0
+    for child in built:
+        v = 1 << child.n - 1
+        full = _refine(child.n, child.adj, _degree_cells(child.adj))
+        early = _refine(child.n, child.adj, _degree_cells(child.adj), v)
+        assert verdict(early, v) == verdict(full, v)
+        if verdict(full, v) == "label":
+            assert early == full
+        verdicts.add(verdict(full, v))
+        stopped += early != full
+    assert verdicts == {"reject", "accept", "label"} and stopped  # not vacuous
 
 
 def test_threads_expanding_at_once_get_the_serial_children(monkeypatch):

@@ -6,7 +6,9 @@ purpose).  Every top-level function and class of the package must be named
 somewhere in `src/`, `tests/` or `perfbench/` outside its own definition; the
 search is by whole word, so the benchmark tracer's patches by name count.
 The hole kernel `_holes_in_window` is called only by iter_holes's window loop
-and by all_holes, so its length windows are chosen in one place.
+and by all_holes, so its length windows are chosen in one place.  Each
+binding `sweeps._TRACER_ONLY` keeps is one the benchmark tracer patches on
+`sweeps` and no sweep calls, so the list cannot go stale.
 
 Neither pyflakes nor ruff is a dependency, so this walks the AST itself.
 `__init__.py` is skipped because its imports are the package's re-exports.
@@ -14,12 +16,15 @@ Neither pyflakes nor ruff is a dependency, so this walks the AST itself.
 
 import ast
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import obstruction_lab
+from obstruction_lab import sweeps
 
 PACKAGE = Path(obstruction_lab.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -235,3 +240,28 @@ HOLE_KERNEL_CALLERS = {("detectors.py", "_windowed_holes"), ("detectors.py", "al
 def test_hole_window_policy_has_one_owner():
     found = {(path.name, name) for path in MODULES for name, _ in callers(path.read_text(), "_holes_in_window")}
     assert found == HOLE_KERNEL_CALLERS
+
+
+# prints the names of the `sweeps` attributes the benchmark tracer replaces
+TRACER_PATCHES = """
+import sys
+from pathlib import Path
+sys.path[:0] = sys.argv[1:3]
+from obstruction_lab import sweeps
+import tracing
+before = dict(vars(sweeps))
+tracing.install(tracing.Tracer(Path(sys.argv[3])))
+print(*sorted(name for name, value in vars(sweeps).items() if before.get(name) is not value))
+"""
+
+
+def test_tracer_only_bindings_are_patched_by_the_tracer_and_called_by_no_sweep(tmp_path):
+    argv = [sys.executable, "-c", TRACER_PATCHES, str(ROOT / "perfbench"), str(PACKAGE.parent), str(tmp_path)]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    patched = set(done.stdout.split())
+    names = [fn.__name__ for fn in sweeps._TRACER_ONLY]
+    assert all(getattr(sweeps, name) is fn for name, fn in zip(names, sweeps._TRACER_ONLY))
+    assert set(names) <= patched
+    source = (PACKAGE / "sweeps.py").read_text()
+    assert [name for name in names if callers(source, name)] == []
