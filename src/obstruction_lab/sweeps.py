@@ -3,9 +3,12 @@
 Enumeration-backed sweeps walk the canonical generation tree level by level
 with a hereditary prune, so "all graphs up to n" is covered exactly once per
 isomorphism class while only the relevant hereditary class is materialized.
-Work is partitioned by parent graph and results merge in parent order, which
-`Pool.map` keeps, so serial and parallel runs collect the same entries in
-the same order; the report document sorts them.
+With more than one worker, the parent expands the top levels and then deals
+one level's parents out to forked workers, each of which keeps its shard's
+levels to itself and ships back only counts and report entries.  The raw
+violation and finding lists are therefore in worker order; the report
+document sorts them, and that sorted document is what serial and parallel
+runs agree on.
 """
 
 from __future__ import annotations
@@ -14,10 +17,13 @@ import json
 import os
 import random
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
-from multiprocessing import get_context
+# both names come from modules `import multiprocessing` loads anyway; `Pipe`
+# imports `multiprocessing.connection` only on its first call, in a sweep
+# that forks
+from multiprocessing import Pipe, get_context
+from multiprocessing.context import ForkProcess
 
 from .detectors import (
     find_even_wheel,
@@ -49,12 +55,20 @@ from .predicates import BlurryWitness, verify_blurry
 
 REPORT_SCHEMA = "obstruction-lab/report-v1"
 
-# The benchmark tracer (`perfbench/tracing.py`) patches `sweeps.add_vertex`
-# and `sweeps.find_hole` by name.  No sweep calls either: the blurry host
-# grows its rows in one list, and the C4-necessity host is tested for a C4 by
-# `has_induced_c4`.  So the bindings are named here and kept until the tracer
-# drops them.
-_TRACER_ONLY = (add_vertex, find_hole)
+# The benchmark tracer (`perfbench/tracing.py`) patches `sweeps.add_vertex`,
+# `sweeps.find_hole` and `sweeps.get_context` by name.  No sweep calls any of
+# them: the blurry host grows its rows in one list, the C4-necessity host is
+# tested for a C4 by `has_induced_c4`, and the driver forks its workers
+# itself.  So the bindings are named here and kept until the tracer drops them.
+_TRACER_ONLY = (add_vertex, find_hole, get_context)
+
+# The parent expands levels itself until a level holds this many parents per
+# worker, then deals that level out.  Each shard's subtrees are then fixed,
+# so an early split leaves the workers unevenly loaded: thm31 n = 10 on two
+# workers (2 vCPUs, Python 3.11.7) took 8.1 s with its split at 50 parents
+# per worker, which left them 8.1 s and 5.2 s of CPU, and 7.0 s with it at
+# 219, which left them 6.9 s and 6.8 s.
+SPLIT_PARENTS_PER_WORKER = 64
 
 
 def default_threads() -> int:
@@ -122,7 +136,7 @@ class SweepReport:
 
 
 # ---------------------------------------------------------------------------
-# hereditary prunes (must be module-level for multiprocessing)
+# hereditary prunes
 #
 # Each prune is anchored on the child's new vertex v = g.n - 1 and is valid
 # only on a child whose parent g - v passed the same prune: then every
@@ -292,8 +306,8 @@ PROCESSORS = {
 # level-parallel driver
 
 
-def _expand_and_process(args):
-    parent, prune, processor = args
+def _expand_and_process(parent: SimpleGraph, prune, processor):
+    """The per-parent job: the parent's children and their processor totals."""
     children = expand_children(parent, prune)
     instances = 0
     violations: list[dict] = []
@@ -306,12 +320,102 @@ def _expand_and_process(args):
     return children, instances, violations, findings
 
 
+def _expand_level(level: list[SimpleGraph], stages) -> tuple[list[SimpleGraph], tuple]:
+    """The one level loop, run serially, by the parent above the split and by
+    each worker on its shard: the children of every parent in `level`, by the
+    per-parent job, and the level's (children, instances, violations,
+    findings) totals."""
+    prune, processor = stages
+    children: list[SimpleGraph] = []
+    instances = 0
+    violations: list[dict] = []
+    findings: list[dict] = []
+    for parent in level:
+        c, i, v, f = _expand_and_process(parent, prune, processor)
+        children.extend(c)
+        instances += i
+        violations.extend(v)
+        findings.extend(f)
+    return children, (len(children), instances, violations, findings)
+
+
+def _shard_worker(conn, inherited, level: list[SimpleGraph], stages):
+    """A forked worker: each message from the parent asks for the next level
+    of its shard, which replaces the one it holds; the reply is that level's
+    totals, or the exception that stopped it.  The parent stops the worker
+    with SIGTERM; a pipe closed at the parent's end (the parent gone) ends it
+    too."""
+    for other in inherited:  # copies of the parent's pipe ends
+        other.close()
+    while True:
+        try:
+            conn.recv()
+        except EOFError:
+            return
+        try:
+            level, totals = _expand_level(level, stages)
+        except BaseException as exc:
+            conn.send(exc)  # the parent raises it again
+            return
+        conn.send(totals)
+
+
+def _start_worker(shard: list[SimpleGraph], stages, inherited: list) -> tuple:
+    """Fork one worker holding `shard`; returns the process and the parent's
+    end of its pipe.  `inherited` holds the parent's ends of the pipes so far,
+    which the fork copies and the worker closes.  A daemon worker that the
+    driver did not get to reap (a second interrupt during its clean-up) is
+    terminated when the interpreter exits, not waited for."""
+    mine, theirs = Pipe()
+    proc = ForkProcess(target=_shard_worker, args=(theirs, [*inherited, mine], shard, stages), daemon=True)
+    proc.start()
+    theirs.close()
+    return proc, mine
+
+
+def _worker_died(w: int, proc) -> ChildProcessError:
+    proc.join()
+    return ChildProcessError(
+        f"sweep worker {w} (pid {proc.pid}) ended before replying, exit status {proc.exitcode}"
+    )
+
+
+def _step_workers(n: int, procs: list, conns: list) -> list[tuple]:
+    """Level n on every worker: the level number out to each, then each
+    worker's totals back, in worker order."""
+    for w, conn in enumerate(conns):
+        try:
+            conn.send(n)
+        except OSError:
+            raise _worker_died(w, procs[w]) from None
+    replies = []
+    for w, conn in enumerate(conns):
+        try:
+            reply = conn.recv()
+        except (EOFError, OSError):
+            raise _worker_died(w, procs[w]) from None
+        if isinstance(reply, BaseException):
+            raise reply
+        replies.append(reply)
+    return replies
+
+
 def _run_levels(name: str, max_n: int, threads: int | None, stages, stop_when=None) -> SweepReport:
     """The one sweep driver: walks the generation tree from K0, one level per
-    vertex count; `stages` is a (prune, processor) pair."""
+    vertex count; `stages` is a (prune, processor) pair.
+
+    With W = min(threads, cores) > 1, the parent expands the top levels until
+    one holds SPLIT_PARENTS_PER_WORKER * W parents.  It then forks W workers
+    once, deals them that level round-robin (parent i to worker i mod W) and
+    drops it.  From there the levels run in lock step: each worker expands
+    its own shard and replies with the level's totals only, so no graph
+    crosses a pipe.  `stop_when` is checked between levels either way, so it
+    stops serial and parallel sweeps on the same level.  A worker's exception
+    is raised again here, a worker that dies without replying raises
+    ChildProcessError, and every worker is stopped and reaped on the way
+    out, whatever ends the sweep."""
     if not 1 <= max_n <= ENUMERATION_CAP:
         raise ContractViolation(f"sweeps support max_n in 1..{ENUMERATION_CAP}")
-    prune, processor = stages
     threads = default_threads() if threads is None else threads
     if threads < 1:
         raise ContractViolation(f"thread count must be at least 1, got {threads}")
@@ -319,22 +423,38 @@ def _run_levels(name: str, max_n: int, threads: int | None, stages, stop_when=No
     t0 = time.perf_counter()
     level = [SimpleGraph(0, ())]
     per_n = {}
-    # one pool for the whole sweep: a worker keeps the labellings it cached
-    # for its children and can find them again when they come back as parents
     workers = min(threads, os.cpu_count() or 1)
-    with get_context("fork").Pool(workers) if workers > 1 else nullcontext() as pool:
+    procs: list = []
+    conns: list = []
+    try:
         for n in range(1, max_n + 1):
             if stop_when is not None and stop_when(report):
                 break
-            jobs = [(parent, prune, processor) for parent in level]
-            level = []
-            for children, i, v, f in (pool.map if pool else map)(_expand_and_process, jobs):
-                level.extend(children)
+            if workers > 1 and not procs and len(level) >= SPLIT_PARENTS_PER_WORKER * workers:
+                for w in range(workers):
+                    proc, conn = _start_worker(level[w::workers], stages, conns)
+                    procs.append(proc)
+                    conns.append(conn)
+                level = []
+            if procs:
+                totals = _step_workers(n, procs, conns)
+            else:
+                level, level_totals = _expand_level(level, stages)
+                totals = [level_totals]
+            per_n[n] = 0
+            for count, i, v, f in totals:
+                per_n[n] += count
                 report.instances_checked += i
                 report.violations.extend(v)
                 report.findings.extend(f)
-            report.graphs_examined += len(level)
-            per_n[n] = len(level)
+            report.graphs_examined += per_n[n]
+    finally:
+        for conn in conns:
+            conn.close()
+        for proc in procs:
+            proc.terminate()
+        for proc in procs:
+            proc.join()
     report.details["graphs_per_n"] = per_n
     report.wall_time_s = time.perf_counter() - t0
     return report

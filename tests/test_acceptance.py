@@ -1,14 +1,14 @@
 """Acceptance suite: one criterion per test, one pass/fail line each.
 
 Run with `pytest tests/test_acceptance.py -s` to see the lines as they land.
-The n=10 stretch tier sits behind the `stretch` marker and is excluded by
-default (`pytest -m stretch` opts in).
+Criterion 1 runs thm31 to n=10 on two workers; the full n=9 enumeration
+count in `test_enumeration.py` is the stretch tier, behind the `stretch`
+marker and excluded by default (`pytest -m stretch` opts in).
 """
 
 import hashlib
 import random
 
-import pytest
 
 from obstruction_lab.detectors import (
     certificate_from_dict,
@@ -62,16 +62,23 @@ def test_criterion_1_thm31_sweep_n9():
     )
 
 
-@pytest.mark.stretch
-def test_criterion_1_stretch_thm31_sweep_n10():
-    report = sweep_thm31(10, threads=default_threads())
-    # class-E members on 10 vertices; a serial and a two-thread run agree
+# sha256 of the thm31 n <= 10 canonical payload, read before the workers
+# kept their shards' levels
+THM31_N10_SHA256 = "d58128aefec8effd510eedf38c0de3f8dfcfa42514153db4d2f5ec3e8381f39a"
+
+
+def test_criterion_1_thm31_sweep_n10():
+    # two workers, so the forked path runs at full scale
+    report = sweep_thm31(10, threads=2)
     members = report.details["graphs_per_n"][10]
+    digest = hashlib.sha256(report.canonical_json().encode()).hexdigest()
     _report(
         1,
-        "stretch tier n=10, zero violations, 180916 members at n=10",
-        report.ok and members == 180916,
-        f"graphs={report.graphs_examined} members_n10={members} wall={report.wall_time_s:.0f}s",
+        "triangle-minor closure sweep n<=10 on two workers, zero violations, "
+        "180916 members at n=10, payload pinned",
+        report.ok and members == 180916 and report.instances_checked == 518731 and digest == THM31_N10_SHA256,
+        f"graphs={report.graphs_examined} members_n10={members} instances={report.instances_checked} "
+        f"wall={report.wall_time_s:.0f}s",
     )
 
 

@@ -1,7 +1,15 @@
+import contextlib
 import dataclasses
 import hashlib
 import json
+import multiprocessing
+import os
 import random
+import re
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +32,8 @@ from obstruction_lab.sweeps import (
 from obstruction_lab.ktrees import validate_ktree
 
 from conftest import all_graphs
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def test_sweep_thm31_small_tiers():
@@ -66,13 +76,41 @@ def test_mutation_self_test_reports_violations():
     assert validate_certificate(corrupted, cert)
 
 
-def test_parallel_serial_reports_identical():
-    serial = sweep_thm31(6, threads=1)
-    parallel = sweep_thm31(6, threads=2)
-    assert serial.canonical_json() == parallel.canonical_json()
-    s32 = sweep_thm32(6, threads=1)
-    p32 = sweep_thm32(6, threads=2)
-    assert s32.canonical_json() == p32.canonical_json()
+# every sweep to a size where forced splits fork, serial against two workers
+PARALLEL_SWEEPS = {
+    "thm31": lambda threads: sweep_thm31(6, threads),
+    "thm31_mutated": lambda threads: sweep_thm31(6, threads, mutate=True),
+    "thm32": lambda threads: sweep_thm32(6, threads),
+    "even_hole_subset_E": lambda threads: sweep_even_hole_subset_E(6, threads),
+    "embed_k1": lambda threads: sweep_embed(6, 1, threads),
+    "embed_k2": lambda threads: sweep_embed(6, 2, threads),
+    "embed_k3": lambda threads: sweep_embed(6, 3, threads),
+    "c4_necessity": lambda threads: sweep_c4_necessity(8, threads),
+}
+
+
+def test_parallel_serial_reports_identical(monkeypatch):
+    # one parent per worker splits at the first level with two parents, so
+    # every sweep here runs most of its levels in forked workers; three per
+    # worker deal out a level of at least six, more parents than workers
+    start = sweeps._start_worker
+    started = []
+
+    def counted(shard, stages, inherited):
+        started.append(len(shard))
+        return start(shard, stages, inherited)
+
+    monkeypatch.setattr(sweeps, "_start_worker", counted)
+    for split in (1, 3):
+        monkeypatch.setattr(sweeps, "SPLIT_PARENTS_PER_WORKER", split)
+        for key, run in PARALLEL_SWEEPS.items():
+            serial = run(1)
+            assert started == []
+            parallel = run(2)
+            assert len(started) == 2 and sum(started) >= 2 * split, key
+            started.clear()
+            assert parallel.details == serial.details, key
+            assert parallel.canonical_json() == serial.canonical_json(), key
     c4 = sweep_c4_necessity(7, threads=2).canonical_json()
     assert hashlib.sha256(c4.encode()).hexdigest() == PAYLOAD_PINS["c4_necessity-n7"][1]
 
@@ -206,45 +244,61 @@ def test_canonical_payload_pinned(key):
 
 
 @pytest.fixture
-def serial_pool(monkeypatch):
-    """A fake pool that maps in-process, so asking for 10**6 workers starts
-    no process; returns the log of its sizes, entries and exits."""
+def fake_workers(monkeypatch):
+    """A worker starter that keeps each shard in this process, so asking for
+    10**6 workers starts no process; returns the log of the shard sizes the
+    workers start with and the level numbers they are sent."""
     log = []
 
-    class SerialPool:
-        def __init__(self, size):
-            log.append(("pool", size))
+    class InProcessWorker:
+        """Both the process and the parent's end of its pipe."""
 
-        def __enter__(self):
-            log.append("enter")
-            return self
+        def __init__(self, shard, stages):
+            self.level, self.stages = shard, stages
 
-        def __exit__(self, *exc):
-            log.append("exit")
-            return False
+        def send(self, n):
+            log.append(("level", n))
+            self.level, self.totals = sweeps._expand_level(self.level, self.stages)
 
-        def map(self, fn, jobs):
-            return list(map(fn, jobs))
+        def recv(self):
+            return self.totals
 
-    class SerialContext:
-        Pool = SerialPool
+        def terminate(self):
+            log.append("terminate")
 
-    monkeypatch.setattr(sweeps, "get_context", lambda method: SerialContext)
+        def join(self):
+            pass
+
+        def close(self):
+            pass
+
+    def start(shard, stages, inherited):
+        log.append(("start", len(shard)))
+        worker = InProcessWorker(shard, stages)
+        return worker, worker
+
+    monkeypatch.setattr(sweeps, "_start_worker", start)
     monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 3)
     return log
 
 
-def test_one_pool_per_sweep_sized_by_cores(serial_pool):
+def test_one_pool_per_sweep_sized_by_cores(fake_workers, monkeypatch):
     serial = sweep_embed(4, 1, threads=1)
-    assert serial_pool == []
-    # forests: four levels, of 1, 1, 2 and 3 parents, share one pool of
-    # min(threads, cores) workers
-    report = sweep_embed(4, 1, threads=10**6)
-    assert serial_pool == [("pool", 3), "enter", "exit"]
-    assert report.canonical_json() == serial.canonical_json()
+    # forests: four levels, of 1, 1, 2 and 3 parents, never reach the split
+    unsplit = sweep_embed(4, 1, threads=10**6)
+    assert fake_workers == []
+    # at one parent per worker, the 3 forests on three vertices are dealt
+    # out to min(threads, cores) workers, started once, for the last level
+    monkeypatch.setattr(sweeps, "SPLIT_PARENTS_PER_WORKER", 1)
+    split = sweep_embed(4, 1, threads=10**6)
+    assert fake_workers == [("start", 1)] * 3 + [("level", 4)] * 3 + ["terminate"] * 3
+    assert multiprocessing.active_children() == []
+    for report in (unsplit, split):
+        assert report.details["graphs_per_n"] == serial.details["graphs_per_n"] == {1: 1, 2: 2, 3: 3, 4: 6}
+        assert report.canonical_json() == serial.canonical_json()
 
 
-def test_stop_when_on_one_pool(serial_pool):
+def test_stop_when_on_one_pool(fake_workers, monkeypatch):
     # even-hole-free graphs: 1, 2, 4 and 10 on n = 1..4, so the sweep stops
     # after n = 4, one level short of max_n
     def stop(report):
@@ -252,11 +306,82 @@ def test_stop_when_on_one_pool(serial_pool):
 
     stages = sweeps.PROCESSORS["even_hole_subset_E"]
     serial = sweeps._run_levels("stop", 5, 1, stages, stop_when=stop)
-    assert serial_pool == []
-    pooled = sweeps._run_levels("stop", 5, 2, stages, stop_when=stop)
-    assert serial_pool == [("pool", 2), "enter", "exit"]
-    assert pooled.details["graphs_per_n"] == serial.details["graphs_per_n"] == {1: 1, 2: 2, 3: 4, 4: 10}
-    assert pooled.canonical_json() == serial.canonical_json()
+    unsplit = sweeps._run_levels("stop", 5, 2, stages, stop_when=stop)
+    assert fake_workers == []
+    # split at the two graphs on n = 2: the workers are sent n = 3 and 4,
+    # and n = 5 never
+    monkeypatch.setattr(sweeps, "SPLIT_PARENTS_PER_WORKER", 1)
+    split = sweeps._run_levels("stop", 5, 2, stages, stop_when=stop)
+    assert fake_workers == [("start", 1)] * 2 + [("level", 3)] * 2 + [("level", 4)] * 2 + ["terminate"] * 2
+    for report in (unsplit, split):
+        assert report.details["graphs_per_n"] == serial.details["graphs_per_n"] == {1: 1, 2: 2, 3: 4, 4: 10}
+        assert report.canonical_json() == serial.canonical_json()
+
+
+# Runs a thm31 sweep whose processor fails on the n = 5 graphs in a forked
+# worker, in a fresh interpreter so that a hung driver fails on the timeout
+# instead of stalling the suite, and in a session of its own, so that what
+# it leaves running can be killed.  Prints the driver's error and whether
+# this process has a child left, running or unreaped.
+FAILING_WORKER = """
+import os, signal, sys, time
+from obstruction_lab import cli, sweeps
+
+fault = sys.argv[1]
+driver = os.getpid()
+signal.signal(signal.SIGINT, signal.default_int_handler)  # even if started with SIGINT ignored
+prune, process = sweeps.PROCESSORS["thm31"]
+
+def failing(g):
+    if g.n == 5 and os.getpid() != driver:
+        if fault == "raises":
+            raise ValueError(f"processor failed on {g.n} vertices")
+        if fault == "killed":
+            os.kill(os.getpid(), signal.SIGKILL)
+        if fault == "interrupted" and not any(g.adj):  # once: one worker has the empty graph
+            os.kill(driver, signal.SIGINT)
+            time.sleep(600)
+    return process(g)
+
+sweeps.PROCESSORS["thm31"] = (prune, failing)
+sweeps.SPLIT_PARENTS_PER_WORKER = 1
+try:
+    if fault == "killed":
+        print("exit", cli.main(["sweep", "thm31", "--max-n", "6", "--threads", "2"]))
+    else:
+        sweeps.sweep_thm31(6, threads=2)
+except BaseException as exc:
+    print("raised", type(exc).__name__, exc)
+try:
+    os.waitpid(-1, os.WNOHANG)
+    print("child left")
+except ChildProcessError:
+    print("no child left")
+"""
+
+
+# the driver's stdout and a regular expression for its stderr, per fault
+FAILING_WORKER_OUTPUT = {
+    "raises": ("raised ValueError processor failed on 5 vertices\n", ""),
+    "killed": ("exit 2\n", "error: sweep worker [01] \\(pid \\d+\\) ended before replying, exit status -9\n"),
+    "interrupted": ("raised KeyboardInterrupt \n", ""),
+}
+
+
+@pytest.mark.parametrize("fault", FAILING_WORKER_OUTPUT)
+def test_a_failing_worker_ends_the_sweep_and_is_reaped(fault):
+    out, err = FAILING_WORKER_OUTPUT[fault]
+    argv = [sys.executable, "-c", FAILING_WORKER, fault]
+    pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "text": True}
+    proc = subprocess.Popen(argv, **pipes, env={**os.environ, "PYTHONPATH": SRC}, start_new_session=True)
+    try:
+        stdout, stderr = proc.communicate(timeout=60)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+    assert stdout == out + "no child left\n"
+    assert re.fullmatch(err, stderr), stderr
 
 
 def test_prune_rejecting_k1_examines_nothing():
